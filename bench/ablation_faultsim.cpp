@@ -1,92 +1,54 @@
-// Ablation (google-benchmark): throughput of the PROOFS-style 64-way
-// parallel fault simulator versus the serial reference, plus the cost
-// of fault dropping.
-#include <benchmark/benchmark.h>
+// Ablation: wall time of the PROOFS-style parallel fault simulator
+// versus the serial reference, the cost of turning fault dropping off,
+// and the good-machine simulation alone, on the first Table II
+// circuit.  Prints best-of-reps ms per configuration and faults per
+// second.
+#include <cstdio>
+#include <functional>
+#include <vector>
 
 #include "experiments.h"
 #include "fault/collapse.h"
 #include "faultsim/proofs.h"
 #include "faultsim/serial.h"
 
-namespace {
+int main() {
+  using namespace retest;
+  const netlist::Circuit circuit =
+      bench::PrepareVariant(bench::Table2Variants()[0]).original;
+  const std::vector<fault::Fault> faults =
+      fault::Collapse(circuit).representatives;
+  const sim::InputSequence sequence = bench::RandomSequence(circuit, 64, 42);
+  constexpr int kReps = 5;
 
-using namespace retest;
+  faultsim::ProofsOptions no_dropping;
+  no_dropping.drop_detected = false;
+  const struct {
+    const char* name;
+    std::function<void()> run;
+  } configs[] = {
+      {"serial", [&] { faultsim::SimulateSerial(circuit, faults, sequence); }},
+      {"proofs", [&] { faultsim::SimulateProofs(circuit, faults, sequence); }},
+      {"proofs_no_dropping",
+       [&] {
+         faultsim::SimulateProofs(circuit, faults, sequence, no_dropping);
+       }},
+      {"good_simulation",
+       [&] {
+         sim::Simulator simulator(circuit);
+         simulator.Reset();
+         simulator.Run(sequence);
+       }},
+  };
 
-struct Fixture {
-  netlist::Circuit circuit;
-  std::vector<fault::Fault> faults;
-  sim::InputSequence sequence;
-};
-
-const Fixture& GetFixture() {
-  static const Fixture fixture = [] {
-    Fixture f;
-    f.circuit = bench::PrepareVariant(bench::Table2Variants()[0]).original;
-    f.faults = fault::Collapse(f.circuit).representatives;
-    std::uint64_t state = 42;
-    for (int t = 0; t < 64; ++t) {
-      std::vector<sim::V3> vector(
-          static_cast<size_t>(f.circuit.num_inputs()));
-      for (auto& v : vector) {
-        state = state * 6364136223846793005ull + 1442695040888963407ull;
-        v = (state >> 33) & 1 ? sim::V3::k1 : sim::V3::k0;
-      }
-      f.sequence.push_back(std::move(vector));
-    }
-    return f;
-  }();
-  return fixture;
-}
-
-void BM_SerialFaultSim(benchmark::State& state) {
-  const Fixture& fixture = GetFixture();
-  for (auto _ : state) {
-    auto result = faultsim::SimulateSerial(fixture.circuit, fixture.faults,
-                                           fixture.sequence);
-    benchmark::DoNotOptimize(result);
+  std::printf("%s: %zu faults, %zu vectors, best of %d\n",
+              circuit.name().c_str(), faults.size(), sequence.size(), kReps);
+  std::printf("%-20s %10s %14s\n", "config", "ms", "faults/s");
+  for (const auto& config : configs) {
+    const double ms = bench::TimeMs(config.run, kReps);
+    std::printf("%-20s %10.3f %14.0f\n", config.name, ms,
+                ms > 0 ? 1000.0 * static_cast<double>(faults.size()) / ms
+                       : 0.0);
   }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<long>(fixture.faults.size()));
+  return 0;
 }
-BENCHMARK(BM_SerialFaultSim)->Unit(benchmark::kMillisecond);
-
-void BM_ProofsFaultSim(benchmark::State& state) {
-  const Fixture& fixture = GetFixture();
-  for (auto _ : state) {
-    auto result = faultsim::SimulateProofs(fixture.circuit, fixture.faults,
-                                           fixture.sequence);
-    benchmark::DoNotOptimize(result);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<long>(fixture.faults.size()));
-}
-BENCHMARK(BM_ProofsFaultSim)->Unit(benchmark::kMillisecond);
-
-void BM_ProofsNoDropping(benchmark::State& state) {
-  const Fixture& fixture = GetFixture();
-  faultsim::ProofsOptions options;
-  options.drop_detected = false;
-  for (auto _ : state) {
-    auto result = faultsim::SimulateProofs(fixture.circuit, fixture.faults,
-                                           fixture.sequence, options);
-    benchmark::DoNotOptimize(result);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<long>(fixture.faults.size()));
-}
-BENCHMARK(BM_ProofsNoDropping)->Unit(benchmark::kMillisecond);
-
-void BM_GoodSimulation(benchmark::State& state) {
-  const Fixture& fixture = GetFixture();
-  for (auto _ : state) {
-    sim::Simulator simulator(fixture.circuit);
-    simulator.Reset();
-    auto outputs = simulator.Run(fixture.sequence);
-    benchmark::DoNotOptimize(outputs);
-  }
-}
-BENCHMARK(BM_GoodSimulation)->Unit(benchmark::kMillisecond);
-
-}  // namespace
-
-BENCHMARK_MAIN();

@@ -35,11 +35,9 @@
 // Exit codes: 0 ok, 1 determinism mismatch, 2 fatal before any
 // circuit, 3 partial results, 4 JSON unwritable.
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <exception>
-#include <functional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -53,19 +51,7 @@
 namespace {
 
 using namespace retest;
-
-double TimeMs(const std::function<void()>& fn, int reps) {
-  double best = 1e300;
-  for (int r = 0; r < reps; ++r) {
-    const auto start = std::chrono::steady_clock::now();
-    fn();
-    const auto stop = std::chrono::steady_clock::now();
-    const double ms =
-        std::chrono::duration<double, std::milli>(stop - start).count();
-    if (ms < best) best = ms;
-  }
-  return best;
-}
+using bench::TimeMs;
 
 struct RunStats {
   double ms = 0;

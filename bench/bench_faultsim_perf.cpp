@@ -1,29 +1,26 @@
-// Fault-simulation throughput harness.
+// Fault-simulation wall-clock harness.
 //
-// Times the fault-sim engines on the Table III circuits (original and
-// retimed stand-in machines): the scalar serial reference, the
-// full-evaluation PROOFS engine (every node, every frame, one thread),
-// the cone-restricted engine at the default lane width, and a lane
-// width sweep of the cone engine (64 / 256 / 512 faults per pass; see
-// docs/SIMD.md).  Emits BENCH_faultsim.json (frames/sec, machine
-// gate-evals/sec, speedups, lane-width x thread-count sweep) into the
-// current directory so the perf trajectory is tracked from PR 1
-// onward, and cross-checks that every engine at every width agrees on
-// every detection before reporting anything.
+// Times PROOFS on the Table III circuits (original and retimed
+// stand-in machines) in the four engine configurations a caller can
+// pick — full evaluation or cone restriction, at one thread or the
+// default thread count — plus the scalar serial reference on a capped
+// fault subset.  Every configuration runs the whole collapsed fault
+// list, so it takes the 512-lane path; one more run splits the list
+// into 64-fault chunks, the 64-lane path, so both lane widths enter
+// the equivalence verdict.  Emits BENCH_faultsim.json into the current
+// directory: per row the wall ms of each configuration first, then the
+// work counters, with the host's CPU count and ISA.  Every engine must
+// agree on every detection before anything is reported.
 //
 // Modes:
 //   (default)           4 circuit variants, 256-vector sequences
 //   REPRO_FULL=1        all 16 variants
 //   --smoke             1 variant, short sequences (ctest budget);
 //                       exit code is the equivalence verdict
-// REPRO_THREADS=N overrides the default thread count everywhere;
-// REPRO_SIMD=auto|avx512|avx2|off picks the default lane width.
+// REPRO_THREADS=N sets the default thread count.
 #include <algorithm>
-#include <chrono>
-#include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <functional>
 #include <span>
 #include <string>
 #include <thread>
@@ -41,62 +38,86 @@
 namespace {
 
 using namespace retest;
+using bench::RandomSequence;
+using bench::TimeMs;
 
-double TimeMs(const std::function<void()>& fn, int reps) {
-  double best = 1e300;
-  for (int r = 0; r < reps; ++r) {
-    const auto start = std::chrono::steady_clock::now();
-    fn();
-    const auto stop = std::chrono::steady_clock::now();
-    const double ms =
-        std::chrono::duration<double, std::milli>(stop - start).count();
-    if (ms < best) best = ms;
-  }
-  return best;
+/// The host's vector extensions, for the record; the engine is built
+/// for the baseline ISA whatever the host offers.
+std::string HostIsa() {
+#if defined(__x86_64__)
+  std::string isa = "x86-64";
+  if (__builtin_cpu_supports("avx2")) isa += " avx2";
+  if (__builtin_cpu_supports("avx512f")) isa += " avx512f";
+  return isa;
+#else
+  return "not x86-64";
+#endif
 }
 
-sim::InputSequence RandomSequence(const netlist::Circuit& circuit, int length,
-                                  std::uint64_t seed) {
-  sim::InputSequence sequence;
-  std::uint64_t state = seed;
-  for (int t = 0; t < length; ++t) {
-    std::vector<sim::V3> vector(static_cast<size_t>(circuit.num_inputs()));
-    for (auto& v : vector) {
-      state = state * 6364136223846793005ull + 1442695040888963407ull;
-      v = (state >> 33) & 1 ? sim::V3::k1 : sim::V3::k0;
-    }
-    sequence.push_back(std::move(vector));
-  }
-  return sequence;
-}
-
-struct EngineStats {
+/// One timed configuration: best-of-reps wall ms plus its work.
+struct EngineRun {
   double ms = 0;
   long frames = 0;
   long gate_evals = 0;
-  int lanes = 64;
-  int detected = 0;
-
-  double FramesPerSec() const {
-    return ms > 0 ? 1000.0 * static_cast<double>(frames) / ms : 0;
-  }
-  double GateEvalsPerFrame() const {
-    return frames > 0 ? static_cast<double>(gate_evals) /
-                            static_cast<double>(frames)
-                      : 0;
-  }
-  /// Machine-level work rate: each lane-wide node evaluation covers
-  /// `lanes` faulty machines, so this is the honest cross-width
-  /// throughput measure (a wider engine doing fewer, heavier
-  /// evaluations in less wall time scores higher).
-  double GateEvalsPerSec() const {
-    return ms > 0 ? 1000.0 * static_cast<double>(gate_evals) *
-                        static_cast<double>(lanes) / ms
-                  : 0;
-  }
+  std::vector<faultsim::Detection> detections;
 };
 
-struct CircuitReport {
+EngineRun RunProofs(const netlist::Circuit& circuit,
+                    std::span<const fault::Fault> faults,
+                    const sim::InputSequence& sequence,
+                    const faultsim::ProofsOptions& options, int reps) {
+  EngineRun run;
+  faultsim::ProofsResult result;
+  run.ms = TimeMs(
+      [&] { result = faultsim::SimulateProofs(circuit, faults, sequence,
+                                              options); },
+      reps);
+  run.frames = result.frames_evaluated;
+  run.gate_evals = result.gate_evals;
+  run.detections = std::move(result.detections);
+  return run;
+}
+
+/// `options` over consecutive 64-fault chunks (each on the 64-lane
+/// path), stitched back into one run.
+EngineRun RunProofsIn64Chunks(const netlist::Circuit& circuit,
+                              std::span<const fault::Fault> faults,
+                              const sim::InputSequence& sequence,
+                              const faultsim::ProofsOptions& options,
+                              int reps) {
+  EngineRun run;
+  run.ms = TimeMs(
+      [&] {
+        run = EngineRun{};
+        for (size_t begin = 0; begin < faults.size(); begin += 64) {
+          const size_t size = std::min<size_t>(64, faults.size() - begin);
+          faultsim::ProofsResult chunk = faultsim::SimulateProofs(
+              circuit, faults.subspan(begin, size), sequence, options);
+          run.frames += chunk.frames_evaluated;
+          run.gate_evals += chunk.gate_evals;
+          run.detections.insert(run.detections.end(),
+                                chunk.detections.begin(),
+                                chunk.detections.end());
+        }
+      },
+      reps);
+  return run;
+}
+
+int CountDetected(const std::vector<faultsim::Detection>& detections) {
+  return static_cast<int>(
+      std::count_if(detections.begin(), detections.end(),
+                    [](const faultsim::Detection& d) { return d.detected; }));
+}
+
+// The configurations, in JSON and table order; the last one runs in
+// 64-fault chunks.
+constexpr const char* kConfigs[] = {"full_1t", "full_nt", "cone_1t",
+                                    "cone_nt", "cone_1t_64chunks"};
+constexpr int kNumConfigs = 5;
+constexpr int kChunked = kNumConfigs - 1;
+
+struct Row {
   std::string name;
   const char* role;  // "original" | "retimed"
   int num_nodes = 0;
@@ -104,119 +125,54 @@ struct CircuitReport {
   int sequence_length = 0;
   int serial_faults = 0;  // serial baseline is timed on a capped subset
   double serial_ms = 0;
-  EngineStats full;          // full evaluation, 1 thread, default width
-  EngineStats cone_1t;       // cone-restricted, 1 thread, default width
-  EngineStats cone_default;  // cone-restricted, default threads/width
-  EngineStats width[3];      // cone-restricted, 1 thread, 64/256/512 lanes
+  EngineRun runs[kNumConfigs];
+  int detected = 0;
   bool equivalent = true;
 };
 
-constexpr int kWidthWords[3] = {1, 4, 8};
-
-EngineStats RunProofs(const netlist::Circuit& circuit,
-                      std::span<const fault::Fault> faults,
-                      const sim::InputSequence& sequence,
-                      const faultsim::ProofsOptions& options, int reps,
-                      faultsim::ProofsResult* out = nullptr) {
-  EngineStats stats;
-  faultsim::ProofsResult result;
-  stats.ms = TimeMs(
-      [&] { result = faultsim::SimulateProofs(circuit, faults, sequence,
-                                              options); },
-      reps);
-  stats.frames = result.frames_evaluated;
-  stats.gate_evals = result.gate_evals;
-  stats.lanes = result.lanes;
-  stats.detected = result.num_detected();
-  if (out) *out = std::move(result);
-  return stats;
-}
-
-bool SameDetections(const std::vector<faultsim::Detection>& a,
-                    const std::vector<faultsim::Detection>& b) {
-  if (a.size() != b.size()) return false;
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (!(a[i] == b[i])) return false;
-  }
-  return true;
-}
-
-struct SweepPoint {
-  int lanes = 64;
-  int threads = 1;
-  double ms = 0;
-  double gate_evals_per_sec = 0;
-};
-
-void EmitJson(const std::vector<CircuitReport>& reports,
-              const std::vector<SweepPoint>& sweep, int default_threads,
-              int default_lanes, bool smoke) {
+void EmitJson(const std::vector<Row>& rows, int default_threads, bool smoke) {
   std::FILE* f = std::fopen("BENCH_faultsim.json", "w");
   if (!f) {
     std::fprintf(stderr, "cannot write BENCH_faultsim.json\n");
     return;
   }
-  auto engine = [&](const char* key, const EngineStats& s, bool last) {
-    std::fprintf(f,
-                 "      \"%s\": {\"ms\": %.3f, \"frames\": %ld, \"lanes\": %d, "
-                 "\"frames_per_sec\": %.1f, \"gate_evals_per_frame\": %.1f, "
-                 "\"gate_evals_per_sec\": %.3e, \"detected\": %d}%s\n",
-                 key, s.ms, s.frames, s.lanes, s.FramesPerSec(),
-                 s.GateEvalsPerFrame(), s.GateEvalsPerSec(), s.detected,
-                 last ? "" : ",");
-  };
-  std::fprintf(f, "{\n  \"mode\": \"%s\",\n  \"default_threads\": %d,\n",
-               smoke ? "smoke" : "full", default_threads);
-  std::fprintf(f, "  \"cpus\": %u,\n",
-               std::max(1u, std::thread::hardware_concurrency()));
-  std::fprintf(
-      f, "  \"simd\": {\"policy\": \"%s\", \"default\": \"%s\", "
-         "\"avx2\": %s, \"avx512\": %s},\n",
-      std::string(sim::ToString(sim::DefaultSimdPolicy())).c_str(),
-      sim::DescribeLaneWords(default_lanes / 64).c_str(),
-      sim::CpuHasAvx2() ? "true" : "false",
-      sim::CpuHasAvx512() ? "true" : "false");
-  std::fprintf(f, "  \"circuits\": [\n");
-  for (size_t i = 0; i < reports.size(); ++i) {
-    const CircuitReport& r = reports[i];
+  std::fprintf(f, "{\n  \"mode\": \"%s\",\n", smoke ? "smoke" : "full");
+  std::fprintf(f,
+               "  \"host\": {\"nproc\": %u, \"isa\": \"%s\", "
+               "\"default_threads\": %d},\n",
+               std::max(1u, std::thread::hardware_concurrency()),
+               HostIsa().c_str(), default_threads);
+  std::fprintf(f,
+               "  \"lanes\": {\"up_to_64_faults\": \"%s\", "
+               "\"more_than_64_faults\": \"%s\"},\n",
+               sim::DescribeLaneWords(1).c_str(),
+               sim::DescribeLaneWords(sim::kWideLaneWords).c_str());
+  std::fprintf(f, "  \"rows\": [\n");
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const Row& r = rows[i];
     std::fprintf(f, "    {\"name\": \"%s\", \"role\": \"%s\",\n",
                  r.name.c_str(), r.role);
+    std::fprintf(f, "     \"wall_ms\": {");
+    for (int c = 0; c < kNumConfigs; ++c) {
+      std::fprintf(f, "\"%s\": %.3f, ", kConfigs[c], r.runs[c].ms);
+    }
+    std::fprintf(f, "\"serial_subset\": %.3f},\n", r.serial_ms);
     std::fprintf(f,
-                 "     \"nodes\": %d, \"faults\": %d, \"frames\": %d,\n",
-                 r.num_nodes, r.num_faults, r.sequence_length);
-    std::fprintf(f,
-                 "     \"serial\": {\"ms\": %.3f, \"faults_timed\": %d},\n",
-                 r.serial_ms, r.serial_faults);
-    std::fprintf(f, "     \"engines\": {\n");
-    engine("proofs_full_1t", r.full, false);
-    engine("proofs_cone_1t", r.cone_1t, false);
-    engine("proofs_cone_default", r.cone_default, false);
-    engine("proofs_cone_w64", r.width[0], false);
-    engine("proofs_cone_w256", r.width[1], false);
-    engine("proofs_cone_w512", r.width[2], true);
-    std::fprintf(f, "     },\n");
-    const double w64_rate = r.width[0].GateEvalsPerSec();
-    std::fprintf(
-        f,
-        "     \"speedup_cone_default_vs_full\": %.2f, "
-        "\"speedup_cone_1t_vs_full\": %.2f,\n"
-        "     \"gate_eval_rate_w256_vs_w64\": %.2f, "
-        "\"gate_eval_rate_w512_vs_w64\": %.2f, \"equivalent\": %s}%s\n",
-        r.cone_default.ms > 0 ? r.full.ms / r.cone_default.ms : 0,
-        r.cone_1t.ms > 0 ? r.full.ms / r.cone_1t.ms : 0,
-        w64_rate > 0 ? r.width[1].GateEvalsPerSec() / w64_rate : 0,
-        w64_rate > 0 ? r.width[2].GateEvalsPerSec() / w64_rate : 0,
-        r.equivalent ? "true" : "false",
-        i + 1 < reports.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n  \"lane_thread_sweep\": [\n");
-  for (size_t i = 0; i < sweep.size(); ++i) {
-    std::fprintf(f,
-                 "    {\"lanes\": %d, \"threads\": %d, \"ms\": %.3f, "
-                 "\"gate_evals_per_sec\": %.3e}%s\n",
-                 sweep[i].lanes, sweep[i].threads, sweep[i].ms,
-                 sweep[i].gate_evals_per_sec,
-                 i + 1 < sweep.size() ? "," : "");
+                 "     \"nodes\": %d, \"faults\": %d, \"frames\": %d, "
+                 "\"serial_faults\": %d, \"detected\": %d, "
+                 "\"equivalent\": %s,\n",
+                 r.num_nodes, r.num_faults, r.sequence_length,
+                 r.serial_faults, r.detected,
+                 r.equivalent ? "true" : "false");
+    std::fprintf(f, "     \"work\": {");
+    for (int c = 0; c < kNumConfigs; ++c) {
+      std::fprintf(f,
+                   "\"%s\": {\"frames_evaluated\": %ld, "
+                   "\"gate_evals\": %ld}%s",
+                   kConfigs[c], r.runs[c].frames, r.runs[c].gate_evals,
+                   c + 1 < kNumConfigs ? ", " : "");
+    }
+    std::fprintf(f, "}}%s\n", i + 1 < rows.size() ? "," : "");
   }
   // Cumulative engine metrics for every run above (docs/METRICS.md).
   std::fprintf(f, "  ],\n  \"metrics\": %s\n}\n",
@@ -232,7 +188,6 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
   }
   const int default_threads = core::ThreadPool::DefaultThreadCount();
-  const int default_lanes = 64 * sim::ResolveLaneWords(0);
   const auto& variants = bench::Table2Variants();
   const size_t num_variants =
       smoke ? 1 : (bench::FullMode() ? variants.size() : 4);
@@ -240,15 +195,23 @@ int main(int argc, char** argv) {
   const int reps = smoke ? 1 : 3;
   const size_t serial_cap = smoke ? 64 : 256;
 
-  std::printf("fault-simulation throughput (threads=%d, default %s%s)\n",
-              default_threads,
-              sim::DescribeLaneWords(default_lanes / 64).c_str(),
-              smoke ? ", --smoke" : "");
-  std::printf("%-14s %-9s | %8s %7s | %9s %9s %9s | %8s %8s\n", "circuit",
-              "role", "faults", "nodes", "full ms", "w64 ms", "w512 ms",
-              "Gev/s64", "Gev/s512");
+  std::printf("fault-simulation wall ms (default threads=%d, %s%s)\n",
+              default_threads, HostIsa().c_str(), smoke ? ", --smoke" : "");
+  std::printf("%-14s %-9s %6s |", "circuit", "role", "faults");
+  for (const char* config : kConfigs) std::printf(" %16s", config);
+  std::printf("\n");
 
-  std::vector<CircuitReport> reports;
+  faultsim::ProofsOptions options[kNumConfigs];
+  options[0].cone_restricted = false;
+  options[0].sort_faults = false;
+  options[0].num_threads = 1;
+  options[1] = options[0];
+  options[1].num_threads = 0;  // default / REPRO_THREADS
+  options[2].num_threads = 1;
+  options[3].num_threads = 0;
+  options[kChunked] = options[2];
+
+  std::vector<Row> rows;
   bool all_equivalent = true;
   for (size_t v = 0; v < num_variants; ++v) {
     const bench::Prepared prepared = bench::PrepareVariant(variants[v]);
@@ -261,109 +224,58 @@ int main(int argc, char** argv) {
       const sim::InputSequence sequence =
           RandomSequence(circuit, sequence_length, 42 + v);
 
-      CircuitReport report;
-      report.name = circuit.name();
-      report.role = role;
-      report.num_nodes = circuit.size();
-      report.num_faults = static_cast<int>(faults.size());
-      report.sequence_length = static_cast<int>(sequence.size());
+      Row row;
+      row.name = circuit.name();
+      row.role = role;
+      row.num_nodes = circuit.size();
+      row.num_faults = static_cast<int>(faults.size());
+      row.sequence_length = static_cast<int>(sequence.size());
 
       // Serial reference on a capped subset (it is orders of magnitude
       // slower; the cap keeps the harness runnable while still timing
       // real work).
-      report.serial_faults =
-          static_cast<int>(std::min(serial_cap, faults.size()));
+      row.serial_faults = static_cast<int>(std::min(serial_cap, faults.size()));
       const std::span<const fault::Fault> serial_span(
-          faults.data(), static_cast<size_t>(report.serial_faults));
+          faults.data(), static_cast<size_t>(row.serial_faults));
       std::vector<faultsim::Detection> serial_detections;
-      report.serial_ms = TimeMs(
+      row.serial_ms = TimeMs(
           [&] {
             serial_detections =
                 faultsim::SimulateSerial(circuit, serial_span, sequence);
           },
           1);
 
-      faultsim::ProofsOptions full;
-      full.cone_restricted = false;
-      full.sort_faults = false;
-      full.num_threads = 1;
-      faultsim::ProofsOptions cone1;
-      cone1.num_threads = 1;
-      faultsim::ProofsOptions coneN;
-      coneN.num_threads = 0;  // default / REPRO_THREADS
-
-      faultsim::ProofsResult full_result, cone1_result, coneN_result;
-      report.full =
-          RunProofs(circuit, faults, sequence, full, reps, &full_result);
-      report.cone_1t =
-          RunProofs(circuit, faults, sequence, cone1, reps, &cone1_result);
-      report.cone_default =
-          RunProofs(circuit, faults, sequence, coneN, reps, &coneN_result);
-
-      // Engine equivalence: all PROOFS configurations agree everywhere
-      // (including every lane width below), and the serial reference
-      // agrees on its subset.
-      report.equivalent =
-          SameDetections(full_result.detections, cone1_result.detections) &&
-          SameDetections(full_result.detections, coneN_result.detections);
-      for (size_t i = 0; i < serial_detections.size() && report.equivalent;
-           ++i) {
-        if (!(serial_detections[i] == full_result.detections[i])) {
-          report.equivalent = false;
-        }
+      for (int c = 0; c < kNumConfigs; ++c) {
+        row.runs[c] = c == kChunked
+                          ? RunProofsIn64Chunks(circuit, faults, sequence,
+                                                options[c], reps)
+                          : RunProofs(circuit, faults, sequence, options[c],
+                                      reps);
       }
 
-      // Lane width sweep: cone engine, one thread, so the rate ratios
-      // isolate the kernel width.
-      for (int w = 0; w < 3; ++w) {
-        faultsim::ProofsOptions wide = cone1;
-        wide.lane_words = kWidthWords[w];
-        faultsim::ProofsResult wide_result;
-        report.width[w] =
-            RunProofs(circuit, faults, sequence, wide, reps, &wide_result);
-        if (!SameDetections(full_result.detections, wide_result.detections)) {
-          report.equivalent = false;
-        }
+      // Engine equivalence: every configuration and both lane widths
+      // agree everywhere, and the serial reference agrees on its subset.
+      const auto& reference = row.runs[0].detections;
+      for (const EngineRun& run : row.runs) {
+        if (run.detections != reference) row.equivalent = false;
       }
-      all_equivalent = all_equivalent && report.equivalent;
+      for (size_t i = 0; i < serial_detections.size(); ++i) {
+        if (!(serial_detections[i] == reference[i])) row.equivalent = false;
+      }
+      row.detected = CountDetected(reference);
+      all_equivalent = all_equivalent && row.equivalent;
 
-      std::printf(
-          "%-14s %-9s | %8d %7d | %9.2f %9.2f %9.2f | %8.2e %8.2e%s\n",
-          report.name.c_str(), role, report.num_faults, report.num_nodes,
-          report.full.ms, report.width[0].ms, report.width[2].ms,
-          report.width[0].GateEvalsPerSec(), report.width[2].GateEvalsPerSec(),
-          report.equivalent ? "" : "  MISMATCH");
+      std::printf("%-14s %-9s %6d |", row.name.c_str(), role,
+                  row.num_faults);
+      for (const EngineRun& run : row.runs) std::printf(" %16.2f", run.ms);
+      std::printf("%s\n", row.equivalent ? "" : "  MISMATCH");
       std::fflush(stdout);
-      reports.push_back(std::move(report));
+      rows.push_back(std::move(row));
     }
   }
 
-  // Lane-width x thread-count sweep of the cone engine on the first
-  // circuit (machine gate-evals/sec per point).
-  std::vector<SweepPoint> sweep;
-  if (!reports.empty()) {
-    const bench::Prepared prepared = bench::PrepareVariant(variants[0]);
-    const auto collapsed = fault::Collapse(prepared.original);
-    const sim::InputSequence sequence =
-        RandomSequence(prepared.original, sequence_length, 42);
-    const int hw = static_cast<int>(
-        std::max(1u, std::thread::hardware_concurrency()));
-    for (int w = 0; w < 3; ++w) {
-      for (int threads = 1; threads <= hw; threads *= 2) {
-        faultsim::ProofsOptions options;
-        options.num_threads = threads;
-        options.lane_words = kWidthWords[w];
-        const EngineStats stats = RunProofs(
-            prepared.original, collapsed.representatives, sequence, options,
-            reps);
-        sweep.push_back({stats.lanes, threads, stats.ms,
-                         stats.GateEvalsPerSec()});
-      }
-    }
-  }
-
-  EmitJson(reports, sweep, default_threads, default_lanes, smoke);
-  std::printf("wrote BENCH_faultsim.json (%zu circuits)\n", reports.size());
+  EmitJson(rows, default_threads, smoke);
+  std::printf("wrote BENCH_faultsim.json (%zu rows)\n", rows.size());
   if (!all_equivalent) {
     std::fprintf(stderr, "ENGINE MISMATCH: detections disagree\n");
     return 1;

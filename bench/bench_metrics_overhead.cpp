@@ -38,6 +38,7 @@
 namespace {
 
 using namespace retest;
+using bench::RandomSequence;
 namespace metrics = core::metrics;
 
 double TimeOnceMs(const std::function<void()>& fn) {
@@ -62,21 +63,6 @@ void TimePairMs(const std::function<void()>& enabled_fn,
     *disabled_ms = std::min(*disabled_ms, TimeOnceMs(disabled_fn));
   }
   metrics::SetEnabled(true);
-}
-
-sim::InputSequence RandomSequence(const netlist::Circuit& circuit, int length,
-                                  std::uint64_t seed) {
-  sim::InputSequence sequence;
-  std::uint64_t state = seed;
-  for (int t = 0; t < length; ++t) {
-    std::vector<sim::V3> vector(static_cast<size_t>(circuit.num_inputs()));
-    for (auto& v : vector) {
-      state = state * 6364136223846793005ull + 1442695040888963407ull;
-      v = (state >> 33) & 1 ? sim::V3::k1 : sim::V3::k0;
-    }
-    sequence.push_back(std::move(vector));
-  }
-  return sequence;
 }
 
 double PerOpNs(const std::function<void()>& op, long iterations) {

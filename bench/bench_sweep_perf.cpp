@@ -16,11 +16,9 @@
 // finished rows with an "error" field; exit codes are 0 ok,
 // 1 determinism mismatch (swept detections differ from unswept),
 // 2 fatal-before-rows, 3 partial, 4 output unwritable.
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <exception>
-#include <functional>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -38,34 +36,8 @@
 namespace {
 
 using namespace retest;
-
-double TimeMs(const std::function<void()>& fn, int reps) {
-  double best = 0;
-  for (int r = 0; r < reps; ++r) {
-    const auto start = std::chrono::steady_clock::now();
-    fn();
-    const auto stop = std::chrono::steady_clock::now();
-    const double ms =
-        std::chrono::duration<double, std::milli>(stop - start).count();
-    if (r == 0 || ms < best) best = ms;
-  }
-  return best;
-}
-
-sim::InputSequence RandomSequence(const netlist::Circuit& circuit, int length,
-                                  std::uint64_t seed) {
-  sim::InputSequence sequence;
-  std::uint64_t state = seed;
-  for (int t = 0; t < length; ++t) {
-    std::vector<sim::V3> vector(static_cast<size_t>(circuit.num_inputs()));
-    for (auto& v : vector) {
-      state = state * 6364136223846793005ull + 1442695040888963407ull;
-      v = (state >> 33) & 1 ? sim::V3::k1 : sim::V3::k0;
-    }
-    sequence.push_back(std::move(vector));
-  }
-  return sequence;
-}
+using bench::RandomSequence;
+using bench::TimeMs;
 
 /// Sweep + faultsim measurements for one side (original or retimed).
 struct SideStats {

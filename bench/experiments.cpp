@@ -1,7 +1,9 @@
 #include "experiments.h"
 
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <utility>
 
 #include "fsm/benchmarks.h"
 #include "retime/leiserson_saxe.h"
@@ -32,6 +34,34 @@ const std::vector<Variant>& Table2Variants() {
       {"scf", EncodingStyle::kOutputDominant, ScriptStyle::kDelay},
   };
   return kVariants;
+}
+
+double TimeMs(const std::function<void()>& fn, int reps) {
+  double best = 0;
+  for (int r = 0; r < reps; ++r) {
+    const auto start = std::chrono::steady_clock::now();
+    fn();
+    const auto stop = std::chrono::steady_clock::now();
+    const double ms =
+        std::chrono::duration<double, std::milli>(stop - start).count();
+    if (r == 0 || ms < best) best = ms;
+  }
+  return best;
+}
+
+sim::InputSequence RandomSequence(const netlist::Circuit& circuit, int length,
+                                  std::uint64_t seed) {
+  sim::InputSequence sequence;
+  std::uint64_t state = seed;
+  for (int t = 0; t < length; ++t) {
+    std::vector<sim::V3> vector(static_cast<size_t>(circuit.num_inputs()));
+    for (auto& v : vector) {
+      state = state * 6364136223846793005ull + 1442695040888963407ull;
+      v = (state >> 33) & 1 ? sim::V3::k1 : sim::V3::k0;
+    }
+    sequence.push_back(std::move(vector));
+  }
+  return sequence;
 }
 
 std::string JsonEscape(const std::string& text) {

@@ -6,6 +6,8 @@
 // defaults keep the whole bench suite runnable in minutes.
 #pragma once
 
+#include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -63,6 +65,14 @@ enum ExitCode : int {
   kExitPartial = 3,              ///< failure mid-run; JSON holds finished rows
   kExitJsonWriteFailure = 4,     ///< rows computed but output file unwritable
 };
+
+/// Best-of-`reps` wall time of `fn` in milliseconds (steady clock).
+double TimeMs(const std::function<void()>& fn, int reps);
+
+/// A deterministic binary input sequence of `length` vectors for
+/// `circuit`, drawn from a 64-bit LCG seeded with `seed`.
+sim::InputSequence RandomSequence(const netlist::Circuit& circuit, int length,
+                                  std::uint64_t seed);
 
 /// Minimal JSON string escaping for error messages and names.
 std::string JsonEscape(const std::string& text);

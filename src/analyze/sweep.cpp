@@ -39,7 +39,7 @@ std::string_view ToString(SweepMode mode) {
 
 SweepMode DefaultSweepMode() {
   // NOLINTNEXTLINE(concurrency-mt-unsafe): read-only env lookup, same
-  // pattern as REPRO_SIMD / REPRO_THREADS.
+  // pattern as REPRO_THREADS.
   const char* env = std::getenv("REPRO_SWEEP");
   if (env != nullptr) {
     if (auto parsed = ParseSweepMode(env)) return *parsed;

@@ -133,6 +133,7 @@ AtpgResult RunAtpg(const netlist::Circuit& circuit,
     // generated test, and re-analyzing the netlist each time would
     // outweigh the savings (detections are identical either way).
     faultsim::ProofsOptions sim_options;
+    sim_options.num_threads = options.num_threads;
     sim_options.sweep = analyze::SweepMode::kOff;
     const auto sim_result =
         faultsim::SimulateProofs(circuit, targets, sequence, sim_options);

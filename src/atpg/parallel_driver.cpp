@@ -283,13 +283,11 @@ class Driver {
       }
       FillUnassigned(candidate, rng);
       // Verify by fault simulation (HITEC does the same) on the
-      // cone-restricted PROOFS engine; single fault, so batching, site
-      // sorting and wide lanes buy nothing — pin the 64-lane kernel
-      // rather than paying a 512-lane frame for one machine.
+      // cone-restricted PROOFS engine; single fault, so batching and
+      // site sorting buy nothing (and the run is 64 lanes wide).
       faultsim::ProofsOptions proofs;
       proofs.num_threads = 1;
       proofs.sort_faults = false;
-      proofs.lane_words = 1;
       // Single tiny run: re-analyzing the netlist per candidate would
       // dwarf the simulation, so the sweep stays off here regardless
       // of REPRO_SWEEP (results are identical either way).

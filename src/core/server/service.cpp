@@ -455,9 +455,15 @@ void Service::RunJob(JobRec& rec, const core::JobContext& ctx) {
         const faultsim::ProofsResult result = faultsim::SimulateProofs(
             rec.circuit, faults.representatives, rec.tests.Concatenated(),
             proofs_options);
+        // Whole milliseconds, like AtpgResult::elapsed_ms: collapse
+        // plus simulation.
+        const long elapsed_ms =
+            std::chrono::duration_cast<std::chrono::milliseconds>(
+                Clock::now() - run_start)
+                .count();
         out << "\"status\": \"ok\", \"resumed\": false, \"preempted\": false"
-            << ", \"elapsed_ms\": 0, \"faultsim\": " << FaultSimJson(result)
-            << "}";
+            << ", \"elapsed_ms\": " << elapsed_ms
+            << ", \"faultsim\": " << FaultSimJson(result) << "}";
         break;
       }
       case JobKind::kPreserve: {

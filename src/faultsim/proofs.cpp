@@ -23,6 +23,13 @@ using sim::Vec3;
 
 namespace {
 
+/// The lane-width rule: a run whose faults fit one 64-lane word runs
+/// at W=1; every larger run packs 512 faults per pass.  Detections are
+/// identical either way; only batching and work counters differ.
+int LaneWordsFor(size_t num_faults) {
+  return num_faults <= 64 ? 1 : sim::kWideLaneWords;
+}
+
 /// Fault order that maximizes cone sharing inside a lane group: sites
 /// are visited in levelized topological position, so the faults of one
 /// batch sit close together and the union of their fanout cones stays
@@ -196,7 +203,7 @@ ProofsResult SimulateProofs(const netlist::Circuit& circuit,
   RETEST_TRACE_SPAN(run_span, "faultsim.simulate");
   ProofsResult result;
   result.detections.assign(faults.size(), {});
-  result.lanes = 64 * sim::ResolveLaneWords(options.lane_words);
+  result.lanes = 64 * LaneWordsFor(faults.size());
   if (faults.empty() || sequence.empty()) return result;
   RETEST_COUNTER_ADD("faultsim.runs", "runs", "faultsim",
                      "SimulateProofs invocations", 1);
@@ -275,19 +282,14 @@ ProofsResult SimulateProofs(const netlist::Circuit& circuit,
     core.detections.assign(active.size(), {});
     sink = &core;
   }
-  switch (sim::ResolveLaneWords(options.lane_words)) {
-    case 8:
-      RunBatches<8>(circuit, active, sequence, options, compiled,
-                    trace ? &*trace : nullptr, good_outputs, order, *sink);
-      break;
-    case 4:
-      RunBatches<4>(circuit, active, sequence, options, compiled,
-                    trace ? &*trace : nullptr, good_outputs, order, *sink);
-      break;
-    default:
-      RunBatches<1>(circuit, active, sequence, options, compiled,
-                    trace ? &*trace : nullptr, good_outputs, order, *sink);
-      break;
+  const sim::Trace* good_trace = trace ? &*trace : nullptr;
+  if (LaneWordsFor(active.size()) == 1) {
+    RunBatches<1>(circuit, active, sequence, options, compiled, good_trace,
+                  good_outputs, order, *sink);
+  } else {
+    RunBatches<sim::kWideLaneWords>(circuit, active, sequence, options,
+                                    compiled, good_trace, good_outputs,
+                                    order, *sink);
   }
   if (swept) {
     for (size_t i = 0; i < kept_positions.size(); ++i) {

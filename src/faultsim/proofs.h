@@ -1,11 +1,13 @@
-// PROOFS-style sequential fault simulator, SIMD-wide.
+// PROOFS-style sequential fault simulator, lane-group wide.
 //
 // Simulates 64*W faulty machines per pass using the bit-parallel
 // 3-valued engine (Niermann/Cheng/Patel, DAC 1990 — the simulator the
-// paper's Section V.C experiments used; W is the SIMD lane-group width
-// from sim/simd.h: 64, 256 or 512 faults per pass).  Faults are
-// dropped from further work once detected; each faulty machine keeps
-// its own DFF state across the whole sequence.
+// paper's Section V.C experiments used).  The lane width follows one
+// rule on the run's input: a run that batches at most 64 faults uses
+// W=1 (one 64-lane word), every larger run W=8 (512 faults per pass;
+// sim/simd.h, docs/ARCHITECTURE.md).  Faults are dropped from further
+// work once detected; each faulty machine keeps its own DFF state
+// across the whole sequence.
 //
 // Two PROOFS insights drive the performance of the default
 // configuration:
@@ -23,20 +25,21 @@
 // dispatched across a thread pool (ProofsOptions::num_threads / the
 // REPRO_THREADS env override).
 //
-// Thread-safety and determinism contract (docs/ARCHITECTURE.md,
-// docs/SIMD.md):
+// Thread-safety and determinism contract (docs/ARCHITECTURE.md):
 //  - SimulateProofs is safe to call concurrently from multiple threads
 //    (it shares no mutable state between runs), and each run's workers
 //    share only the immutable good-machine trace and compiled netlist;
 //    all per-batch scratch is worker-owned and merged by batch index.
 //  - Detections are a pure function of (circuit, faults, sequence,
 //    drop_detected/cone_restricted/sort_faults): bit-identical at any
-//    num_threads AND any lane width, and — by construction, see
-//    docs/SWEEP.md — at any sweep mode.  frames_evaluated and
-//    gate_evals are additionally invariant across thread counts at a
-//    fixed lane width and sweep mode (wider lanes mean fewer, heavier
-//    evaluations; sweep=on means fewer faults and smaller cones).
-//    Tier-1 tests and the bench_faultsim_perf exit code enforce this.
+//    num_threads AND either lane width (so a run equals the
+//    concatenation of its runs over 64-fault chunks), and — by
+//    construction, see docs/SWEEP.md — at any sweep mode.
+//    frames_evaluated and gate_evals are a pure function of the same
+//    inputs plus the sweep mode: invariant across thread counts and
+//    independent of the host (sweep=on means fewer faults and smaller
+//    cones).  Tier-1 tests and the bench_faultsim_perf exit code
+//    enforce this.
 //  - Instrumentation (faultsim.* metrics, faultsim.* trace spans; see
 //    docs/METRICS.md) is observational only and never alters results.
 #pragma once
@@ -66,12 +69,6 @@ struct ProofsOptions {
   /// core::ThreadPool::DefaultThreadCount() (the REPRO_THREADS env var
   /// when set, else hardware concurrency).
   int num_threads = 0;
-  /// Machine words per lane group: 1 (64 faults/pass), 4 (256) or
-  /// 8 (512).  Any other value (0 = default) resolves via
-  /// sim::ResolveLaneWords — the REPRO_SIMD env var / CMake option,
-  /// with `auto` picking the widest kernel the CPU runs natively.
-  /// Width never changes detections, only batching and work counters.
-  int lane_words = 0;
   /// Structural sweep (analyze/sweep.h).  nullopt defers to the
   /// REPRO_SWEEP env var (default off).  `on` computes the sweep once
   /// per run and uses it for the three transformations that are sound
@@ -99,7 +96,8 @@ struct ProofsResult {
   long gate_evals = 0;
   /// Threads the run actually used.
   int threads_used = 1;
-  /// Faulty machines simulated per pass (64 * lane words).
+  /// Faulty machines simulated per pass: 64 when the run batches at
+  /// most 64 faults, else 512.
   int lanes = 64;
 
   int num_detected() const {
@@ -109,7 +107,7 @@ struct ProofsResult {
   }
 };
 
-/// Fault simulates `sequence` over `faults` (64*W per pass).
+/// Fault simulates `sequence` over `faults` (64 or 512 per pass).
 ProofsResult SimulateProofs(const netlist::Circuit& circuit,
                             std::span<const fault::Fault> faults,
                             const sim::InputSequence& sequence,

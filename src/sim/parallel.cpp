@@ -415,13 +415,10 @@ void WideFrame<W>::Step(std::span<const V3> inputs,
 }
 
 template class WideTrace<1>;
-template class WideTrace<4>;
 template class WideTrace<8>;
 template class WideFrame<1>;
-template class WideFrame<4>;
 template class WideFrame<8>;
 template Vec3<1> EvalGateWide<1>(NodeKind, std::span<const Vec3<1>>);
-template Vec3<4> EvalGateWide<4>(NodeKind, std::span<const Vec3<4>>);
 template Vec3<8> EvalGateWide<8>(NodeKind, std::span<const Vec3<8>>);
 
 }  // namespace retest::sim

@@ -1,17 +1,14 @@
 // W-lane bit-parallel 3-valued logic (the PROOFS machine-word engine,
-// generalized over SIMD width).
+// generalized over lane-group width).
 //
 // A Vec3<W> packs 64*W independent 3-valued values as two planes of W
 // machine words: bit i of plane `one` set means machine i sees 1, bit
 // i of plane `zero` set means it sees 0, neither means X (both set is
 // invalid).  W=1 is the classic 1990-era PROOFS width (one uint64_t
-// per plane, 64 faulty machines per pass); W=4 is one AVX2 register
-// per plane (256 machines); W=8 is one AVX-512 register (512
-// machines).  All widths are implemented as portable word loops —
-// building with -mavx2/-mavx512f (the REPRO_SIMD CMake option, see
-// sim/simd.h and docs/SIMD.md) lets the compiler collapse them into
-// single vector instructions, and every width computes bit-identical
-// per-lane results either way.
+// per plane, 64 faulty machines per pass); W=8 packs 512 machines.
+// Both widths are portable word loops (sim/simd.h says which run
+// uses which), and every width computes bit-identical per-lane
+// results.
 //
 // WideFrame<W> is the frame evaluator over these words.  It runs on a
 // CompiledNetlist (sim/compiled.h): flattened CSR fanin/fanout arrays
@@ -90,8 +87,7 @@ struct Vec3 {
 };
 
 /// The 3-valued algebra, word-parallel over all lanes.  Plain loops by
-/// design: at W=4/8 the compiler vectorizes each plane op into one
-/// AVX2/AVX-512 instruction when the build enables those extensions.
+/// design: every width runs on every CPU.
 template <int W>
 inline Vec3<W> NotV(const Vec3<W>& a) {
   Vec3<W> r;
@@ -410,18 +406,14 @@ class WideFrame {
 /// The classic 64-lane engine is the W=1 instance.
 using ParallelFrame = WideFrame<1>;
 
-// The supported widths are instantiated once in sim/parallel.cpp
-// (64 / 256 / 512 lanes; see sim/simd.h for the dispatch policy).
+// The two widths are instantiated once in sim/parallel.cpp (64 and
+// 512 lanes; see sim/simd.h for which run uses which).
 extern template class WideTrace<1>;
-extern template class WideTrace<4>;
 extern template class WideTrace<8>;
 extern template class WideFrame<1>;
-extern template class WideFrame<4>;
 extern template class WideFrame<8>;
 extern template Vec3<1> EvalGateWide<1>(netlist::NodeKind,
                                         std::span<const Vec3<1>>);
-extern template Vec3<4> EvalGateWide<4>(netlist::NodeKind,
-                                        std::span<const Vec3<4>>);
 extern template Vec3<8> EvalGateWide<8>(netlist::NodeKind,
                                         std::span<const Vec3<8>>);
 

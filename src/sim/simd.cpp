@@ -1,95 +1,13 @@
 #include "sim/simd.h"
 
-#include <cstdlib>
-
 namespace retest::sim {
 
-namespace {
+int ResolveLaneWords(int words) { return words == 1 ? 1 : kWideLaneWords; }
 
-// The CMake REPRO_SIMD option bakes the configured default in as a
-// string literal; "auto" when the build did not set one.
-constexpr const char* kCompiledDefault =
-#ifdef RETEST_SIMD_DEFAULT
-    RETEST_SIMD_DEFAULT;
-#else
-    "auto";
-#endif
-
-}  // namespace
-
-std::optional<SimdPolicy> ParseSimdPolicy(std::string_view text) {
-  if (text == "auto") return SimdPolicy::kAuto;
-  if (text == "avx512") return SimdPolicy::kAvx512;
-  if (text == "avx2") return SimdPolicy::kAvx2;
-  if (text == "off") return SimdPolicy::kOff;
-  return std::nullopt;
-}
-
-std::string_view ToString(SimdPolicy policy) {
-  switch (policy) {
-    case SimdPolicy::kAuto: return "auto";
-    case SimdPolicy::kAvx512: return "avx512";
-    case SimdPolicy::kAvx2: return "avx2";
-    case SimdPolicy::kOff: return "off";
-  }
-  return "auto";
-}
-
-bool CpuHasAvx2() {
-#if defined(__x86_64__) || defined(__i386__)
-  return __builtin_cpu_supports("avx2") != 0;
-#else
-  return false;
-#endif
-}
-
-bool CpuHasAvx512() {
-#if defined(__x86_64__) || defined(__i386__)
-  return __builtin_cpu_supports("avx512f") != 0;
-#else
-  return false;
-#endif
-}
-
-SimdPolicy DefaultSimdPolicy() {
-  if (const char* env = std::getenv("REPRO_SIMD")) {
-    if (const auto parsed = ParseSimdPolicy(env)) return *parsed;
-  }
-  if (const auto compiled = ParseSimdPolicy(kCompiledDefault)) {
-    return *compiled;
-  }
-  return SimdPolicy::kAuto;
-}
-
-int LaneWords(SimdPolicy policy) {
-  switch (policy) {
-    case SimdPolicy::kOff: return 1;
-    case SimdPolicy::kAvx2: return 4;
-    case SimdPolicy::kAvx512: return 8;
-    case SimdPolicy::kAuto:
-      if (CpuHasAvx512()) return 8;
-      if (CpuHasAvx2()) return 4;
-      return 1;
-  }
-  return 1;
-}
-
-int ResolveLaneWords(int requested) {
-  if (requested == 1 || requested == 4 || requested == 8) return requested;
-  return LaneWords(DefaultSimdPolicy());
-}
-
-std::string DescribeLaneWords(int lane_words) {
-  const int lanes = 64 * lane_words;
-  const char* codegen = "portable";
-  if (lane_words == 8 && CpuHasAvx512()) {
-    codegen = "avx512 native";
-  } else if (lane_words == 4 && CpuHasAvx2()) {
-    codegen = "avx2 native";
-  } else if (lane_words == 1) {
-    codegen = "scalar word";
-  }
-  return std::to_string(lanes) + " lanes (" + codegen + ")";
+std::string DescribeLaneWords(int words) {
+  const int resolved = ResolveLaneWords(words);
+  return std::to_string(64 * resolved) + " lanes (" +
+         (resolved == 1 ? "scalar word" : "portable word loops") + ")";
 }
 
 }  // namespace retest::sim

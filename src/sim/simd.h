@@ -1,70 +1,30 @@
-// SIMD lane-width policy for the bit-parallel engines.
+// Lane widths of the bit-parallel PROOFS engine.
 //
-// The wide PROOFS kernels (sim/parallel.h) are generic over W, the
-// number of 64-bit machine words per lane group: W=1 is the classic
-// 64-faults-per-pass engine, W=4 packs 256 faults (one AVX2 register
-// per plane), W=8 packs 512 (one AVX-512 register).  The kernels are
-// written as plain word loops, so every width is portable; building
-// with -mavx2 / -mavx512f (the REPRO_SIMD CMake option) lets the
-// compiler lower the W=4 / W=8 loops to single vector instructions.
+// The kernels (sim/parallel.h) are generic over W, the number of
+// 64-bit machine words per lane group, and are instantiated at two
+// widths: W=1 (64 faults per pass, the classic PROOFS word) and
+// W=kWideLaneWords (512 faults per pass).  Both are plain word loops
+// compiled for the baseline ISA; no build adds vector-ISA flags.
 //
-// Policy resolution, in priority order:
-//   1. an explicit per-run override (ProofsOptions::lane_words);
-//   2. the REPRO_SIMD environment variable (auto|avx512|avx2|off);
-//   3. the compiled default (the REPRO_SIMD CMake cache option, which
-//      also adds the matching -m arch flags when set to avx2/avx512).
-//
-// `auto` picks the widest kernel the running CPU can execute natively
-// (512 on AVX-512 hardware, 256 on AVX2, else 64).  `off` forces the
-// 64-lane engine.  Forcing avx2/avx512 on hardware without the
-// extension is safe: the portable word loops compute bit-identical
-// results, just without the vector codegen.
-//
-// Determinism contract: lane width never changes detection results,
-// only batching and work counters (docs/SIMD.md).
+// faultsim::SimulateProofs picks the width from its input alone: a run
+// that batches at most 64 faults uses W=1, every larger run the wide
+// width (docs/ARCHITECTURE.md, "Lane widths").  The width never
+// changes detections, only batching and work counters.
 #pragma once
 
-#include <optional>
 #include <string>
-#include <string_view>
 
 namespace retest::sim {
 
-/// Lane-width policy names, mirroring the REPRO_SIMD option values.
-enum class SimdPolicy {
-  kAuto,    ///< Widest kernel the CPU supports natively.
-  kAvx512,  ///< 512 lanes (8 words) regardless of CPU support.
-  kAvx2,    ///< 256 lanes (4 words) regardless of CPU support.
-  kOff,     ///< 64 lanes (1 word): the classic PROOFS width.
-};
+/// Machine words per lane group of the wide kernel (512 lanes).
+inline constexpr int kWideLaneWords = 8;
 
-/// Parses "auto" / "avx512" / "avx2" / "off" (exact, lowercase).
-/// Returns nullopt for anything else.
-std::optional<SimdPolicy> ParseSimdPolicy(std::string_view text);
+/// Maps a lane-word count onto a width the engine runs: 1 stays 1,
+/// anything else is the wide width.
+int ResolveLaneWords(int words);
 
-/// Canonical name of a policy ("auto", "avx512", ...).
-std::string_view ToString(SimdPolicy policy);
-
-/// True when the running CPU executes AVX2 / AVX-512F natively.
-bool CpuHasAvx2();
-bool CpuHasAvx512();
-
-/// The process-wide default policy: the REPRO_SIMD env var when set to
-/// a valid value, else the compiled default (REPRO_SIMD CMake option,
-/// baked in as RETEST_SIMD_DEFAULT; "auto" when unconfigured).
-SimdPolicy DefaultSimdPolicy();
-
-/// Machine words per lane group for a policy: off -> 1, avx2 -> 4,
-/// avx512 -> 8, auto -> widest natively supported (1 without AVX2).
-int LaneWords(SimdPolicy policy);
-
-/// Resolves a user-facing lane_words knob: 1, 4 and 8 are taken
-/// literally; 0 (or any other value) means LaneWords(DefaultSimdPolicy()).
-int ResolveLaneWords(int requested);
-
-/// Human-readable label for a resolved width, e.g. "512 lanes (avx512
-/// native)" or "256 lanes (portable)"; used by the bench JSON emitters
-/// so recorded numbers are honestly tagged with the codegen situation.
-std::string DescribeLaneWords(int lane_words);
+/// Human-readable label for a width, e.g. "512 lanes (portable word
+/// loops)"; the bench JSON emitters record it next to their numbers.
+std::string DescribeLaneWords(int words);
 
 }  // namespace retest::sim

@@ -1,14 +1,21 @@
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <set>
+#include <string>
+#include <vector>
+
 #include "atpg/engine.h"
 #include "atpg/justify.h"
 #include "atpg/podem.h"
 #include "atpg/unrolled.h"
+#include "core/trace.h"
 #include "faultsim/serial.h"
 #include "fsm/benchmarks.h"
 #include "netlist/builder.h"
 #include "synth/synthesize.h"
 #include "tests/paper_circuits.h"
+#include "tests/random_circuits.h"
 
 namespace retest::atpg {
 namespace {
@@ -177,6 +184,63 @@ TEST(Engine, HonoursTimeBudget) {
   options.random_rounds = 0;
   const AtpgResult result = RunAtpg(circuit, options);
   EXPECT_GT(result.Count(FaultStatus::kUntried), 0);
+}
+
+// A 1-thread run stays on one thread in every phase: the random
+// phase's fault simulations take the run's thread budget instead of
+// REPRO_THREADS / hardware concurrency.  dk16 has well over 512
+// collapsed faults, so each random-phase simulation has several
+// batches that a wider pool would spread over its workers.
+TEST(Engine, RandomPhaseHonoursThreadBudget) {
+  if (!RETEST_METRICS) GTEST_SKIP() << "trace spans compiled out";
+  const Circuit circuit =
+      Synthesize(fsm::MakeBenchmarkFsm("dk16"), synth::SynthesisOptions{});
+  const char* old = std::getenv("REPRO_THREADS");
+  const std::string saved = old ? old : "";
+  setenv("REPRO_THREADS", "4", 1);
+  core::trace::ResetForTesting();
+  core::trace::EnableForTesting(true);
+  AtpgOptions options;
+  options.num_threads = 1;
+  options.max_frames = 4;
+  const AtpgResult result = RunAtpg(circuit, options);
+  core::trace::EnableForTesting(false);
+  std::vector<core::trace::Event> events;
+  core::trace::Drain(events);
+  core::trace::ResetForTesting();
+  if (old) {
+    setenv("REPRO_THREADS", saved.c_str(), 1);
+  } else {
+    unsetenv("REPRO_THREADS");
+  }
+
+  ASSERT_GT(result.faults.size(), 1024u);
+  std::set<int> batch_threads;
+  for (const core::trace::Event& event : events) {
+    if (std::string(event.name) == "faultsim.batch") {
+      batch_threads.insert(event.tid);
+    }
+  }
+  EXPECT_EQ(batch_threads.size(), 1u);
+}
+
+// AtpgResult::evaluations counts the random phase's PROOFS frames, so
+// it is host-independent only because the lane width is a function of
+// the fault count.  The circuit has more than 64 collapsed faults, so
+// its random phase runs 512-lane batches before the deterministic
+// phase; the count is the same at any thread count.
+TEST(Engine, EvaluationsArePinned) {
+  const Circuit circuit = retest::testing::MakeRandomCircuit(
+      7, {.num_inputs = 4, .num_dffs = 4, .num_gates = 40});
+  for (int threads : {1, 4}) {
+    AtpgOptions options;
+    options.seed = 11;
+    options.num_threads = threads;
+    const AtpgResult result = RunAtpg(circuit, options);
+    ASSERT_GT(result.faults.size(), 64u);
+    EXPECT_FALSE(result.preempted);
+    EXPECT_EQ(result.evaluations, 154531) << "threads " << threads;
+  }
 }
 
 TEST(Unrolled, IncrementalMatchesFullEvaluation) {

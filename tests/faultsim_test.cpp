@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <span>
 #include <thread>
 
 #include "fault/fault.h"
@@ -261,13 +263,35 @@ TEST(Proofs, ConeRestrictedThreadedMatchesSerialOnRandomCircuits) {
   EXPECT_TRUE(saw_branch);
 }
 
-// The SIMD determinism gate (docs/SIMD.md): detections — flag AND
-// detection time — are bit-identical across every lane width, at one
-// and many threads, with cone restriction plus fault dropping (which
-// exercises DropLanes on partially-live words) and in full-evaluation
-// mode, and always equal to the scalar serial reference.  Fault counts
-// here are nowhere near multiples of 256/512, so every wide run ends
-// in a partial final batch with masked dead lanes.
+/// Simulates `faults` as consecutive runs of at most 64 faults, each
+/// of which takes the 64-lane path, and stitches the runs together:
+/// detections concatenated in input order, work counters summed.
+ProofsResult SimulateInChunks(const Circuit& circuit,
+                              std::span<const fault::Fault> faults,
+                              const InputSequence& sequence,
+                              const ProofsOptions& options) {
+  ProofsResult all;
+  for (size_t begin = 0; begin < faults.size(); begin += 64) {
+    const size_t size = std::min<size_t>(64, faults.size() - begin);
+    const ProofsResult chunk = SimulateProofs(
+        circuit, faults.subspan(begin, size), sequence, options);
+    EXPECT_EQ(chunk.lanes, 64);
+    all.detections.insert(all.detections.end(), chunk.detections.begin(),
+                          chunk.detections.end());
+    all.frames_evaluated += chunk.frames_evaluated;
+    all.gate_evals += chunk.gate_evals;
+  }
+  return all;
+}
+
+// The lane-width determinism gate: one run over more than 64 faults
+// (the 512-lane path) detects exactly what its 64-fault chunks (the
+// 64-lane path) detect — flag AND detection time — and both equal the
+// scalar serial reference.  Covered at one and many threads, in cone
+// and full mode, with and without dropping (which exercises DropLanes
+// on partially-live words).  Fault counts here are nowhere near
+// multiples of 64 or 512, so both paths end in a partial final batch
+// with masked dead lanes.
 TEST(Proofs, LaneWidthDoesNotChangeDetections) {
   const int hw = static_cast<int>(
       std::max(1u, std::thread::hardware_concurrency()));
@@ -275,31 +299,37 @@ TEST(Proofs, LaneWidthDoesNotChangeDetections) {
     retest::testing::RandomCircuitOptions copts;
     copts.num_inputs = 3 + static_cast<int>(seed % 3);
     copts.num_dffs = 2 + static_cast<int>(seed % 3);
-    copts.num_gates = 12 + static_cast<int>(seed % 24);
+    copts.num_gates = 16 + static_cast<int>(seed % 24);
     const Circuit circuit = retest::testing::MakeRandomCircuit(seed, copts);
     const auto faults = fault::EnumerateFaults(circuit);
+    ASSERT_GT(faults.size(), 64u) << "seed " << seed;
     Rng rng{seed * 1181 + 7};
     const InputSequence sequence = Random3Sequence(
         rng, circuit.num_inputs(), 10 + static_cast<int>(seed % 16));
     const auto serial = SimulateSerial(circuit, faults, sequence);
 
-    for (int lane_words : {1, 4, 8}) {
-      for (int threads : {1, hw}) {
-        for (bool cone : {true, false}) {
+    for (int threads : {1, hw}) {
+      for (bool cone : {true, false}) {
+        for (bool drop : {true, false}) {
           ProofsOptions options;
-          options.lane_words = lane_words;
           options.num_threads = threads;
           options.cone_restricted = cone;
-          // drop_detected stays on: detected lanes retire mid-sequence
-          // while later faults in the same word are still live.
-          const auto proofs =
+          options.drop_detected = drop;
+          const auto whole =
               SimulateProofs(circuit, faults, sequence, options);
-          EXPECT_EQ(proofs.lanes, 64 * lane_words);
-          ASSERT_EQ(serial.size(), proofs.detections.size());
+          const auto chunked =
+              SimulateInChunks(circuit, faults, sequence, options);
+          EXPECT_EQ(whole.lanes, 512);
+          ASSERT_EQ(serial.size(), whole.detections.size());
+          ASSERT_EQ(serial.size(), chunked.detections.size());
           for (size_t i = 0; i < serial.size(); ++i) {
-            EXPECT_EQ(serial[i], proofs.detections[i])
-                << "seed " << seed << " lanes " << proofs.lanes
-                << " threads " << threads << " cone " << cone << ": "
+            EXPECT_EQ(serial[i], whole.detections[i])
+                << "seed " << seed << " threads " << threads << " cone "
+                << cone << " drop " << drop << ": "
+                << ToString(circuit, faults[i]);
+            EXPECT_EQ(whole.detections[i], chunked.detections[i])
+                << "seed " << seed << " threads " << threads << " cone "
+                << cone << " drop " << drop << ": "
                 << ToString(circuit, faults[i]);
           }
         }
@@ -308,31 +338,27 @@ TEST(Proofs, LaneWidthDoesNotChangeDetections) {
   }
 }
 
-// At a fixed lane width the work counters are thread-invariant; across
-// widths the frame count shrinks with batch count (wider batches,
-// fewer passes).
+// Without dropping every batch runs the whole sequence, so the frame
+// count is batches x frames: one 512-lane batch for the whole list,
+// one 64-lane batch per chunk.
 TEST(Proofs, WiderLanesEvaluateFewerFrames) {
   const Circuit circuit = retest::testing::MakeRandomCircuit(
       11, {.num_inputs = 4, .num_dffs = 3, .num_gates = 30});
   const auto faults = fault::EnumerateFaults(circuit);
   ASSERT_GT(faults.size(), 64u) << "need several 64-lane batches";
+  ASSERT_LE(faults.size(), 512u) << "need a single 512-lane batch";
   Rng rng{77};
   const InputSequence sequence = Random3Sequence(rng, 4, 20);
   ProofsOptions options;
   options.drop_detected = false;  // fixed frame count per batch
-  long frames[3] = {};
-  const int widths[3] = {1, 4, 8};
-  for (int w = 0; w < 3; ++w) {
-    options.lane_words = widths[w];
-    frames[w] = SimulateProofs(circuit, faults, sequence, options)
-                    .frames_evaluated;
-    const long batches =
-        static_cast<long>((faults.size() + 64u * widths[w] - 1) /
-                          (64u * static_cast<unsigned>(widths[w])));
-    EXPECT_EQ(frames[w], batches * static_cast<long>(sequence.size()));
-  }
-  EXPECT_GT(frames[0], frames[1]);
-  EXPECT_GE(frames[1], frames[2]);
+  const long frames = static_cast<long>(sequence.size());
+  const long chunks = static_cast<long>((faults.size() + 63) / 64);
+  EXPECT_EQ(SimulateProofs(circuit, faults, sequence, options)
+                .frames_evaluated,
+            frames);
+  EXPECT_EQ(SimulateInChunks(circuit, faults, sequence, options)
+                .frames_evaluated,
+            chunks * frames);
 }
 
 TEST(Proofs, ConeRestrictionReducesGateEvals) {
@@ -343,14 +369,13 @@ TEST(Proofs, ConeRestrictionReducesGateEvals) {
   const InputSequence sequence = RandomSequence(rng, 4, 32);
   ProofsOptions cone;
   cone.drop_detected = false;
-  // Pin the classic 64-lane width: at 512 lanes this whole fault list
-  // fits one batch and its cone union spans the circuit, so there is
-  // nothing left for the restriction to skip.
-  cone.lane_words = 1;
   ProofsOptions full = cone;
   full.cone_restricted = false;
-  const auto with_cone = SimulateProofs(circuit, faults, sequence, cone);
-  const auto without = SimulateProofs(circuit, faults, sequence, full);
+  // 64-fault runs: a 512-lane batch would hold this whole fault list,
+  // and its cone union would span the circuit, leaving nothing for the
+  // restriction to skip.
+  const auto with_cone = SimulateInChunks(circuit, faults, sequence, cone);
+  const auto without = SimulateInChunks(circuit, faults, sequence, full);
   for (size_t i = 0; i < faults.size(); ++i) {
     EXPECT_EQ(with_cone.detections[i], without.detections[i]);
   }

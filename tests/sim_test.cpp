@@ -1,19 +1,25 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <type_traits>
+#include <vector>
 
 #include "netlist/builder.h"
+#include "sim/compiled.h"
 #include "sim/levelizer.h"
 #include "sim/logic3.h"
 #include "sim/parallel.h"
+#include "sim/simd.h"
 #include "sim/simulator.h"
+#include "tests/random_circuits.h"
 
 namespace retest::sim {
 namespace {
 
 using netlist::Builder;
 using netlist::Circuit;
+using netlist::NodeId;
 using netlist::NodeKind;
 
 TEST(Logic3, TruthTables) {
@@ -251,7 +257,6 @@ TEST(ParallelFrame, StemInjectionAffectsAllSinks) {
 template <typename T>
 class WideVec : public ::testing::Test {};
 using WideWidths = ::testing::Types<std::integral_constant<int, 1>,
-                                    std::integral_constant<int, 4>,
                                     std::integral_constant<int, 8>>;
 TYPED_TEST_SUITE(WideVec, WideWidths);
 
@@ -405,6 +410,165 @@ TYPED_TEST(WideVec, WideFrameConeMatchesFullAtEveryWidth) {
     }
   }
   EXPECT_LE(cone.gate_evals(), full.gate_evals());
+}
+
+// ---- Lane widths ---------------------------------------------------
+
+TEST(LaneWords, ResolveLaneWordsIsOneOrWide) {
+  EXPECT_EQ(ResolveLaneWords(1), 1);
+  for (int words : {0, -1, 2, 4, 8, 16}) {
+    EXPECT_EQ(ResolveLaneWords(words), kWideLaneWords) << words;
+  }
+}
+
+TEST(LaneWords, DescribeLaneWordsNamesTheWidth) {
+  EXPECT_EQ(DescribeLaneWords(1), "64 lanes (scalar word)");
+  EXPECT_EQ(DescribeLaneWords(8), "512 lanes (portable word loops)");
+}
+
+// ---- CompiledNetlist ------------------------------------------------
+
+bool IsSourceKind(NodeKind kind) {
+  return kind == NodeKind::kInput || kind == NodeKind::kDff ||
+         kind == NodeKind::kConst0 || kind == NodeKind::kConst1;
+}
+
+void CheckCompiledInvariants(const Circuit& circuit) {
+  const CompiledNetlist compiled(circuit);
+  const Levelization levels = Levelize(circuit);
+  ASSERT_EQ(compiled.num_nodes(), circuit.size());
+  EXPECT_EQ(compiled.depth(), levels.depth);
+
+  // Per-node mirrors: kind, level, fanin CSR in pin order.
+  for (NodeId id = 0; id < circuit.size(); ++id) {
+    const auto uid = static_cast<std::uint32_t>(id);
+    EXPECT_EQ(compiled.kind(uid), circuit.node(id).kind);
+    EXPECT_EQ(compiled.level(uid), levels.level[static_cast<size_t>(id)]);
+    const auto fanins = compiled.fanins(uid);
+    ASSERT_EQ(fanins.size(), circuit.node(id).fanin.size());
+    for (size_t p = 0; p < fanins.size(); ++p) {
+      EXPECT_EQ(static_cast<NodeId>(fanins[p]), circuit.node(id).fanin[p]);
+    }
+  }
+
+  // Fanout CSR: exactly the transpose of the fanin CSR (with
+  // multiplicity for nodes feeding several pins of one sink).
+  std::vector<int> sink_count(static_cast<size_t>(circuit.size()), 0);
+  for (NodeId id = 0; id < circuit.size(); ++id) {
+    for (NodeId driver : circuit.node(id).fanin) {
+      ++sink_count[static_cast<size_t>(driver)];
+    }
+  }
+  long total_fanout = 0;
+  for (NodeId id = 0; id < circuit.size(); ++id) {
+    const auto uid = static_cast<std::uint32_t>(id);
+    const auto fanouts = compiled.fanouts(uid);
+    EXPECT_EQ(static_cast<int>(fanouts.size()),
+              sink_count[static_cast<size_t>(id)]);
+    total_fanout += static_cast<long>(fanouts.size());
+    for (std::uint32_t sink : fanouts) {
+      const auto& sink_fanin = circuit.node(static_cast<NodeId>(sink)).fanin;
+      EXPECT_NE(std::find(sink_fanin.begin(), sink_fanin.end(), id),
+                sink_fanin.end())
+          << "fanout edge " << id << " -> " << sink << " has no back edge";
+    }
+  }
+
+  // Schedule: every non-source node exactly once, in ascending levels,
+  // (kind, id)-sorted within a level, and level_begin slices tile it.
+  std::vector<bool> seen(static_cast<size_t>(circuit.size()), false);
+  int last_level = -1;
+  for (std::uint32_t id : compiled.schedule()) {
+    EXPECT_FALSE(IsSourceKind(compiled.kind(id)));
+    EXPECT_FALSE(seen[id]) << "node " << id << " scheduled twice";
+    seen[id] = true;
+    EXPECT_GE(compiled.level(id), last_level);
+    last_level = std::max(last_level, static_cast<int>(compiled.level(id)));
+    // Every fanin strictly below (sources sit at their own levels).
+    for (std::uint32_t driver : compiled.fanins(id)) {
+      if (compiled.kind(driver) == NodeKind::kDff) continue;
+      EXPECT_LT(compiled.level(driver), compiled.level(id));
+    }
+  }
+  size_t scheduled = 0;
+  for (NodeId id = 0; id < circuit.size(); ++id) {
+    const bool source = IsSourceKind(circuit.node(id).kind);
+    EXPECT_EQ(seen[static_cast<size_t>(id)], !source);
+    scheduled += source ? 0u : 1u;
+  }
+  EXPECT_EQ(compiled.schedule().size(), scheduled);
+  size_t tiled = 0;
+  for (int lvl = 0; lvl <= compiled.depth(); ++lvl) {
+    const auto run = compiled.schedule_at(lvl);
+    for (size_t i = 0; i < run.size(); ++i) {
+      EXPECT_EQ(run[i], compiled.schedule()[tiled + i]);
+      EXPECT_EQ(compiled.level(run[i]), lvl);
+      if (i > 0) {
+        EXPECT_LE(static_cast<int>(compiled.kind(run[i - 1])),
+                  static_cast<int>(compiled.kind(run[i])));
+      }
+    }
+    tiled += run.size();
+  }
+  EXPECT_EQ(tiled, compiled.schedule().size());
+
+  // Source/sink tables.
+  ASSERT_EQ(compiled.inputs().size(), circuit.inputs().size());
+  for (size_t i = 0; i < circuit.inputs().size(); ++i) {
+    EXPECT_EQ(static_cast<NodeId>(compiled.inputs()[i]),
+              circuit.inputs()[i]);
+    EXPECT_EQ(compiled.pi_index(compiled.inputs()[i]),
+              static_cast<std::int32_t>(i));
+  }
+  ASSERT_EQ(compiled.outputs().size(), circuit.outputs().size());
+  for (size_t o = 0; o < circuit.outputs().size(); ++o) {
+    EXPECT_EQ(static_cast<NodeId>(compiled.output_src(o)),
+              circuit.node(circuit.outputs()[o]).fanin[0]);
+  }
+  ASSERT_EQ(compiled.dffs().size(), circuit.dffs().size());
+  for (size_t i = 0; i < circuit.dffs().size(); ++i) {
+    EXPECT_EQ(static_cast<NodeId>(compiled.dffs()[i]), circuit.dffs()[i]);
+    EXPECT_EQ(static_cast<NodeId>(compiled.dff_data(i)),
+              circuit.node(circuit.dffs()[i]).fanin[0]);
+  }
+  for (NodeId id = 0; id < circuit.size(); ++id) {
+    if (circuit.node(id).kind != NodeKind::kInput) {
+      EXPECT_EQ(compiled.pi_index(static_cast<std::uint32_t>(id)), -1);
+    }
+  }
+}
+
+TEST(CompiledNetlist, HandBuiltCircuitInvariants) {
+  Builder builder("c");
+  builder.Input("a").Input("b");
+  builder.And("g1", {"a", "b"}).Or("g2", {"a", "b"});
+  builder.Dff("q", "g1");
+  builder.Nand("g3", {"q", "g2"});
+  builder.Output("z", "g3");
+  CheckCompiledInvariants(builder.Build());
+}
+
+TEST(CompiledNetlist, RandomCircuitInvariants) {
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    retest::testing::RandomCircuitOptions copts;
+    copts.num_inputs = 2 + static_cast<int>(seed % 4);
+    copts.num_dffs = static_cast<int>(seed % 5);
+    copts.num_gates = 8 + static_cast<int>(seed % 30);
+    const Circuit circuit = retest::testing::MakeRandomCircuit(seed, copts);
+    CheckCompiledInvariants(circuit);
+  }
+}
+
+TEST(CompiledNetlist, SharedCompileReturnsUsableHandle) {
+  Builder builder("s");
+  builder.Input("a");
+  builder.Not("n", "a");
+  builder.Output("z", "n");
+  const Circuit circuit = builder.Build();
+  const auto compiled = Compile(circuit);
+  ASSERT_NE(compiled, nullptr);
+  EXPECT_EQ(compiled->num_nodes(), circuit.size());
+  EXPECT_EQ(&compiled->circuit(), &circuit);
 }
 
 }  // namespace
