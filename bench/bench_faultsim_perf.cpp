@@ -203,7 +203,6 @@ int main(int argc, char** argv) {
 
   faultsim::ProofsOptions options[kNumConfigs];
   options[0].cone_restricted = false;
-  options[0].sort_faults = false;
   options[0].num_threads = 1;
   options[1] = options[0];
   options[1].num_threads = 0;  // default / REPRO_THREADS

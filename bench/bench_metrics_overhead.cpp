@@ -35,6 +35,7 @@
 #include "fault/collapse.h"
 #include "faultsim/proofs.h"
 
+#if RETEST_METRICS
 namespace {
 
 using namespace retest;
@@ -92,6 +93,7 @@ struct EngineCheck {
 };
 
 }  // namespace
+#endif  // RETEST_METRICS
 
 int main(int argc, char** argv) {
   bool smoke = false;

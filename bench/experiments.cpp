@@ -142,8 +142,7 @@ long BudgetMs(long base_ms) {
   // value.  Raising it until the budget never binds makes an ATPG run
   // fully deterministic (each fault's search is bounded by the
   // per-fault backtrack/evaluation limits; only the wall-clock cutoff
-  // is load-sensitive) — scripts/sweep_equivalence.sh relies on this
-  // to byte-compare driver outputs across runs.
+  // is load-sensitive), so driver outputs byte-compare across runs.
   if (const char* env = std::getenv("REPRO_ATPG_BUDGET_MS")) {
     char* end = nullptr;
     const long forced = std::strtol(env, &end, 10);

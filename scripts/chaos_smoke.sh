@@ -2,7 +2,10 @@
 # Chaos smoke test for the repro_serve daemon (core/chaos,
 # docs/CHAOS.md), run as the repro_chaos_smoke ctest and as a CI leg:
 #
-#   chaos_smoke.sh <path-to-repro_serve>
+#   chaos_smoke.sh <path-to-repro_serve> [metrics]
+#
+# `metrics` is 1 (the default) for a REPRO_METRICS=ON daemon and 0 for
+# one built with the metrics compiled out.
 #
 # The in-process chaos tests arm sites through chaos::LoadSpec; this
 # script covers the operator path those tests cannot: the REPRO_CHAOS
@@ -12,7 +15,8 @@
 #   1. faults stay invisible in the answer: with worker stalls and a
 #      torn journal write injected, a job's result object is still
 #      byte-identical to an uninjected --batch run (modulo elapsed_ms),
-#      and the STATS metrics prove the injections actually happened;
+#      and the daemon's exit report (plus, with metrics built in, its
+#      STATS) proves the injections actually happened;
 #   2. injected overload is survivable: with a forced queue_full
 #      admission reject, a client with --retry backs off, resubmits
 #      and lands the same byte-identical result;
@@ -21,6 +25,7 @@
 set -u
 
 SERVE="$1"
+METRICS="${2:-1}"
 TMP="$(mktemp -d)"
 DAEMON_PID=""
 
@@ -88,17 +93,23 @@ cmp -s "$TMP/chaos_result" "$TMP/batch_masked" \
   || fail "result under injected faults differs from batch:
 $(diff "$TMP/batch_masked" "$TMP/chaos_result")"
 
-# The injections really happened: the daemon's metrics say so.
+# The injections really happened: the daemon's metrics say so...
 "$SERVE" --client "$SOCK" "$TMP/job_stats" > "$TMP/stats1.out" \
   || fail "STATS round-trip"
-grep -q 'chaos.injected' "$TMP/stats1.out" \
-  || fail "REPRO_CHAOS armed but chaos.injected never surfaced in STATS"
+if [ "$METRICS" = 1 ]; then
+  grep -q 'chaos.injected' "$TMP/stats1.out" \
+    || fail "REPRO_CHAOS armed but chaos.injected never surfaced in STATS"
+fi
 
 kill -TERM "$DAEMON_PID"
 wait "$DAEMON_PID"
 status=$?
 DAEMON_PID=""
 [ "$status" -eq 0 ] || fail "SIGTERM drain under chaos exited $status"
+
+# ...and so does its exit report, which counts in every build.
+grep -Eq 'repro chaos: [1-9][0-9]* injected' "$TMP/daemon1.log" \
+  || fail "REPRO_CHAOS armed but the daemon reported no injections"
 
 # ---- 2. forced queue_full; --retry rides it out ---------------------
 

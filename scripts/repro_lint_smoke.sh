@@ -7,7 +7,8 @@
 # Asserts the documented exit-code contract over the checked-in inputs:
 #   0/1 (clean / findings) on every well-formed example and fuzz seed,
 #   2 on every malformed regression input,
-#   0 on the shipped certifier pair, 3 on a structurally unrelated one.
+#   0 on the shipped certifier pair, 3 on a structurally unrelated one,
+#   1 from --sweep on dead logic (with a verified report), 0 without.
 set -u
 
 LINT="$1"
@@ -74,6 +75,20 @@ expect 0 "$LINT" "$ROOT/examples/certify_original.bench" \
   --certify "$ROOT/examples/certify_retimed.bench"
 expect 3 "$LINT" "$ROOT/examples/certify_original.bench" \
   --certify "$ROOT/examples/s27_like.bench"
+
+# Structural sweep: the three dead nodes of lint_findings.bench are
+# findings, and the report passes its own simulation cross-check.
+expect 1 "$LINT" --sweep "$ROOT/examples/lint_findings.bench"
+sweep_json="$("$LINT" --sweep "$ROOT/examples/lint_findings.bench" \
+  2> /dev/null)"
+for field in '"dead_nodes": 3' '"verified": true'; do
+  case "$sweep_json" in
+    *"$field"*) ;;
+    *) echo "FAIL: --sweep report lacks $field: $sweep_json" >&2
+       failures=$((failures + 1)) ;;
+  esac
+done
+expect 0 "$LINT" --sweep "$ROOT/examples/s27_like.bench"
 
 if [ "$failures" != 0 ]; then
   echo "repro_lint smoke: $failures failure(s)" >&2

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <map>
 #include <utility>
 
@@ -18,38 +17,6 @@ using netlist::Node;
 using netlist::NodeId;
 using netlist::NodeKind;
 using sim::V3;
-
-std::optional<SweepMode> ParseSweepMode(std::string_view text) {
-  if (text == "off") return SweepMode::kOff;
-  if (text == "on") return SweepMode::kOn;
-  if (text == "report") return SweepMode::kReport;
-  return std::nullopt;
-}
-
-std::string_view ToString(SweepMode mode) {
-  switch (mode) {
-    case SweepMode::kOn:
-      return "on";
-    case SweepMode::kReport:
-      return "report";
-    default:
-      return "off";
-  }
-}
-
-SweepMode DefaultSweepMode() {
-  // NOLINTNEXTLINE(concurrency-mt-unsafe): read-only env lookup, same
-  // pattern as REPRO_THREADS.
-  const char* env = std::getenv("REPRO_SWEEP");
-  if (env != nullptr) {
-    if (auto parsed = ParseSweepMode(env)) return *parsed;
-  }
-  return SweepMode::kOff;
-}
-
-SweepMode ResolveSweepMode(std::optional<SweepMode> requested) {
-  return requested.value_or(DefaultSweepMode());
-}
 
 namespace {
 

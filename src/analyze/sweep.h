@@ -36,50 +36,22 @@
 // are always preserved, in order, so input vectors and PO responses
 // keep their shape.
 //
-// Soundness contract (docs/SWEEP.md): merged evaluation is only valid
-// for the GOOD machine.  A fault breaks the structural-equivalence
-// premise (the fault site may feed one class member's cone and not
-// another's), so faulty machines must evaluate the full structure;
-// the fault engines therefore use the sweep for good-machine traces,
-// dead-logic pruning and static fault resolution — never for merged
-// faulty evaluation.  VerifySweep is the determinism gate: it
-// re-simulates original and swept side by side over ternary stimuli
-// and insists every mapped node agrees exactly, X included.
+// The sweep is an analysis reported by `repro_lint --sweep`
+// (docs/ANALYSIS.md); no engine consumes it.  Its facts hold for the
+// GOOD machine only: a fault breaks the structural-equivalence premise
+// (the fault site may feed one class member's cone and not another's).
+// VerifySweep is the determinism gate: it re-simulates original and
+// swept side by side over ternary stimuli and insists every mapped
+// node agrees exactly, X included.
 #pragma once
 
-#include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "netlist/circuit.h"
 #include "sim/logic3.h"
 
 namespace retest::analyze {
-
-/// How the engines consume the sweep (the REPRO_SWEEP env var).
-enum class SweepMode {
-  kOff,     ///< Analyze nothing; the pre-sweep behaviour.
-  kOn,      ///< Analyze and act (swept good traces, dead pruning,
-            ///< static fault resolution).  Detections are bit-identical
-            ///< to kOff by construction; only work counters change.
-  kReport,  ///< Analyze and record sweep.* metrics, then proceed
-            ///< exactly as kOff (measure, don't act).
-};
-
-/// Parses "off" / "on" / "report" (exact, lowercase); nullopt otherwise.
-std::optional<SweepMode> ParseSweepMode(std::string_view text);
-
-/// Canonical name of a mode ("off", "on", "report").
-std::string_view ToString(SweepMode mode);
-
-/// The process-wide default: the REPRO_SWEEP env var when set to a
-/// valid value, else kOff (default off until proven, per ROADMAP).
-SweepMode DefaultSweepMode();
-
-/// Resolves a per-call override: engaged values are taken literally,
-/// nullopt means DefaultSweepMode().
-SweepMode ResolveSweepMode(std::optional<SweepMode> requested);
 
 /// Which rule families AnalyzeSweep applies.
 struct SweepOptions {
@@ -128,9 +100,8 @@ struct SweptNetlist {
   /// For every original node: the swept node whose net carries the
   /// same value in every frame, or kNoNode when no swept node is
   /// needed — the node's class is dead, or it is a proven constant
-  /// folded into every consumer (report.const_of holds its value;
-  /// the swept Trace overload replays it).  PIs and POs always map,
-  /// in order.
+  /// folded into every consumer (report.const_of holds its value).
+  /// PIs and POs always map, in order.
   std::vector<netlist::NodeId> node_map;
   SweepReport report;
 };

@@ -129,12 +129,8 @@ AtpgResult RunAtpg(const netlist::Circuit& circuit,
     std::vector<fault::Fault> targets;
     targets.reserve(remaining.size());
     for (size_t index : remaining) targets.push_back(result.faults[index]);
-    // The sweep stays off inside the ATPG loop: this runs once per
-    // generated test, and re-analyzing the netlist each time would
-    // outweigh the savings (detections are identical either way).
     faultsim::ProofsOptions sim_options;
     sim_options.num_threads = options.num_threads;
-    sim_options.sweep = analyze::SweepMode::kOff;
     const auto sim_result =
         faultsim::SimulateProofs(circuit, targets, sequence, sim_options);
     result.evaluations +=

@@ -283,15 +283,9 @@ class Driver {
       }
       FillUnassigned(candidate, rng);
       // Verify by fault simulation (HITEC does the same) on the
-      // cone-restricted PROOFS engine; single fault, so batching and
-      // site sorting buy nothing (and the run is 64 lanes wide).
+      // cone-restricted PROOFS engine (one fault: one 64-lane batch).
       faultsim::ProofsOptions proofs;
       proofs.num_threads = 1;
-      proofs.sort_faults = false;
-      // Single tiny run: re-analyzing the netlist per candidate would
-      // dwarf the simulation, so the sweep stays off here regardless
-      // of REPRO_SWEEP (results are identical either way).
-      proofs.sweep = analyze::SweepMode::kOff;
       const auto verdict =
           faultsim::SimulateProofs(circuit_, std::span(&fault, 1), candidate,
                                    proofs);
@@ -406,8 +400,6 @@ class Driver {
       if (!targets.empty()) {
         faultsim::ProofsOptions proofs;
         proofs.num_threads = 1;  // workers already saturate the pool
-        proofs.sweep = analyze::SweepMode::kOff;  // per-commit call: the
-        // re-analysis would cost more than it saves (same results).
         const auto sim =
             faultsim::SimulateProofs(circuit_, targets, outcome.test, proofs);
         const long sim_evaluations =

@@ -365,4 +365,12 @@ long Injected(const char* site) {
   return it == state.sites.end() ? 0 : it->second->injected;
 }
 
+long TotalInjected() {
+  State& state = GlobalState();
+  std::lock_guard<std::mutex> lock(state.mutex);
+  long total = 0;
+  for (const auto& [name, site] : state.sites) total += site->injected;
+  return total;
+}
+
 }  // namespace retest::core::chaos

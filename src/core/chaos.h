@@ -101,6 +101,9 @@ bool CorruptByte(const char* site, char* data, std::size_t size);
 /// and Hits stays 0.
 long Hits(const char* site);
 long Injected(const char* site);
+/// Injected() summed over every site.  Plain bookkeeping, so it stays
+/// exact in a REPRO_METRICS=OFF build where chaos.injected is absent.
+long TotalInjected();
 
 }  // namespace retest::core::chaos
 

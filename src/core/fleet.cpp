@@ -71,14 +71,14 @@ std::size_t Fleet::Submit(JobOptions options, JobFn fn) {
     }
     queue.jobs.insert(it, raw);
   }
-  const std::size_t depth =
-      queued_.fetch_add(1, std::memory_order_acq_rel) + 1;
+  queued_.fetch_add(1, std::memory_order_acq_rel);
   RETEST_COUNTER_ADD("fleet.jobs.submitted", "jobs", "fleet",
                      "jobs submitted to the fleet scheduler", 1);
   RETEST_DIST_RECORD("fleet.queue.depth", "jobs", "fleet",
                      "queued-but-unclaimed jobs, sampled at each "
                      "submission",
-                     static_cast<double>(depth));
+                     static_cast<double>(
+                         queued_.load(std::memory_order_relaxed)));
   work_cv_.notify_all();
   return raw->id;
 }

@@ -23,7 +23,6 @@
 #include <string>
 #include <vector>
 
-#include "analyze/sweep.h"
 #include "atpg/engine.h"
 #include "core/status.h"
 
@@ -52,11 +51,6 @@ struct JobSpec {
   int threads = 1;        ///< Fleet thread budget for this job.
   long deadline_ms = 0;   ///< Engine watchdog deadline; 0 = none.
   atpg::AtpgOptions atpg; ///< Seed/style/budgets for kAtpg/kPreserve.
-  /// Structural-sweep mode for the kFaultSim/kPreserve PROOFS runs
-  /// (`sweep:` header — on|off|report; "default" / absent defers to
-  /// the server's REPRO_SWEEP env).  Never changes detections, only
-  /// the work done (docs/SWEEP.md).
-  std::optional<analyze::SweepMode> sweep;
   std::string netlist;    ///< `--- netlist` section (.bench text).
   std::string retimed;    ///< `--- retimed` section (kPreserve).
   std::string tests;      ///< `--- tests` section (kFaultSim;

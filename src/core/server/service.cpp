@@ -450,7 +450,6 @@ void Service::RunJob(JobRec& rec, const core::JobContext& ctx) {
       case JobKind::kFaultSim: {
         faultsim::ProofsOptions proofs_options;
         proofs_options.num_threads = ctx.thread_budget;
-        proofs_options.sweep = rec.spec.sweep;
         const fault::CollapsedFaults faults = fault::Collapse(rec.circuit);
         const faultsim::ProofsResult result = faultsim::SimulateProofs(
             rec.circuit, faults.representatives, rec.tests.Concatenated(),
@@ -493,7 +492,6 @@ void Service::RunJob(JobRec& rec, const core::JobContext& ctx) {
             original_set, prefix, rec.retimed.num_inputs());
         faultsim::ProofsOptions proofs_options;
         proofs_options.num_threads = ctx.thread_budget;
-        proofs_options.sweep = rec.spec.sweep;
         const fault::CollapsedFaults faults = fault::Collapse(rec.retimed);
         const faultsim::ProofsResult mapped = faultsim::SimulateProofs(
             rec.retimed, faults.representatives, derived.Concatenated(),

@@ -111,40 +111,4 @@ CollapsedFaults Collapse(const Circuit& circuit) {
   return result;
 }
 
-SweepResolution ResolveFaultsWithSweep(const Circuit& circuit,
-                                       const analyze::SweepReport& report,
-                                       std::span<const Fault> faults) {
-  SweepResolution resolution;
-  resolution.statically_undetected.assign(faults.size(), 0);
-  for (size_t i = 0; i < faults.size(); ++i) {
-    const Fault& fault = faults[i];
-    const NodeId node = fault.site.node;
-    // The value carried by the faulted line: the node's own output for
-    // a stem, the driver's output for a branch (a branch is a copy of
-    // the driver's net feeding one pin).
-    NodeId line = node;
-    if (fault.site.pin >= 0) {
-      line = circuit.node(node).fanin[static_cast<size_t>(fault.site.pin)];
-    }
-    if (report.IsDead(node)) {
-      // Stem: every consumer of the net is dead.  Branch: the fault
-      // effect enters only through `node`, which is dead.  Either way
-      // no path to a PO exists — undetected, exactly as simulation
-      // would conclude.
-      resolution.statically_undetected[i] = 1;
-      ++resolution.dead_site;
-      continue;
-    }
-    const sim::V3 proven = report.const_of[static_cast<size_t>(line)];
-    const sim::V3 stuck = fault.stuck_at_1 ? sim::V3::k1 : sim::V3::k0;
-    if (proven == stuck) {
-      // s-a-c on a line proven constant c in every frame: the faulty
-      // machine is the good machine — undetected.
-      resolution.statically_undetected[i] = 1;
-      ++resolution.const_redundant;
-    }
-  }
-  return resolution;
-}
-
 }  // namespace retest::fault

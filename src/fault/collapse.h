@@ -9,10 +9,8 @@
 // residual discrepancies in Table III.
 #pragma once
 
-#include <span>
 #include <vector>
 
-#include "analyze/sweep.h"
 #include "fault/fault.h"
 
 namespace retest::fault {
@@ -34,35 +32,5 @@ struct CollapsedFaults {
 
 /// Runs equivalence collapsing on the circuit's fault universe.
 CollapsedFaults Collapse(const netlist::Circuit& circuit);
-
-/// Faults a sweep report (analyze/sweep.h) resolves without
-/// simulation.  Two rules, both yielding verdicts provably identical
-/// to full simulation:
-///
-///   * dead site: the fault site's node has no path to any PO, so the
-///     fault effect can never reach an observation point — undetected.
-///   * const-redundant: s-a-c on a line combinationally proven
-///     constant c (from tied sources; holds in every frame, X state
-///     included).  The faulty machine equals the good machine exactly
-///     — undetected.
-///
-/// Cross-class fault-site dedup is deliberately NOT attempted: a
-/// structural equivalence between two gates is a fact about the GOOD
-/// machine only.  Injecting a fault on one class member's output does
-/// not fault the other member's output (their fanout cones differ), so
-/// "simulate one, credit both" would change verdicts.  Static
-/// resolution plus dead-cone pruning is the part of the sweep that is
-/// sound for faulty machines.
-struct SweepResolution {
-  /// Per input fault: 1 when statically proven undetected.
-  std::vector<char> statically_undetected;
-  int dead_site = 0;        ///< Faults resolved by the dead-site rule.
-  int const_redundant = 0;  ///< Faults resolved by the constant rule.
-};
-
-/// Applies the static resolution rules to `faults`.
-SweepResolution ResolveFaultsWithSweep(const netlist::Circuit& circuit,
-                                       const analyze::SweepReport& report,
-                                       std::span<const Fault> faults);
 
 }  // namespace retest::fault

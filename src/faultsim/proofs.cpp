@@ -5,11 +5,9 @@
 #include <numeric>
 #include <optional>
 
-#include "analyze/sweep.h"
 #include "core/metrics.h"
 #include "core/thread_pool.h"
 #include "core/trace.h"
-#include "fault/collapse.h"
 #include "sim/compiled.h"
 #include "sim/levelizer.h"
 #include "sim/parallel.h"
@@ -33,13 +31,15 @@ int LaneWordsFor(size_t num_faults) {
 /// Fault order that maximizes cone sharing inside a lane group: sites
 /// are visited in levelized topological position, so the faults of one
 /// batch sit close together and the union of their fanout cones stays
-/// near the size of a single cone.
+/// near the size of a single cone.  A run that fits one batch keeps
+/// input order: its one cone union, dirty set and work counters are
+/// the same in any lane order, so sorting would only cost a Levelize.
 std::vector<size_t> BatchOrder(const netlist::Circuit& circuit,
-                               std::span<const fault::Fault> faults,
-                               bool sort_faults) {
+                               std::span<const fault::Fault> faults) {
   std::vector<size_t> order(faults.size());
   std::iota(order.begin(), order.end(), 0);
-  if (!sort_faults) return order;
+  const size_t lanes = 64 * static_cast<size_t>(LaneWordsFor(faults.size()));
+  if (faults.size() <= lanes) return order;  // a single batch
   const sim::Levelization levels = sim::Levelize(circuit);
   std::vector<int> position(static_cast<size_t>(circuit.size()), 0);
   for (size_t p = 0; p < levels.order.size(); ++p) {
@@ -102,7 +102,6 @@ void RunBatches(const netlist::Circuit& circuit,
     WorkerScratch<W>& ws = scratch[static_cast<size_t>(worker)];
     if (!ws.frame) ws.frame.emplace(compiled);
     sim::WideFrame<W>& frame = *ws.frame;
-    const long frames_before = ws.frames_evaluated;
 
     const size_t base = batch * static_cast<size_t>(kLanes);
     const int lanes = static_cast<int>(
@@ -127,13 +126,14 @@ void RunBatches(const netlist::Circuit& circuit,
     const LaneMask<W> lane_mask = LaneMask<W>::FirstN(lanes);
     LaneMask<W> undetected = lane_mask;
 
+    long batch_frames = 0;
     for (size_t t = 0; t < sequence.size(); ++t) {
       if (options.cone_restricted) {
         frame.Step(sequence[t], ws.state, wide_trace->frame(t));
       } else {
         frame.Step(sequence[t], ws.state);
       }
-      ++ws.frames_evaluated;
+      ++batch_frames;
       const LaneMask<W> before = undetected;
       for (int o : frame.active_outputs()) {
         const netlist::NodeId out_node =
@@ -173,18 +173,19 @@ void RunBatches(const netlist::Circuit& circuit,
       }
     }
 
-    const int detected_in_batch = (lane_mask & ~undetected).count();
+    ws.frames_evaluated += batch_frames;
     RETEST_COUNTER_ADD("faultsim.batches", "batches", "faultsim",
                        "fault batches simulated", 1);
     RETEST_COUNTER_ADD("faultsim.frames_evaluated", "frames", "faultsim",
                        "circuit frames evaluated across batches",
-                       ws.frames_evaluated - frames_before);
+                       batch_frames);
     RETEST_COUNTER_ADD("faultsim.faults_detected", "faults", "faultsim",
-                       "faults detected by PROOFS", detected_in_batch);
+                       "faults detected by PROOFS",
+                       (lane_mask & ~undetected).count());
     if (options.drop_detected) {
       RETEST_DIST_RECORD("faultsim.dropped_per_batch", "faults", "faultsim",
                          "faults dropped (detected) per batch",
-                         detected_in_batch);
+                         (lane_mask & ~undetected).count());
     }
   });
 
@@ -211,57 +212,17 @@ ProofsResult SimulateProofs(const netlist::Circuit& circuit,
                      "faults handed to SimulateProofs",
                      static_cast<long>(faults.size()));
 
-  // Structural sweep (docs/SWEEP.md).  `report` measures and changes
-  // nothing; `on` applies only the faulty-machine-sound pieces: faults
-  // proven undetected statically keep their default Detection (the
-  // same verdict simulation would assign), the good trace runs on the
-  // reduced circuit, and the compiled image drops dead nodes.  Merged
-  // evaluation of FAULTY machines is never attempted — a fault breaks
-  // the structural-equivalence premise.
-  const analyze::SweepMode sweep_mode =
-      analyze::ResolveSweepMode(options.sweep);
-  std::optional<analyze::SweptNetlist> swept;
-  std::vector<fault::Fault> kept_faults;
-  std::vector<size_t> kept_positions;
-  if (sweep_mode == analyze::SweepMode::kReport) {
-    analyze::AnalyzeSweep(circuit);  // sweep.* metrics only
-  } else if (sweep_mode == analyze::SweepMode::kOn) {
-    swept.emplace(analyze::BuildSweptNetlist(circuit));
-    const fault::SweepResolution resolution =
-        fault::ResolveFaultsWithSweep(circuit, swept->report, faults);
-    kept_faults.reserve(faults.size());
-    kept_positions.reserve(faults.size());
-    for (size_t i = 0; i < faults.size(); ++i) {
-      if (resolution.statically_undetected[i] != 0) continue;
-      kept_faults.push_back(faults[i]);
-      kept_positions.push_back(i);
-    }
-    RETEST_COUNTER_ADD("sweep.faults_static_resolved", "faults", "sweep",
-                       "faults proven undetected without simulation",
-                       static_cast<long>(faults.size() - kept_faults.size()));
-  }
-  const std::span<const fault::Fault> active =
-      swept ? std::span<const fault::Fault>(kept_faults) : faults;
-  if (active.empty()) return result;  // everything resolved statically
-
   // Good-machine responses once, shared read-only by every batch.  The
   // cone-restricted mode needs the full per-node trace (non-cone values
   // are seeded from it); full evaluation only needs the PO responses.
-  // Under sweep the trace is simulated on the reduced circuit and
-  // expanded through the node map — identical values for every live
-  // node, and PO responses identical outright.
   std::optional<sim::Trace> trace;
   std::vector<std::vector<V3>> good_po;
   {
     RETEST_TRACE_SPAN(good_span, "faultsim.good_trace");
     if (options.cone_restricted) {
-      if (swept) {
-        trace.emplace(circuit, sequence, *swept);
-      } else {
-        trace.emplace(circuit, sequence);
-      }
+      trace.emplace(circuit, sequence);
     } else {
-      sim::Simulator good(swept ? swept->circuit : circuit);
+      sim::Simulator good(circuit);
       good.Reset();
       good_po = good.Run(sequence);
     }
@@ -269,36 +230,17 @@ ProofsResult SimulateProofs(const netlist::Circuit& circuit,
   const auto& good_outputs =
       options.cone_restricted ? trace->outputs() : good_po;
 
-  const std::vector<size_t> order =
-      BatchOrder(circuit, active, options.sort_faults);
+  const std::vector<size_t> order = BatchOrder(circuit, faults);
   const std::shared_ptr<const sim::CompiledNetlist> compiled =
-      sim::Compile(circuit, swept ? &swept->report : nullptr);
-
-  // Under sweep the batch loop runs over the kept (unresolved) faults;
-  // its detections are scattered back to input positions afterwards.
-  ProofsResult core;
-  ProofsResult* sink = &result;
-  if (swept) {
-    core.detections.assign(active.size(), {});
-    sink = &core;
-  }
+      sim::Compile(circuit);
   const sim::Trace* good_trace = trace ? &*trace : nullptr;
-  if (LaneWordsFor(active.size()) == 1) {
-    RunBatches<1>(circuit, active, sequence, options, compiled, good_trace,
-                  good_outputs, order, *sink);
+  if (LaneWordsFor(faults.size()) == 1) {
+    RunBatches<1>(circuit, faults, sequence, options, compiled, good_trace,
+                  good_outputs, order, result);
   } else {
-    RunBatches<sim::kWideLaneWords>(circuit, active, sequence, options,
+    RunBatches<sim::kWideLaneWords>(circuit, faults, sequence, options,
                                     compiled, good_trace, good_outputs,
-                                    order, *sink);
-  }
-  if (swept) {
-    for (size_t i = 0; i < kept_positions.size(); ++i) {
-      result.detections[kept_positions[i]] = core.detections[i];
-    }
-    result.frames_evaluated = core.frames_evaluated;
-    result.gate_evals = core.gate_evals;
-    result.threads_used = core.threads_used;
-    result.lanes = core.lanes;
+                                    order, result);
   }
   RETEST_COUNTER_ADD("faultsim.gate_evals", "node-evals", "faultsim",
                      "lane-wide node evaluations performed",

@@ -15,10 +15,12 @@
 //    structural fanout cone of its site (transitive through DFFs), so
 //    each fault batch evaluates only the union of its cones and seeds
 //    everything else from a shared read-only good-machine trace;
-//  - batch locality: collapsed faults are ordered by the topological
-//    position of their site before batching, so faults sharing a word
-//    share cones and the union stays small.  Wider lanes amortize the
-//    shared cone-union work over more faults per evaluation.
+//  - batch locality: a run of more than one batch orders its faults
+//    by the topological position of their site before batching, so
+//    faults sharing a word share cones and the union stays small (a
+//    single-batch run keeps input order: its one cone union is the
+//    same in any lane order).  Wider lanes amortize the shared
+//    cone-union work over more faults per evaluation.
 // All workers evaluate one shared, immutable CompiledNetlist
 // (sim/compiled.h) — the flattened SoA image of the circuit — instead
 // of walking per-node heap vectors.  Independent batches are
@@ -31,24 +33,19 @@
 //    share only the immutable good-machine trace and compiled netlist;
 //    all per-batch scratch is worker-owned and merged by batch index.
 //  - Detections are a pure function of (circuit, faults, sequence,
-//    drop_detected/cone_restricted/sort_faults): bit-identical at any
-//    num_threads AND either lane width (so a run equals the
-//    concatenation of its runs over 64-fault chunks), and — by
-//    construction, see docs/SWEEP.md — at any sweep mode.
-//    frames_evaluated and gate_evals are a pure function of the same
-//    inputs plus the sweep mode: invariant across thread counts and
-//    independent of the host (sweep=on means fewer faults and smaller
-//    cones).  Tier-1 tests and the bench_faultsim_perf exit code
-//    enforce this.
+//    drop_detected/cone_restricted): bit-identical at any num_threads
+//    AND either lane width (so a run equals the concatenation of its
+//    runs over 64-fault chunks).  frames_evaluated and gate_evals are
+//    a pure function of the same inputs: invariant across thread
+//    counts and independent of the host.  Tier-1 tests and the
+//    bench_faultsim_perf exit code enforce this.
 //  - Instrumentation (faultsim.* metrics, faultsim.* trace spans; see
 //    docs/METRICS.md) is observational only and never alters results.
 #pragma once
 
-#include <optional>
 #include <span>
 #include <vector>
 
-#include "analyze/sweep.h"
 #include "fault/fault.h"
 #include "faultsim/serial.h"
 #include "sim/simulator.h"
@@ -62,24 +59,10 @@ struct ProofsOptions {
   /// Evaluate only the union of the batch's fault cones per frame,
   /// seeding non-cone values from the good-machine trace.
   bool cone_restricted = true;
-  /// Order faults by topological site position before batching so that
-  /// faults sharing a word share cones.
-  bool sort_faults = true;
   /// Worker threads for independent fault batches.  <= 0 means
   /// core::ThreadPool::DefaultThreadCount() (the REPRO_THREADS env var
   /// when set, else hardware concurrency).
   int num_threads = 0;
-  /// Structural sweep (analyze/sweep.h).  nullopt defers to the
-  /// REPRO_SWEEP env var (default off).  `on` computes the sweep once
-  /// per run and uses it for the three transformations that are sound
-  /// for faulty machines — static fault resolution (dead-site and
-  /// const-redundant faults proven undetected without simulation), a
-  /// good-machine trace simulated on the reduced circuit, and dead-node
-  /// pruning of the compiled image — never for merged faulty
-  /// evaluation, so detections stay bit-identical to `off` while
-  /// frames_evaluated / gate_evals may shrink.  `report` analyzes and
-  /// records sweep.* metrics, then behaves exactly like `off`.
-  std::optional<analyze::SweepMode> sweep;
 };
 
 /// Aggregate result of a fault-simulation run.

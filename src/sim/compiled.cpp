@@ -1,9 +1,6 @@
 #include "sim/compiled.h"
 
 #include <algorithm>
-#include <stdexcept>
-
-#include "analyze/sweep.h"
 
 namespace retest::sim {
 
@@ -12,20 +9,7 @@ using netlist::NodeId;
 using netlist::NodeKind;
 
 CompiledNetlist::CompiledNetlist(const netlist::Circuit& circuit)
-    : CompiledNetlist(circuit, nullptr) {}
-
-CompiledNetlist::CompiledNetlist(const netlist::Circuit& circuit,
-                                 const analyze::SweepReport* prune_dead)
     : circuit_(&circuit), num_nodes_(circuit.size()) {
-  const auto is_dead = [prune_dead](std::uint32_t id) {
-    return prune_dead != nullptr &&
-           prune_dead->dead[static_cast<size_t>(id)] != 0;
-  };
-  if (prune_dead != nullptr &&
-      prune_dead->dead.size() != static_cast<size_t>(num_nodes_)) {
-    throw std::invalid_argument(
-        "CompiledNetlist: sweep report is for a different circuit");
-  }
   const auto n = static_cast<size_t>(num_nodes_);
   const Levelization levels = Levelize(circuit);
   depth_ = levels.depth;
@@ -56,12 +40,8 @@ CompiledNetlist::CompiledNetlist(const netlist::Circuit& circuit,
   }
   fanin_begin_[n] = static_cast<std::uint32_t>(fanin_.size());
 
-  // Fanout edges into sweep-proven dead sinks are pruned: a dead
-  // node's consumers are all dead too, so no live cone traversal can
-  // miss anything through the missing edge.  Fanins stay complete.
   std::vector<std::uint32_t> degree(n, 0);
   for (NodeId sink = 0; sink < num_nodes_; ++sink) {
-    if (is_dead(static_cast<std::uint32_t>(sink))) continue;
     for (std::uint32_t driver : fanins(static_cast<std::uint32_t>(sink))) {
       ++degree[driver];
     }
@@ -73,7 +53,6 @@ CompiledNetlist::CompiledNetlist(const netlist::Circuit& circuit,
   std::vector<std::uint32_t> cursor(fanout_begin_.begin(),
                                     fanout_begin_.end() - 1);
   for (NodeId sink = 0; sink < num_nodes_; ++sink) {
-    if (is_dead(static_cast<std::uint32_t>(sink))) continue;
     for (std::uint32_t driver : fanins(static_cast<std::uint32_t>(sink))) {
       fanout_[cursor[driver]++] = static_cast<std::uint32_t>(sink);
     }
@@ -90,13 +69,6 @@ CompiledNetlist::CompiledNetlist(const netlist::Circuit& circuit,
     const NodeKind kind = kind_[static_cast<size_t>(id)];
     if (kind == NodeKind::kInput || kind == NodeKind::kDff ||
         kind == NodeKind::kConst0 || kind == NodeKind::kConst1) {
-      continue;
-    }
-    if (is_dead(static_cast<std::uint32_t>(id))) {
-      // No path to any PO: the value can never matter, so the
-      // evaluator skips it entirely (values stay X / stale and are
-      // never read — every consumer is dead as well).
-      ++pruned_dead_;
       continue;
     }
     schedule_.push_back(static_cast<std::uint32_t>(id));
@@ -138,11 +110,6 @@ CompiledNetlist::CompiledNetlist(const netlist::Circuit& circuit,
 std::shared_ptr<const CompiledNetlist> Compile(
     const netlist::Circuit& circuit) {
   return std::make_shared<const CompiledNetlist>(circuit);
-}
-
-std::shared_ptr<const CompiledNetlist> Compile(
-    const netlist::Circuit& circuit, const analyze::SweepReport* prune_dead) {
-  return std::make_shared<const CompiledNetlist>(circuit, prune_dead);
 }
 
 }  // namespace retest::sim

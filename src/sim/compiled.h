@@ -30,10 +30,6 @@
 #include "netlist/circuit.h"
 #include "sim/levelizer.h"
 
-namespace retest::analyze {
-struct SweepReport;  // analyze/sweep.h
-}  // namespace retest::analyze
-
 namespace retest::sim {
 
 class CompiledNetlist {
@@ -41,18 +37,6 @@ class CompiledNetlist {
   /// Flattens `circuit` (throws, via Levelize, on combinational
   /// cycles).  The circuit reference is retained.
   explicit CompiledNetlist(const netlist::Circuit& circuit);
-
-  /// Sweep-before-compile: like the plain constructor, but nodes the
-  /// sweep proved dead (analyze/sweep.h) are dropped from the
-  /// evaluation schedule and from every fanout list, so neither the
-  /// full-evaluation schedule nor cone traversals ever visit them.
-  /// Sound for good AND faulty machines: dead nodes have no path to
-  /// any PO, so their values cannot influence a detection, and a live
-  /// node never reads a dead fanin (a dead node's consumers are all
-  /// dead).  Fanin lists and pin order are untouched, so branch-fault
-  /// injection coordinates stay valid.  Pass nullptr for no pruning.
-  CompiledNetlist(const netlist::Circuit& circuit,
-                  const analyze::SweepReport* prune_dead);
 
   const netlist::Circuit& circuit() const { return *circuit_; }
 
@@ -98,10 +82,6 @@ class CompiledNetlist {
   /// Primary-input position of a node, -1 for non-PI nodes.
   std::int32_t pi_index(std::uint32_t id) const { return pi_index_[id]; }
 
-  /// Nodes the sweep pruned from the schedule and fanout lists
-  /// (0 when compiled without a sweep report).
-  int pruned_dead() const { return pruned_dead_; }
-
  private:
   const netlist::Circuit* circuit_;
   std::int32_t num_nodes_ = 0;
@@ -120,17 +100,11 @@ class CompiledNetlist {
   std::vector<std::uint32_t> dff_data_;
   std::vector<std::uint32_t> output_src_;
   std::vector<std::int32_t> pi_index_;
-  int pruned_dead_ = 0;
 };
 
 /// Builds a shareable CompiledNetlist (the form the PROOFS dispatcher
 /// hands to its batch workers).
 std::shared_ptr<const CompiledNetlist> Compile(
     const netlist::Circuit& circuit);
-
-/// Like Compile, with sweep-proven dead nodes pruned from the schedule
-/// and fanout lists (see the two-argument constructor).
-std::shared_ptr<const CompiledNetlist> Compile(
-    const netlist::Circuit& circuit, const analyze::SweepReport* prune_dead);
 
 }  // namespace retest::sim

@@ -3,8 +3,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "analyze/sweep.h"
-
 namespace retest::sim {
 
 using netlist::Node;
@@ -156,35 +154,6 @@ Trace::Trace(const netlist::Circuit& circuit, const InputSequence& sequence)
     V3* frame = values_.data() + t * num_nodes_;
     for (size_t id = 0; id < num_nodes_; ++id) {
       frame[id] = simulator.value(static_cast<netlist::NodeId>(id));
-    }
-  }
-}
-
-Trace::Trace(const netlist::Circuit& original, const InputSequence& sequence,
-             const analyze::SweptNetlist& swept)
-    : frames_(sequence.size()),
-      num_nodes_(static_cast<size_t>(original.size())) {
-  if (swept.node_map.size() != num_nodes_) {
-    throw std::invalid_argument("Trace: sweep is for a different circuit");
-  }
-  values_.assign(frames_ * num_nodes_, V3::kX);
-  outputs_.reserve(frames_);
-  Simulator simulator(swept.circuit);
-  simulator.Reset();
-  for (size_t t = 0; t < frames_; ++t) {
-    outputs_.push_back(simulator.Step(sequence[t]));
-    V3* frame = values_.data() + t * num_nodes_;
-    for (size_t id = 0; id < num_nodes_; ++id) {
-      const netlist::NodeId mapped = swept.node_map[id];
-      if (mapped == netlist::kNoNode) {
-        // Unmapped nodes are dead (value never read; stays X) or
-        // proven constants folded into every consumer — those must be
-        // replayed from const_of, because a fault cone can still read
-        // the original node through an unchanged fanin list.
-        frame[id] = swept.report.const_of[id];
-        continue;
-      }
-      frame[id] = simulator.value(mapped);
     }
   }
 }

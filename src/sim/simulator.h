@@ -14,10 +14,6 @@
 #include "sim/levelizer.h"
 #include "sim/logic3.h"
 
-namespace retest::analyze {
-struct SweptNetlist;  // analyze/sweep.h
-}  // namespace retest::analyze
-
 namespace retest::sim {
 
 /// An input vector: one V3 per primary input, in Circuit::inputs order.
@@ -80,15 +76,6 @@ class Trace {
   Trace() = default;
   /// Simulates `sequence` from the all-X state and records every frame.
   Trace(const netlist::Circuit& circuit, const InputSequence& sequence);
-  /// Sweep-accelerated variant: simulates `swept.circuit` (one gate
-  /// per live equivalence class) and expands each frame back to
-  /// `original`'s node ids through `swept.node_map`.  Mapped nodes get
-  /// exactly the value the plain constructor would record (the sweep's
-  /// invariant, enforced by analyze::VerifySweep); dead nodes map to
-  /// kNoNode and are recorded as X — safe because nothing live ever
-  /// reads them.  `original` must be the circuit the sweep came from.
-  Trace(const netlist::Circuit& original, const InputSequence& sequence,
-        const analyze::SweptNetlist& swept);
 
   size_t num_frames() const { return frames_; }
 

@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <numeric>
 #include <span>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "fault/fault.h"
 #include "faultsim/proofs.h"
@@ -202,7 +205,7 @@ InputSequence Random3Sequence(Rng& rng, int width, int length) {
 // The headline equivalence guarantee of the cone-restricted threaded
 // engine: identical Detection vectors (flag AND time) to the scalar
 // reference on randomized circuits, across thread counts, with and
-// without cone restriction and site sorting.
+// without cone restriction.
 TEST(Proofs, ConeRestrictedThreadedMatchesSerialOnRandomCircuits) {
   const int hw = static_cast<int>(
       std::max(1u, std::thread::hardware_concurrency()));
@@ -253,7 +256,6 @@ TEST(Proofs, ConeRestrictedThreadedMatchesSerialOnRandomCircuits) {
     }
     ProofsOptions full;
     full.cone_restricted = false;
-    full.sort_faults = false;
     full.num_threads = 2;
     check(full, "full-eval");
   }
@@ -332,6 +334,49 @@ TEST(Proofs, LaneWidthDoesNotChangeDetections) {
                 << cone << " drop " << drop << ": "
                 << ToString(circuit, faults[i]);
           }
+        }
+      }
+    }
+  }
+}
+
+// A run that fits one batch keeps input order (no site sort): its one
+// cone union, dirty set and frame count are the same in any lane
+// order.  Permuting its faults permutes the detections and leaves the
+// work counters unchanged, at both lane widths and in both modes.
+TEST(Proofs, SingleBatchRunIsLaneOrderInvariant) {
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    const Circuit circuit = retest::testing::MakeRandomCircuit(
+        seed, {.num_inputs = 4, .num_dffs = 3, .num_gates = 30});
+    const auto universe = fault::EnumerateFaults(circuit);
+    ASSERT_GT(universe.size(), 64u) << "seed " << seed;
+    ASSERT_LE(universe.size(), 512u) << "seed " << seed;
+    Rng rng{seed * 631 + 3};
+    const InputSequence sequence = Random3Sequence(rng, 4, 16);
+    for (const size_t count : {size_t{64}, universe.size()}) {
+      const std::span<const fault::Fault> faults(universe.data(), count);
+      std::vector<size_t> perm(count);
+      std::iota(perm.begin(), perm.end(), 0);
+      for (size_t i = count - 1; i > 0; --i) {
+        std::swap(perm[i], perm[rng.Next() % (i + 1)]);
+      }
+      std::vector<fault::Fault> permuted;
+      for (const size_t p : perm) permuted.push_back(faults[p]);
+      for (const bool cone : {true, false}) {
+        ProofsOptions options;
+        options.cone_restricted = cone;
+        const auto base = SimulateProofs(circuit, faults, sequence, options);
+        const auto shuffled =
+            SimulateProofs(circuit, permuted, sequence, options);
+        EXPECT_EQ(base.lanes, count <= 64 ? 64 : 512);
+        EXPECT_EQ(shuffled.frames_evaluated, base.frames_evaluated)
+            << "seed " << seed << " faults " << count << " cone " << cone;
+        EXPECT_EQ(shuffled.gate_evals, base.gate_evals)
+            << "seed " << seed << " faults " << count << " cone " << cone;
+        for (size_t i = 0; i < count; ++i) {
+          EXPECT_EQ(shuffled.detections[i], base.detections[perm[i]])
+              << "seed " << seed << " faults " << count << " cone " << cone
+              << ": " << ToString(circuit, permuted[i]);
         }
       }
     }

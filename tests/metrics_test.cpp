@@ -336,6 +336,7 @@ TEST(MetricsTest, ProofsRunPopulatesFaultsimMetrics) {
   EXPECT_GT(CounterValueOf(snapshot, "faultsim.batches"), 0);
 #else
   // Sites compiled out: the engine metric never registers.
+  EXPECT_EQ(before, -1);
   EXPECT_EQ(after, -1);
   (void)result;
 #endif

@@ -209,6 +209,19 @@ TEST(Protocol, CollectsEveryProblemNotJustTheFirst) {
   EXPECT_GE(diags.size(), 5u);
 }
 
+// The structural sweep is not an engine option: a `sweep:` header is
+// refused like any other key the protocol does not define.
+TEST(Protocol, SweepHeaderIsUnknown) {
+  const std::string payload =
+      "REPRO-SERVE/1 SUBMIT\nsweep: on\n\n--- netlist\n" +
+      std::string(kTinyBench);
+  core::DiagnosticList diags;
+  EXPECT_FALSE(ParseRequest(payload, diags).has_value());
+  EXPECT_NE(diags.ToString().find("unknown header 'sweep'"),
+            std::string::npos)
+      << diags.ToString();
+}
+
 TEST(Protocol, UnknownVerbIsAnError) {
   core::DiagnosticList diags;
   EXPECT_FALSE(ParseRequest("REPRO-SERVE/1 DANCE\n", diags).has_value());

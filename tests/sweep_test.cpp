@@ -1,20 +1,15 @@
-// Tests for the structural sweep pass (analyze/sweep.h) and its
-// consumers: the determinism gate on randomized circuits, detection
-// bit-identity of the swept fault-simulation path, the static fault
-// resolution rules, and the collapse representative ordering contract.
+// Tests for the structural sweep analysis (analyze/sweep.h, reported by
+// `repro_lint --sweep`): the determinism gate on randomized circuits,
+// constant and dead-logic detection, idempotence, report consistency,
+// and the collapse representative ordering contract.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
-#include <thread>
 
 #include "analyze/sweep.h"
 #include "fault/collapse.h"
-#include "fault/fault.h"
-#include "faultsim/proofs.h"
-#include "faultsim/serial.h"
 #include "netlist/builder.h"
-#include "sim/simulator.h"
 #include "tests/random_circuits.h"
 
 namespace retest::analyze {
@@ -25,24 +20,7 @@ using netlist::Circuit;
 using netlist::kNoNode;
 using netlist::NodeId;
 using netlist::NodeKind;
-using sim::InputSequence;
 using sim::V3;
-
-InputSequence RandomSequence(retest::testing::TestRng& rng, int width,
-                             int length, bool with_x = false) {
-  InputSequence sequence(static_cast<size_t>(length));
-  for (auto& vector : sequence) {
-    vector.resize(static_cast<size_t>(width));
-    for (V3& v : vector) {
-      if (with_x && rng.Below(4) == 0) {
-        v = V3::kX;
-      } else {
-        v = rng.Bit() ? V3::k1 : V3::k0;
-      }
-    }
-  }
-  return sequence;
-}
 
 /// Node-by-node structural equality (kinds, names, fanins) — the
 /// strong form of circuit identity the idempotence contract promises.
@@ -54,19 +32,6 @@ void ExpectSameStructure(const Circuit& a, const Circuit& b) {
     EXPECT_EQ(na.kind, nb.kind) << "node " << id;
     EXPECT_EQ(na.name, nb.name) << "node " << id;
     EXPECT_EQ(na.fanin, nb.fanin) << "node " << id;
-  }
-}
-
-TEST(Sweep, ModesParseAndRoundTrip) {
-  EXPECT_EQ(ParseSweepMode("off"), SweepMode::kOff);
-  EXPECT_EQ(ParseSweepMode("on"), SweepMode::kOn);
-  EXPECT_EQ(ParseSweepMode("report"), SweepMode::kReport);
-  EXPECT_FALSE(ParseSweepMode("ON").has_value());
-  EXPECT_FALSE(ParseSweepMode("").has_value());
-  for (const SweepMode mode :
-       {SweepMode::kOff, SweepMode::kOn, SweepMode::kReport}) {
-    EXPECT_EQ(ParseSweepMode(ToString(mode)), mode);
-    EXPECT_EQ(ResolveSweepMode(mode), mode);
   }
 }
 
@@ -87,88 +52,6 @@ TEST(Sweep, RandomizedCircuitsVerifyAndStayTotal) {
             << "seed " << seed << " node " << id;
       }
     }
-  }
-}
-
-TEST(Sweep, SweptTraceMatchesPlainTraceOnLiveNodes) {
-  retest::testing::TestRng rng{77};
-  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-    const Circuit circuit = retest::testing::MakeRandomCircuit(seed);
-    const SweptNetlist swept = BuildSweptNetlist(circuit);
-    const InputSequence sequence =
-        RandomSequence(rng, circuit.num_inputs(), 16, /*with_x=*/true);
-    const sim::Trace plain(circuit, sequence);
-    const sim::Trace accelerated(circuit, sequence, swept);
-    ASSERT_EQ(plain.outputs(), accelerated.outputs()) << "seed " << seed;
-    for (size_t t = 0; t < sequence.size(); ++t) {
-      for (NodeId id = 0; id < circuit.size(); ++id) {
-        if (swept.report.IsDead(id)) continue;  // dead values stay X
-        EXPECT_EQ(plain.value(t, id), accelerated.value(t, id))
-            << "seed " << seed << " frame " << t << " node " << id;
-      }
-    }
-  }
-}
-
-TEST(Sweep, FaultSimDetectionsBitIdenticalAcrossModesAndThreads) {
-  retest::testing::TestRng rng{4242};
-  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
-    const Circuit circuit = retest::testing::MakeRandomCircuit(seed);
-    const auto collapsed = fault::Collapse(circuit);
-    const auto& faults = collapsed.representatives;
-    const InputSequence sequence =
-        RandomSequence(rng, circuit.num_inputs(), 24);
-
-    faultsim::ProofsOptions off;
-    off.num_threads = 1;
-    off.sweep = SweepMode::kOff;
-    faultsim::ProofsOptions on1 = off;
-    on1.sweep = SweepMode::kOn;
-    faultsim::ProofsOptions onN = on1;
-    onN.num_threads = static_cast<int>(
-        std::max(2u, std::thread::hardware_concurrency()));
-    faultsim::ProofsOptions report = off;
-    report.sweep = SweepMode::kReport;
-
-    const auto serial = faultsim::SimulateSerial(circuit, faults, sequence);
-    const auto r_off = faultsim::SimulateProofs(circuit, faults, sequence, off);
-    const auto r_on1 = faultsim::SimulateProofs(circuit, faults, sequence, on1);
-    const auto r_onN = faultsim::SimulateProofs(circuit, faults, sequence, onN);
-    const auto r_rep =
-        faultsim::SimulateProofs(circuit, faults, sequence, report);
-    for (size_t i = 0; i < faults.size(); ++i) {
-      EXPECT_EQ(serial[i], r_off.detections[i]) << "seed " << seed;
-      EXPECT_EQ(r_off.detections[i], r_on1.detections[i])
-          << "seed " << seed << " fault " << i << " ("
-          << ToString(circuit, faults[i]) << ")";
-      EXPECT_EQ(r_off.detections[i], r_onN.detections[i])
-          << "seed " << seed << " fault " << i;
-      EXPECT_EQ(r_off.detections[i], r_rep.detections[i])
-          << "seed " << seed << " fault " << i;
-    }
-    // The swept run never does MORE work than the unswept one.
-    EXPECT_LE(r_on1.gate_evals, r_off.gate_evals) << "seed " << seed;
-  }
-}
-
-TEST(Sweep, FullEvaluationModeAlsoBitIdentical) {
-  retest::testing::TestRng rng{515151};
-  for (std::uint64_t seed = 3; seed <= 6; ++seed) {
-    const Circuit circuit = retest::testing::MakeRandomCircuit(seed);
-    const auto collapsed = fault::Collapse(circuit);
-    const InputSequence sequence =
-        RandomSequence(rng, circuit.num_inputs(), 20);
-    faultsim::ProofsOptions off;
-    off.num_threads = 1;
-    off.cone_restricted = false;
-    off.sweep = SweepMode::kOff;
-    faultsim::ProofsOptions on = off;
-    on.sweep = SweepMode::kOn;
-    const auto r_off = faultsim::SimulateProofs(
-        circuit, collapsed.representatives, sequence, off);
-    const auto r_on = faultsim::SimulateProofs(
-        circuit, collapsed.representatives, sequence, on);
-    EXPECT_EQ(r_off.detections, r_on.detections) << "seed " << seed;
   }
 }
 
@@ -229,30 +112,6 @@ TEST(Sweep, AllDeadConeIncludingRegisterLoop) {
   }
   EXPECT_FALSE(swept.report.IsDead(circuit.Find("g_live")));
   EXPECT_EQ(swept.circuit.num_dffs(), 0);
-
-  // Every fault confined to the dead cone resolves statically, and the
-  // verdicts match simulation exactly.
-  const auto faults = fault::EnumerateFaults(circuit);
-  const auto resolution =
-      fault::ResolveFaultsWithSweep(circuit, swept.report, faults);
-  EXPECT_GT(resolution.dead_site, 0);
-  retest::testing::TestRng rng{9};
-  const InputSequence sequence =
-      RandomSequence(rng, circuit.num_inputs(), 12);
-  const auto serial = faultsim::SimulateSerial(circuit, faults, sequence);
-  for (size_t i = 0; i < faults.size(); ++i) {
-    if (resolution.statically_undetected[i] != 0) {
-      EXPECT_FALSE(serial[i].detected)
-          << ToString(circuit, faults[i]) << " resolved but detected";
-    }
-  }
-  faultsim::ProofsOptions on;
-  on.num_threads = 1;
-  on.sweep = SweepMode::kOn;
-  const auto swept_run = faultsim::SimulateProofs(circuit, faults, sequence, on);
-  for (size_t i = 0; i < faults.size(); ++i) {
-    EXPECT_EQ(serial[i], swept_run.detections[i]) << i;
-  }
 }
 
 TEST(Sweep, IdempotentOnRandomizedCircuits) {

@@ -36,6 +36,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/chaos.h"
 #include "core/metrics.h"
 #include "core/server/framing.h"
 #include "core/server/protocol.h"
@@ -584,5 +585,11 @@ int main(int argc, char** argv) {
   }
   std::fflush(stdout);
   server.Run();
+  // Armed chaos reports what it did on the way out, from the chaos
+  // layer's own counters (present whether or not metrics are built).
+  if (core::chaos::Enabled()) {
+    std::fprintf(stderr, "repro chaos: %ld injected\n",
+                 core::chaos::TotalInjected());
+  }
   return 0;
 }
