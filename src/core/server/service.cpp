@@ -349,6 +349,7 @@ Service::Submission Service::SubmitInternal(const JobSpec& spec,
 
 void Service::RunJob(JobRec& rec, const core::JobContext& ctx) {
   RETEST_TRACE_SPAN(span, "serve.job");
+  bool cancel_at_start = false;
   bool shed = false;
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -356,24 +357,26 @@ void Service::RunJob(JobRec& rec, const core::JobContext& ctx) {
     --queued_;
     const double waited = MsBetween(rec.submitted, rec.started);
     if (rec.cancel_requested) {
-      rec.state = JobState::kCancelled;
+      cancel_at_start = true;
     } else if (rec.spec.deadline_ms > 0 &&
                waited >= static_cast<double>(rec.spec.deadline_ms)) {
       // Deadline-aware shedding: the job's whole deadline elapsed in
       // the queue, so running it now can only burn a worker on a
       // result nobody can use in time.  Shed it with a structured
       // reason instead (docs/SERVING.md).
-      rec.state = JobState::kCancelled;
       rec.cancel_requested = true;
+      cancel_at_start = true;
       shed = true;
-    } else {
-      rec.state = JobState::kRunning;
     }
+    // Even a job cancelled here is kRunning until FinishJob stores its
+    // result: Wait() and Query() must never see a finished state
+    // without one.
+    rec.state = JobState::kRunning;
     RETEST_DIST_RECORD("serve.queue_wait_ms", "ms", "serve",
                        "submit-to-start latency per job",
                        MsBetween(rec.submitted, rec.started));
   }
-  if (rec.state == JobState::kCancelled) {
+  if (cancel_at_start) {
     if (shed) {
       shed_.fetch_add(1);
       RETEST_COUNTER_ADD("serve.shed.deadline_expired", "jobs", "serve",
@@ -579,12 +582,12 @@ void Service::FinishJob(JobRec& rec, JobState state, std::string result_json,
   // The callback runs before the job counts as finished: Drain() (and
   // hence the daemon's goodbye frames) must not overtake the result
   // frame this callback writes.  Wait()ers also only wake once the
-  // result was delivered.
+  // result was delivered.  The broadcast happens under the lock: once
+  // outstanding_ drops to zero a Drain()ing ~Service may destroy
+  // done_cv_, so it must not still be notifying after the unlock.
   if (callback) callback(record);
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    --outstanding_;
-  }
+  std::lock_guard<std::mutex> lock(mutex_);
+  --outstanding_;
   done_cv_.notify_all();
 }
 

@@ -80,8 +80,6 @@ void RunBatches(const netlist::Circuit& circuit,
                 const std::vector<std::vector<V3>>& good_outputs,
                 const std::vector<size_t>& order, ProofsResult& result) {
   constexpr int kLanes = Vec3<W>::kLanes;
-  std::optional<sim::WideTrace<W>> wide_trace;
-  if (options.cone_restricted) wide_trace.emplace(*trace);
 
   const size_t num_batches =
       (faults.size() + static_cast<size_t>(kLanes) - 1) /
@@ -129,7 +127,7 @@ void RunBatches(const netlist::Circuit& circuit,
     long batch_frames = 0;
     for (size_t t = 0; t < sequence.size(); ++t) {
       if (options.cone_restricted) {
-        frame.Step(sequence[t], ws.state, wide_trace->frame(t));
+        frame.Step(sequence[t], ws.state, trace->frame(t));
       } else {
         frame.Step(sequence[t], ws.state);
       }

@@ -14,7 +14,9 @@
 //  - cone restriction: a fault can only perturb values inside the
 //    structural fanout cone of its site (transitive through DFFs), so
 //    each fault batch evaluates only the union of its cones and seeds
-//    everything else from a shared read-only good-machine trace;
+//    everything else from the shared read-only scalar good-machine
+//    trace (sim::Trace, one byte per node and frame at any width; a
+//    value is broadcast to the lanes only where a cone gate reads it);
 //  - batch locality: a run of more than one batch orders its faults
 //    by the topological position of their site before batching, so
 //    faults sharing a word share cones and the union stays small (a

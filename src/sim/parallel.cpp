@@ -65,27 +65,6 @@ Vec3<W> EvalGateWide(NodeKind kind, std::span<const Vec3<W>> fanin) {
 }
 
 template <int W>
-WideTrace<W>::WideTrace(const Trace& trace) : frames_(trace.num_frames()) {
-  if (frames_ == 0) return;
-  num_nodes_ = trace.frame(0).size();
-  words_.resize(frames_ * num_nodes_);
-  const Vec3<W> broadcast[3] = {Vec3<W>::Broadcast(V3::k0),
-                                Vec3<W>::Broadcast(V3::k1),
-                                Vec3<W>::Broadcast(V3::kX)};
-  for (size_t t = 0; t < frames_; ++t) {
-    const std::span<const V3> frame = trace.frame(t);
-    Vec3<W>* out = words_.data() + t * num_nodes_;
-    for (size_t n = 0; n < num_nodes_; ++n) {
-      switch (frame[n]) {
-        case V3::k0: out[n] = broadcast[0]; break;
-        case V3::k1: out[n] = broadcast[1]; break;
-        default: out[n] = broadcast[2]; break;
-      }
-    }
-  }
-}
-
-template <int W>
 WideFrame<W>::WideFrame(const netlist::Circuit& circuit)
     : WideFrame(Compile(circuit)) {}
 
@@ -297,7 +276,7 @@ void WideFrame<W>::Step(std::span<const V3> inputs,
 template <int W>
 void WideFrame<W>::Step(std::span<const V3> inputs,
                         std::vector<Vec3<W>>& state,
-                        std::span<const Vec3<W>> good_frame) {
+                        std::span<const V3> good_frame) {
   if (!cone_mode_) {
     throw std::logic_error(
         "WideFrame::Step(good_frame): call RestrictToInjectionCones first");
@@ -306,16 +285,16 @@ void WideFrame<W>::Step(std::span<const V3> inputs,
   if (good_frame.size() != values_.size()) {
     throw std::invalid_argument("WideFrame::Step: good frame mismatch");
   }
-  const Vec3<W>* good = good_frame.data();
+  const V3* good = good_frame.data();
   const LaneMask<W> live = active_lanes_;
   // Dropped lanes are clamped to the good machine wherever a vector
   // enters the frontier, so retired faults generate no events.
   auto clamp = [&](const Vec3<W>& v, std::uint32_t id) {
-    const Vec3<W>& g = good[id];
+    const PlaneWords g = PlaneWordsOf(good[id]);
     Vec3<W> r;
     for (int w = 0; w < W; ++w) {
-      r.one[w] = (v.one[w] & live.bits[w]) | (g.one[w] & ~live.bits[w]);
-      r.zero[w] = (v.zero[w] & live.bits[w]) | (g.zero[w] & ~live.bits[w]);
+      r.one[w] = (v.one[w] & live.bits[w]) | (g.one & ~live.bits[w]);
+      r.zero[w] = (v.zero[w] & live.bits[w]) | (g.zero & ~live.bits[w]);
     }
     return r;
   };
@@ -328,7 +307,13 @@ void WideFrame<W>::Step(std::span<const V3> inputs,
     }
   };
   auto mark = [&](std::uint32_t id) {
-    const bool now = values_[id] != good[id];
+    const PlaneWords g = PlaneWordsOf(good[id]);
+    const Vec3<W>& v = values_[id];
+    std::uint64_t diff = 0;
+    for (int w = 0; w < W; ++w) {
+      diff |= (v.one[w] ^ g.one) | (v.zero[w] ^ g.zero);
+    }
+    const bool now = diff != 0;
     if (now && !dirty_[id]) dirty_list_.push_back(id);
     dirty_[id] = now;
     return now;
@@ -353,7 +338,7 @@ void WideFrame<W>::Step(std::span<const V3> inputs,
     const NodeKind kind = compiled_->kind(id);
     if (!IsSource(kind)) continue;
     // A non-DFF source's good word is its broadcast value itself.
-    if (kind != NodeKind::kDff) values_[id] = good[id];
+    if (kind != NodeKind::kDff) values_[id] = Vec3<W>::Broadcast(good[id]);
     for (const Injection& inj : by_node_[id]) {
       if (inj.pin < 0 && live.test(inj.lane)) {
         values_[id].SetLane(inj.lane, inj.value);
@@ -376,8 +361,9 @@ void WideFrame<W>::Step(std::span<const V3> inputs,
       scheduled_[id] = 0;
       fanin_scratch_.clear();
       for (std::uint32_t driver : compiled_->fanins(id)) {
-        fanin_scratch_.push_back(dirty_[driver] ? values_[driver]
-                                                : good[driver]);
+        fanin_scratch_.push_back(dirty_[driver]
+                                     ? values_[driver]
+                                     : Vec3<W>::Broadcast(good[driver]));
       }
       for (const Injection& inj : by_node_[id]) {
         if (inj.pin >= 0 && live.test(inj.lane)) {
@@ -404,7 +390,8 @@ void WideFrame<W>::Step(std::span<const V3> inputs,
   // Clock edge for cone registers only.
   for (size_t i : cone_dffs_) {
     const std::uint32_t d_node = compiled_->dff_data(i);
-    Vec3<W> d = dirty_[d_node] ? values_[d_node] : good[d_node];
+    Vec3<W> d = dirty_[d_node] ? values_[d_node]
+                               : Vec3<W>::Broadcast(good[d_node]);
     for (const Injection& inj : by_node_[dffs[i]]) {
       if (inj.pin >= 0 && live.test(inj.lane)) {
         d.SetLane(inj.lane, inj.value);
@@ -414,8 +401,6 @@ void WideFrame<W>::Step(std::span<const V3> inputs,
   }
 }
 
-template class WideTrace<1>;
-template class WideTrace<8>;
 template class WideFrame<1>;
 template class WideFrame<8>;
 template Vec3<1> EvalGateWide<1>(NodeKind, std::span<const Vec3<1>>);

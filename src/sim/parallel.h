@@ -14,7 +14,9 @@
 // CompiledNetlist (sim/compiled.h): flattened CSR fanin/fanout arrays
 // and a level-contiguous, kind-batched evaluation schedule, instead of
 // chasing per-node std::vector pointers through the Circuit on every
-// gate evaluation.
+// gate evaluation.  Its cone-restricted mode reads the good machine
+// from one frame of the scalar sim::Trace (one V3 byte per node) and
+// broadcasts a value to all lanes only where it reads it.
 #pragma once
 
 #include <array>
@@ -30,9 +32,24 @@
 #include "sim/compiled.h"
 #include "sim/levelizer.h"
 #include "sim/logic3.h"
-#include "sim/simulator.h"
 
 namespace retest::sim {
+
+/// The plane words of a scalar value broadcast to 64 lanes: all-ones
+/// in `one` for 1, in `zero` for 0, neither for X.
+struct PlaneWords {
+  std::uint64_t one = 0;
+  std::uint64_t zero = 0;
+};
+
+/// Branch-free from V3's 2-bit encoding (k0=0, k1=1, kX=2).
+inline PlaneWords PlaneWordsOf(V3 v) {
+  static_assert(static_cast<int>(V3::k0) == 0 &&
+                static_cast<int>(V3::k1) == 1 &&
+                static_cast<int>(V3::kX) == 2);
+  const auto bits = static_cast<std::uint64_t>(v);
+  return {0 - (bits & 1), 0 - static_cast<std::uint64_t>(bits == 0)};
+}
 
 /// 64*W packed 3-valued values (two bit-planes of W machine words).
 template <int W>
@@ -46,12 +63,10 @@ struct Vec3 {
 
   /// Broadcasts a scalar value to all lanes.
   static Vec3 Broadcast(V3 v) {
+    const PlaneWords p = PlaneWordsOf(v);
     Vec3 r;
-    switch (v) {
-      case V3::k0: r.zero.fill(~0ull); break;
-      case V3::k1: r.one.fill(~0ull); break;
-      default: break;
-    }
+    r.one.fill(p.one);
+    r.zero.fill(p.zero);
     return r;
   }
 
@@ -235,31 +250,6 @@ struct Injection {
   int lane = 0;        ///< which of the frame's 64*W machines it applies to
 };
 
-/// Broadcast (Vec3) image of a good-machine Trace: one vector per node
-/// per frame, shared read-only across batches and threads.  Cone-mode
-/// evaluation compares against and seeds from these words directly,
-/// instead of re-broadcasting scalar trace values on every access.
-template <int W>
-class WideTrace {
- public:
-  explicit WideTrace(const Trace& trace);
-
-  size_t num_frames() const { return frames_; }
-
-  /// All node vectors of the good machine at frame t.
-  std::span<const Vec3<W>> frame(size_t t) const {
-    return {words_.data() + t * num_nodes_, num_nodes_};
-  }
-
- private:
-  size_t frames_ = 0;
-  size_t num_nodes_ = 0;
-  std::vector<Vec3<W>> words_;  // frame-major
-};
-
-/// 64-lane compatibility name.
-using WordTrace = WideTrace<1>;
-
 /// One-clock-frame evaluator over 64*W parallel machines with fault
 /// injection.  Owns per-node vector storage; the caller owns the state.
 ///
@@ -270,8 +260,9 @@ using WordTrace = WideTrace<1>;
 ///  - cone-restricted: after RestrictToInjectionCones(), evaluation is
 ///    limited to the union of the injection sites' structural fanout
 ///    cones (transitive through DFFs) — the activity mask.  Everything
-///    outside behaves exactly like the good machine and is read from a
-///    cached good-machine WideTrace (the PROOFS insight: a fault cannot
+///    outside behaves exactly like the good machine and is read from
+///    the scalar good-machine Trace, one byte per node, broadcast to
+///    all lanes where it is used (the PROOFS insight: a fault cannot
 ///    perturb values outside its fanout cone).  Within the cone the
 ///    evaluation is event-driven: dirty nodes (vector differs from the
 ///    good machine this frame) schedule their cone fanouts into
@@ -315,11 +306,11 @@ class WideFrame {
 
   /// Cone-restricted frame: like Step, but only cone nodes on the
   /// active frontier are evaluated; everything else matches
-  /// `good_frame` (all node vectors of the good machine at this frame,
-  /// i.e. WideTrace::frame(t)).  Only cone entries of `state` are
-  /// maintained; read results via word() and dirty(), not value().
+  /// `good_frame` (every node's good-machine value at this frame, i.e.
+  /// Trace::frame(t)).  Only cone entries of `state` are maintained;
+  /// read results via word() and dirty(), not value().
   void Step(std::span<const V3> inputs, std::vector<Vec3<W>>& state,
-            std::span<const Vec3<W>> good_frame);
+            std::span<const V3> good_frame);
 
   /// Retires the given lanes: their injections stop being applied and
   /// their words are clamped to the good machine, so the dropped
@@ -346,10 +337,10 @@ class WideFrame {
   }
 
   /// Node value in cone-restricted mode: the evaluated vector for dirty
-  /// nodes, the good-machine vector for clean ones.
-  Vec3<W> word(netlist::NodeId id, std::span<const Vec3<W>> good_frame) const {
+  /// nodes, the broadcast good-machine value for clean ones.
+  Vec3<W> word(netlist::NodeId id, std::span<const V3> good_frame) const {
     return dirty(id) ? values_[static_cast<size_t>(id)]
-                     : good_frame[static_cast<size_t>(id)];
+                     : Vec3<W>::Broadcast(good_frame[static_cast<size_t>(id)]);
   }
 
   /// Indices into circuit().outputs() that can differ from the good
@@ -408,8 +399,6 @@ using ParallelFrame = WideFrame<1>;
 
 // The two widths are instantiated once in sim/parallel.cpp (64 and
 // 512 lanes; see sim/simd.h for which run uses which).
-extern template class WideTrace<1>;
-extern template class WideTrace<8>;
 extern template class WideFrame<1>;
 extern template class WideFrame<8>;
 extern template Vec3<1> EvalGateWide<1>(netlist::NodeKind,

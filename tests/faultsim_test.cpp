@@ -447,6 +447,43 @@ TEST(Proofs, ThreadCountDoesNotChangeWorkMeasures) {
   }
 }
 
+// The cone engine's search, pinned: a seeded circuit with several
+// 512-lane batches, run in cone mode with dropping at 1 and 4 threads.
+// The detected count, a CRC over every (fault, detected, time) and
+// both work counters are fixed values, so a change to how the cone
+// kernel reads the good machine cannot silently change what it
+// evaluates or finds.
+TEST(Proofs, ConeWorkIsPinned) {
+  const Circuit circuit = retest::testing::MakeRandomCircuit(
+      21, {.num_inputs = 6, .num_dffs = 3, .num_gates = 300});
+  const auto faults = fault::EnumerateFaults(circuit);
+  ASSERT_GT(faults.size(), 512u);
+  Rng rng{2024};
+  const InputSequence sequence =
+      Random3Sequence(rng, circuit.num_inputs(), 40);
+  for (const int threads : {1, 4}) {
+    ProofsOptions options;
+    options.num_threads = threads;
+    const auto result = SimulateProofs(circuit, faults, sequence, options);
+    std::uint32_t crc = 0xffffffffu;
+    for (size_t i = 0; i < result.detections.size(); ++i) {
+      const Detection& d = result.detections[i];
+      const std::uint32_t word =
+          static_cast<std::uint32_t>(i) * 0x10000u +
+          (d.detected ? 0x8000u + static_cast<std::uint32_t>(d.time) : 0u);
+      for (int bit = 0; bit < 32; ++bit) {
+        const std::uint32_t mix = (crc ^ (word >> bit)) & 1u;
+        crc = (crc >> 1) ^ (mix ? 0xedb88320u : 0u);
+      }
+    }
+    EXPECT_EQ(result.lanes, 512);
+    EXPECT_EQ(result.num_detected(), 1250) << "threads " << threads;
+    EXPECT_EQ(~crc, 0xd03f4ca6u) << "threads " << threads;
+    EXPECT_EQ(result.frames_evaluated, 160) << "threads " << threads;
+    EXPECT_EQ(result.gate_evals, 20831) << "threads " << threads;
+  }
+}
+
 TEST(Proofs, BranchFaultStaysLocal) {
   Builder builder("branch");
   builder.Input("a");

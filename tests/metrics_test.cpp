@@ -227,7 +227,8 @@ TEST(MetricsTest, DistributionTracksMinMaxSumCount) {
   dist.Record(-2.0);
   dist.Record(10.0);
   dist.Record(0.5);
-  const auto* value = DistOf(metrics::Collect(), "test.dist_stats");
+  const auto snapshot = metrics::Collect();
+  const auto* value = DistOf(snapshot, "test.dist_stats");
   ASSERT_NE(value, nullptr);
   EXPECT_EQ(value->count, 4);
   EXPECT_DOUBLE_EQ(value->sum, 12.5);
@@ -246,7 +247,8 @@ TEST(MetricsTest, DistributionMergesAcrossThreads) {
     });
   }
   for (auto& thread : threads) thread.join();
-  const auto* value = DistOf(metrics::Collect(), "test.dist_merge");
+  const auto snapshot = metrics::Collect();
+  const auto* value = DistOf(snapshot, "test.dist_merge");
   ASSERT_NE(value, nullptr);
   EXPECT_EQ(value->count, 400);
   EXPECT_DOUBLE_EQ(value->min, 0);
@@ -256,13 +258,15 @@ TEST(MetricsTest, DistributionMergesAcrossThreads) {
 TEST(MetricsTest, ScopedTimerRecordsElapsedMs) {
   const auto dist = metrics::RegisterDistribution("test.timer_ms", "ms",
                                                   "test", "");
-  const auto* before = DistOf(metrics::Collect(), "test.timer_ms");
+  const auto snapshot_before = metrics::Collect();
+  const auto* before = DistOf(snapshot_before, "test.timer_ms");
   const long count_before = before != nullptr ? before->count : 0;
   {
     metrics::ScopedTimer timer(dist);
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
-  const auto* after = DistOf(metrics::Collect(), "test.timer_ms");
+  const auto snapshot_after = metrics::Collect();
+  const auto* after = DistOf(snapshot_after, "test.timer_ms");
   ASSERT_NE(after, nullptr);
   EXPECT_EQ(after->count, count_before + 1);
   EXPECT_GE(after->max, 4.0);  // slept >= 5 ms, allow scheduler slop

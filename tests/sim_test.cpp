@@ -212,15 +212,14 @@ TEST(ParallelFrame, ConeRestrictedStepMatchesFullEvaluation) {
   const InputSequence sequence{FromString("00"), FromString("11"),
                                FromString("10"), FromString("01")};
   const Trace trace(circuit, sequence);
-  const WordTrace words(trace);
   std::vector<Word3> full_state(2), cone_state(2);
   for (size_t t = 0; t < sequence.size(); ++t) {
     full.Step(sequence[t], full_state);
-    cone.Step(sequence[t], cone_state, words.frame(t));
+    cone.Step(sequence[t], cone_state, trace.frame(t));
     for (const char* net : {"g1", "q1", "h1", "z1"}) {
       // word() resolves clean (skipped) nodes to the good-machine
       // word; dirty nodes were actually evaluated this frame.
-      EXPECT_EQ(cone.word(circuit.Find(net), words.frame(t)),
+      EXPECT_EQ(cone.word(circuit.Find(net), trace.frame(t)),
                 full.value(circuit.Find(net)))
           << net << " at frame " << t;
     }
@@ -278,7 +277,13 @@ TYPED_TEST(WideVec, BroadcastLanesAndWordBoundaries) {
     EXPECT_EQ(v.Lane(64), V3::k1);
     EXPECT_EQ(v.Lane(65), V3::k1);
   }
-  EXPECT_EQ(Vec3<W>::Broadcast(V3::kX).Lane(Vec3<W>::kLanes / 2), V3::kX);
+  for (const V3 scalar : {V3::k0, V3::k1, V3::kX}) {
+    const Vec3<W> b = Vec3<W>::Broadcast(scalar);
+    for (int w = 0; w < W; ++w) {
+      EXPECT_EQ(b.Lane(w * 64), scalar);
+      EXPECT_EQ(b.Lane(w * 64 + 63), scalar);
+    }
+  }
 }
 
 TYPED_TEST(WideVec, MatchesScalarAlgebraInEveryWord) {
@@ -398,13 +403,12 @@ TYPED_TEST(WideVec, WideFrameConeMatchesFullAtEveryWidth) {
   const InputSequence sequence{FromString("00"), FromString("11"),
                                FromString("10"), FromString("01")};
   const Trace trace(circuit, sequence);
-  const WideTrace<W> words(trace);
   std::vector<Vec3<W>> full_state(2), cone_state(2);
   for (size_t t = 0; t < sequence.size(); ++t) {
     full.Step(sequence[t], full_state);
-    cone.Step(sequence[t], cone_state, words.frame(t));
+    cone.Step(sequence[t], cone_state, trace.frame(t));
     for (const char* net : {"g1", "q1", "h1", "z1"}) {
-      EXPECT_EQ(cone.word(circuit.Find(net), words.frame(t)),
+      EXPECT_EQ(cone.word(circuit.Find(net), trace.frame(t)),
                 full.value(circuit.Find(net)))
           << net << " at frame " << t;
     }
