@@ -5,7 +5,8 @@
 // that easy version, and map the test set back by prefixing the
 // pre-determined number of arbitrary vectors.  Compare the direct run
 // against the flow on CPU and on the fault coverage achieved *on the
-// hard circuit*.
+// hard circuit*.  The flow columns are core::RetimeForTest's report
+// (EXPERIMENTS.md, Fig. 6).
 #include <cstdio>
 
 #include "core/flow.h"
@@ -37,21 +38,21 @@ int main() {
     const auto direct = atpg::RunAtpg(
         prepared.retimed, bench::Table2AtpgOptions(direct_budget));
 
-    // The paper's flow: min-register retiming, ATPG there, prefix map,
-    // fault simulation on the hard circuit.
-    core::RetimeForTestOptions flow_options;
-    flow_options.atpg = bench::TestSetAtpgOptions(easy_budget);
-    const auto flow = core::RetimeForTest(prepared.retimed, flow_options);
-
-    const long flow_ms = flow.atpg_result.elapsed_ms + flow.fault_sim_ms;
-    std::printf("%-12s | %6.1f %6.1f %6ld | %5d %6d %8ld %8ld %6.1f | %5.1fx\n",
-                prepared.retimed.name().c_str(), direct.FaultCoverage(),
-                direct.FaultEfficiency(), direct.elapsed_ms, flow.easy_dffs,
-                flow.prefix_length, flow.atpg_result.elapsed_ms,
-                flow.fault_sim_ms, flow.HardCoverage(),
-                flow_ms > 0 ? static_cast<double>(direct.elapsed_ms) /
-                                  static_cast<double>(flow_ms)
-                            : 0.0);
+    // The paper's flow: min-register retiming, then the preservation
+    // pipeline on (easy, hard): ATPG on easy, prefix map, fault
+    // simulation on the hard circuit.
+    const auto flow = core::RetimeForTest(prepared.retimed,
+                                          bench::TestSetAtpgOptions(easy_budget));
+    const core::PreserveReport& report = flow.report;
+    std::printf(
+        "%-12s | %6.1f %6.1f %6ld | %5d %6d %8.0f %8.0f %6.1f | %5.1fx\n",
+        prepared.retimed.name().c_str(), direct.FaultCoverage(),
+        direct.FaultEfficiency(), direct.elapsed_ms, flow.easy.num_dffs(),
+        report.prefix_length(), report.ms.atpg, report.ms.faultsim,
+        report.mapped.FaultCoverage(),
+        report.ms.total > 0
+            ? static_cast<double>(direct.elapsed_ms) / report.ms.total
+            : 0.0);
     std::fflush(stdout);
   }
   std::printf(

@@ -2,12 +2,13 @@
 // for the original circuits, and of the derived (prefix-extended) test
 // sets on the corresponding retimed circuits.
 //
-// Theorem 4's procedure: the prefix length is the maximum number of
-// forward retiming moves across any node; most variants need none, and
-// the ones that do need only the computed handful of arbitrary
-// vectors.  The undetected-fault counts on the original and retimed
-// circuits should track each other closely (residual differences come
-// from line splits/merges changing the collapsed-fault counts).
+// Theorem 4's procedure (core::PreservePair): the prefix length is the
+// maximum number of forward retiming moves across any node, read off
+// the pair's retiming certificate; most variants need none, and the
+// ones that do need only the computed handful of arbitrary vectors.
+// The undetected-fault counts on the original and retimed circuits
+// should track each other closely (residual differences come from line
+// splits/merges changing the collapsed-fault counts).
 //
 // Besides the stdout table, emits BENCH_table3.json (one row per
 // circuit pair plus the cumulative engine metrics snapshot; see
@@ -24,13 +25,13 @@
 // job; the table prints in paper order at collection time.
 #include <cstdio>
 #include <exception>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "core/fleet.h"
+#include "core/flow.h"
 #include "core/metrics.h"
-#include "core/preserve.h"
-#include "core/testset.h"
 #include "experiments.h"
 #include "fault/collapse.h"
 #include "faultsim/proofs.h"
@@ -75,55 +76,47 @@ bool EmitJson(const std::vector<Row>& rows, long budget,
   return std::fclose(f) == 0;
 }
 
-/// Generates the original test set, derives the retimed one
-/// (Theorem 4) and fault-simulates both, confining ATPG and PROOFS
-/// parallelism to the fleet job's thread budget.  Throws on any
-/// pipeline failure; checkpoint journals cover the ATPG step when
-/// REPRO_CHECKPOINT_DIR is set.
+/// Runs the preservation pipeline on the pair (certify, ATPG on the
+/// original, Theorem-4 prefix, PROOFS on the retimed circuit) and
+/// fault-simulates the original test set on the original circuit for
+/// the left-hand columns, confining ATPG and PROOFS parallelism to the
+/// fleet job's thread budget.  Throws on any pipeline failure;
+/// checkpoint journals cover the ATPG step when REPRO_CHECKPOINT_DIR
+/// is set.
 Row MeasurePair(const retest::bench::Variant& variant, long budget,
                 const retest::core::JobContext& ctx) {
   using namespace retest;
   const bench::Prepared prepared = bench::PrepareVariant(variant);
 
-  // Generate the original circuit's test set.
   auto atpg_options = bench::TestSetAtpgOptions(budget);
   atpg_options.num_threads = ctx.thread_budget;
   atpg_options.deadline_ms = ctx.deadline_ms;
   atpg_options.checkpoint_path =
       bench::CheckpointPathFor(prepared.original.name() + ".testset");
-  const auto atpg_result = atpg::RunAtpg(prepared.original, atpg_options);
-  core::TestSet test_set;
-  test_set.tests = atpg_result.tests;
+  const core::PreserveReport report =
+      core::PreservePair(prepared.original, prepared.retimed, atpg_options);
+  if (!report.cert.certified) {
+    throw std::runtime_error("certification refused: " +
+                             report.cert.diagnostics.ToString());
+  }
 
-  // Derive the retimed circuit's test set (Theorem 4).
-  const int prefix =
-      core::PrefixLength(prepared.build.graph, prepared.retiming);
-  const core::TestSet derived = core::DeriveRetimedTestSet(
-      test_set, prefix, prepared.original.num_inputs());
-
-  // Fault simulate both, inside the job's thread budget.
   faultsim::ProofsOptions sim_options;
   sim_options.num_threads = ctx.thread_budget;
   const auto original_faults = fault::Collapse(prepared.original);
-  const auto retimed_faults = fault::Collapse(prepared.retimed);
   const auto original_sim = faultsim::SimulateProofs(
       prepared.original, original_faults.representatives,
-      test_set.Concatenated(), sim_options);
-  const auto retimed_sim = faultsim::SimulateProofs(
-      prepared.retimed, retimed_faults.representatives, derived.Concatenated(),
-      sim_options);
+      report.atpg.ConcatenatedTests(), sim_options);
 
   Row row;
   row.name = prepared.original.name();
   row.original_faults =
       static_cast<int>(original_faults.representatives.size());
-  row.retimed_faults =
-      static_cast<int>(retimed_faults.representatives.size());
+  row.retimed_faults = static_cast<int>(report.mapped.detections.size());
   row.original_undetected = row.original_faults - original_sim.num_detected();
-  row.retimed_undetected = row.retimed_faults - retimed_sim.num_detected();
-  row.original_fc = 100.0 * original_sim.num_detected() / row.original_faults;
-  row.retimed_fc = 100.0 * retimed_sim.num_detected() / row.retimed_faults;
-  row.prefix = prefix;
+  row.retimed_undetected = row.retimed_faults - report.mapped.num_detected();
+  row.original_fc = original_sim.FaultCoverage();
+  row.retimed_fc = report.mapped.FaultCoverage();
+  row.prefix = report.prefix_length();
   return row;
 }
 

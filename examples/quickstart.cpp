@@ -1,15 +1,12 @@
 // Quickstart: build a small sequential circuit, retime it, generate a
 // test set for the original, and map it to the retimed circuit with
-// the Theorem-4 prefix.
+// the Theorem-4 prefix (core::PreservePair).
 //
 //   ./example_quickstart
 #include <cstdio>
 
 #include "atpg/engine.h"
-#include "core/preserve.h"
-#include "core/testset.h"
-#include "fault/collapse.h"
-#include "faultsim/proofs.h"
+#include "core/flow.h"
 #include "netlist/bench_io.h"
 #include "netlist/builder.h"
 #include "retime/apply.h"
@@ -44,28 +41,19 @@ int main() {
               min_period.original_period, min_period.period,
               circuit.num_dffs(), applied.circuit.num_dffs());
 
-  // 3. Generate a test set for the ORIGINAL circuit.
+  // 3. Preserve the test set: certify that the retimed circuit is a
+  //    retiming of the original, generate tests for the ORIGINAL,
+  //    prepend the pre-determined number of arbitrary vectors
+  //    (Theorem 4) and fault simulate the result on the retimed one.
   atpg::AtpgOptions options;
   options.time_budget_ms = 5000;
-  const auto atpg_result = atpg::RunAtpg(circuit, options);
-  core::TestSet tests;
-  tests.tests = atpg_result.tests;
-  std::printf("ATPG on original: %.1f%% fault coverage, %d tests, %d vectors\n",
-              atpg_result.FaultCoverage(), tests.num_tests(),
-              tests.total_vectors());
-
-  // 4. Map the test set to the retimed circuit: prepend the
-  //    pre-determined number of arbitrary vectors (Theorem 4).
-  const int prefix = core::PrefixLength(build.graph, min_period.retiming);
-  const auto derived =
-      core::DeriveRetimedTestSet(tests, prefix, circuit.num_inputs());
-  std::printf("prefix length (max forward moves): %d\n", prefix);
-
-  // 5. Fault simulate the derived set on the retimed circuit.
-  const auto faults = fault::Collapse(applied.circuit);
-  const auto sim_result = faultsim::SimulateProofs(
-      applied.circuit, faults.representatives, derived.Concatenated());
+  const core::PreserveReport report =
+      core::PreservePair(circuit, applied.circuit, options);
+  std::printf("ATPG on original: %.1f%% fault coverage, %zu tests\n",
+              report.atpg.FaultCoverage(), report.atpg.tests.size());
+  std::printf("prefix length (max forward moves): %d\n",
+              report.prefix_length());
   std::printf("derived set on retimed circuit: %d/%zu faults detected\n",
-              sim_result.num_detected(), faults.representatives.size());
+              report.mapped.num_detected(), report.mapped.detections.size());
   return 0;
 }

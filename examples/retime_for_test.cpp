@@ -11,7 +11,6 @@
 #include "retime/apply.h"
 #include "retime/from_netlist.h"
 #include "retime/leiserson_saxe.h"
-#include "retime/minreg.h"
 #include "synth/synthesize.h"
 
 int main() {
@@ -32,21 +31,21 @@ int main() {
               hard.circuit.num_dffs(), min_period.period);
 
   // The flow: register-minimize, ATPG on the easy version, map back.
-  core::RetimeForTestOptions options;
-  options.atpg.time_budget_ms = 10'000;
+  atpg::AtpgOptions options;
+  options.time_budget_ms = 10'000;
   const auto result = core::RetimeForTest(hard.circuit, options);
+  const core::PreserveReport& report = result.report;
 
-  std::printf("easy circuit: %d DFFs (was %d)\n", result.easy_dffs,
-              result.hard_dffs);
-  std::printf("ATPG on easy circuit: %.1f%% FC in %ld ms\n",
-              result.atpg_result.FaultCoverage(),
-              result.atpg_result.elapsed_ms);
-  std::printf("prefix length for the mapping: %d\n", result.prefix_length);
+  std::printf("easy circuit: %d DFFs (was %d)\n", result.easy.num_dffs(),
+              hard.circuit.num_dffs());
+  std::printf("ATPG on easy circuit: %.1f%% FC in %.0f ms\n",
+              report.atpg.FaultCoverage(), report.ms.atpg);
+  std::printf("prefix length for the mapping: %d\n", report.prefix_length());
   std::printf("derived test set: %d tests, %d vectors\n",
-              result.derived.num_tests(), result.derived.total_vectors());
-  std::printf("fault simulation on the product: %d/%d detected (%.1f%%) "
-              "in %ld ms\n",
-              result.hard_detected, result.hard_faults,
-              result.HardCoverage(), result.fault_sim_ms);
+              report.derived.num_tests(), report.derived.total_vectors());
+  std::printf("fault simulation on the product: %d/%zu detected (%.1f%%) "
+              "in %.0f ms\n",
+              report.mapped.num_detected(), report.mapped.detections.size(),
+              report.mapped.FaultCoverage(), report.ms.faultsim);
   return 0;
 }

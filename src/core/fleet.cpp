@@ -79,6 +79,9 @@ std::size_t Fleet::Submit(JobOptions options, JobFn fn) {
                      "submission",
                      static_cast<double>(
                          queued_.load(std::memory_order_relaxed)));
+  // Like FinishJob: the lock round trip keeps a worker that has just
+  // found queued_ == 0 from sleeping through this notify.
+  { std::lock_guard<std::mutex> lock(mutex_); }
   work_cv_.notify_all();
   return raw->id;
 }

@@ -2,6 +2,8 @@
 
 #include <chrono>
 
+#include "core/preserve.h"
+#include "core/trace.h"
 #include "fault/collapse.h"
 #include "retime/apply.h"
 #include "retime/from_netlist.h"
@@ -9,44 +11,67 @@
 
 namespace retest::core {
 
-RetimeForTestResult RetimeForTest(const netlist::Circuit& hard,
-                                  const RetimeForTestOptions& options) {
-  RetimeForTestResult result;
-  result.hard_dffs = hard.num_dffs();
-
-  // Retime for testability: minimize registers, ignore the period.
-  const retime::BuildResult build =
-      retime::BuildGraph(hard, options.delay_model);
-  const retime::MinRegResult minreg = retime::MinimizeRegisters(build.graph);
-  retime::ApplyResult applied =
-      retime::ApplyRetiming(hard, build, minreg.retiming,
-                            hard.name() + ".mintest");
-  result.easy = std::move(applied.circuit);
-  result.easy_dffs = result.easy.num_dffs();
-
-  // ATPG on the easy circuit.
-  result.atpg_result = atpg::RunAtpg(result.easy, options.atpg);
-
-  // Map the test set back: hard = Retime(easy, -r), so the prefix is
-  // the backward-move maximum of r (Theorem 4 applied to the inverse).
-  result.prefix_length = InversePrefixLength(build.graph, minreg.retiming);
-  TestSet easy_tests;
-  easy_tests.tests = result.atpg_result.tests;
-  result.derived =
-      DeriveRetimedTestSet(easy_tests, result.prefix_length,
-                           hard.num_inputs(), options.prefix_style);
-
-  // Fault simulate the derived set on the hard circuit.
+PreserveReport PreservePair(const netlist::Circuit& original,
+                            const netlist::Circuit& retimed,
+                            const atpg::AtpgOptions& options) {
+  RETEST_TRACE_SPAN(pair_span, "preserve.pair");
+  using Ms = std::chrono::duration<double, std::milli>;
+  PreserveReport report;
   const auto start = std::chrono::steady_clock::now();
-  const fault::CollapsedFaults collapsed = fault::Collapse(hard);
-  const auto sim_result = faultsim::SimulateProofs(
-      hard, collapsed.representatives, result.derived.Concatenated());
-  result.fault_sim_ms =
-      std::chrono::duration_cast<std::chrono::milliseconds>(
-          std::chrono::steady_clock::now() - start)
-          .count();
-  result.hard_faults = static_cast<int>(collapsed.representatives.size());
-  result.hard_detected = sim_result.num_detected();
+  auto phase = start;
+  // Charges the time since the previous lap to `ms` and updates total.
+  const auto lap = [&](double& ms) {
+    const auto now = std::chrono::steady_clock::now();
+    ms = Ms(now - phase).count();
+    report.ms.total = Ms(now - start).count();
+    phase = now;
+  };
+
+  {
+    RETEST_TRACE_SPAN(certify_span, "preserve.certify");
+    report.cert = analyze::CertifyRetiming(original, retimed);
+  }
+  lap(report.ms.certify);
+  if (!report.cert.certified) return report;
+
+  report.atpg = atpg::RunAtpg(original, options);
+  lap(report.ms.atpg);
+  if (report.atpg.preempted && options.stop != nullptr &&
+      options.stop->load(std::memory_order_acquire)) {
+    return report;
+  }
+
+  {
+    RETEST_TRACE_SPAN(derive_span, "preserve.derive");
+    TestSet original_set;
+    original_set.tests = report.atpg.tests;
+    report.derived = DeriveRetimedTestSet(original_set, report.prefix_length(),
+                                          retimed.num_inputs());
+  }
+  lap(report.ms.derive);
+
+  faultsim::ProofsOptions proofs_options;
+  proofs_options.num_threads = options.num_threads;
+  const fault::CollapsedFaults faults = fault::Collapse(retimed);
+  report.mapped = faultsim::SimulateProofs(retimed, faults.representatives,
+                                           report.derived.Concatenated(),
+                                           proofs_options);
+  lap(report.ms.faultsim);
+  return report;
+}
+
+RetimeForTestResult RetimeForTest(const netlist::Circuit& hard,
+                                  const atpg::AtpgOptions& atpg) {
+  // Retime for testability: minimize registers, ignore the period.
+  const retime::BuildResult build = retime::BuildGraph(hard);
+  const retime::MinRegResult minreg = retime::MinimizeRegisters(build.graph);
+  RetimeForTestResult result;
+  result.easy = retime::ApplyRetiming(hard, build, minreg.retiming,
+                                      hard.name() + ".mintest")
+                    .circuit;
+  // hard is a retiming of easy, so certifying (easy, hard) yields the
+  // prefix that maps the easy circuit's tests onto the hard one.
+  result.report = PreservePair(result.easy, hard, atpg);
   return result;
 }
 

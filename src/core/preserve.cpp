@@ -20,11 +20,6 @@ int PrefixLength(const retime::Graph& graph,
   return retime::CountMoves(graph, retiming).max_forward_any;
 }
 
-int InversePrefixLength(const retime::Graph& graph,
-                        const retime::Retiming& retiming) {
-  return retime::CountMoves(graph, retiming).max_backward_any;
-}
-
 sim::InputSequence MakePrefix(int length, int num_inputs, PrefixStyle style,
                               std::uint64_t seed) {
   Rng rng{seed};
@@ -45,23 +40,11 @@ sim::InputSequence MakePrefix(int length, int num_inputs, PrefixStyle style,
 }
 
 TestSet DeriveRetimedTestSet(const TestSet& original, int prefix_length,
-                             int num_inputs, PrefixStyle style,
-                             bool prefix_each_test, std::uint64_t seed) {
+                             int num_inputs) {
+  if (prefix_length <= 0) return original;
   TestSet derived;
-  if (prefix_length <= 0) {
-    derived = original;
-    return derived;
-  }
-  if (prefix_each_test) {
-    for (const auto& test : original.tests) {
-      sim::InputSequence prefixed =
-          MakePrefix(prefix_length, num_inputs, style, seed);
-      prefixed.insert(prefixed.end(), test.begin(), test.end());
-      derived.tests.push_back(std::move(prefixed));
-    }
-    return derived;
-  }
-  derived.tests.push_back(MakePrefix(prefix_length, num_inputs, style, seed));
+  derived.tests.push_back(
+      MakePrefix(prefix_length, num_inputs, PrefixStyle::kZeros));
   derived.tests.insert(derived.tests.end(), original.tests.begin(),
                        original.tests.end());
   return derived;

@@ -25,29 +25,16 @@ enum class PrefixStyle {
 /// retimed K': the maximum number of forward moves across any node.
 int PrefixLength(const retime::Graph& graph, const retime::Retiming& retiming);
 
-/// Prefix length for the *inverse* mapping: tests generated on the
-/// retimed circuit K' = Retime(K, r) applied back to K.  The inverse
-/// retiming has lags -r, so its forward moves are r's backward moves.
-/// This is what the Fig. 6 flow uses: ATPG runs on the easy
-/// (register-minimized) circuit and the tests map back to the product.
-int InversePrefixLength(const retime::Graph& graph,
-                        const retime::Retiming& retiming);
-
 /// Builds the prefix sequence itself.
 sim::InputSequence MakePrefix(int length, int num_inputs, PrefixStyle style,
                               std::uint64_t seed = 1);
 
 /// Derives the test set for a retimed circuit from `original`:
-/// prepends `prefix_length` arbitrary vectors.  With
-/// `prefix_each_test`, every test is individually prefixed (the
-/// theorem's literal form); the default prefixes only the stream head,
-/// which suffices because any preceding vectors are arbitrary inputs
-/// (this is what the paper's experiments do: "a single arbitrary input
-/// vector ... prefixed to the test sets").
+/// prepends one test of `prefix_length` all-zero vectors.  Prefixing
+/// only the stream head suffices because any preceding vectors are
+/// arbitrary inputs (this is what the paper's experiments do: "a
+/// single arbitrary input vector ... prefixed to the test sets").
 TestSet DeriveRetimedTestSet(const TestSet& original, int prefix_length,
-                             int num_inputs,
-                             PrefixStyle style = PrefixStyle::kZeros,
-                             bool prefix_each_test = false,
-                             std::uint64_t seed = 1);
+                             int num_inputs);
 
 }  // namespace retest::core

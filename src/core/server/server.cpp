@@ -89,8 +89,18 @@ int ListenTcp(int port, int& resolved_port, core::DiagnosticList& diags) {
 /// One live client session.  `write_mutex` serializes frames from the
 /// session thread, the completion callback and the progress ticker;
 /// `open` flips under it before the fd closes, so a late pusher never
-/// writes to a recycled descriptor.
+/// writes to a recycled descriptor.  Only the session thread (after its
+/// last read) or the destructor (after the session thread is joined)
+/// closes the fd: the drain path merely shuts the socket down, so a
+/// blocked read returns EOF instead of racing a close.
 struct Server::Connection {
+  Connection() = default;
+  Connection(const Connection&) = delete;
+  Connection& operator=(const Connection&) = delete;
+  ~Connection() {
+    if (close_fds) CloseFd(fd_in);
+  }
+
   int fd_in = -1;
   int fd_out = -1;
   bool close_fds = true;  ///< False for the borrowed stdio fds.
@@ -168,8 +178,9 @@ void Server::Run() {
   }
 
   // Graceful drain: stop admitting, let running jobs finish, then say
-  // goodbye to every still-open session and close it; the session
-  // threads see EOF and exit, and the destructor joins them.
+  // goodbye to every still-open session and shut its socket down; the
+  // session threads see EOF and exit, the destructor joins them, and
+  // the last Connection reference closes the fd.
   service_.Drain();
   std::vector<std::shared_ptr<Connection>> conns;
   {
@@ -181,11 +192,7 @@ void Server::Run() {
     if (!conn->open) continue;
     WriteFrame(conn->fd_out, BuildGoodbye());
     conn->open = false;
-    if (conn->close_fds) {
-      ::shutdown(conn->fd_in, SHUT_RDWR);
-      CloseFd(conn->fd_in);
-      conn->fd_out = -1;
-    }
+    if (conn->close_fds) ::shutdown(conn->fd_in, SHUT_RDWR);
   }
 }
 

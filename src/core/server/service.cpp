@@ -12,12 +12,11 @@
 #include <sstream>
 #include <utility>
 
-#include "analyze/certify.h"
 #include "atpg/engine.h"
 #include "core/chaos.h"
 #include "core/crc32.h"
+#include "core/flow.h"
 #include "core/metrics.h"
-#include "core/preserve.h"
 #include "core/testset.h"
 #include "core/trace.h"
 #include "fault/collapse.h"
@@ -174,11 +173,7 @@ std::string FaultSimJson(const faultsim::ProofsResult& result) {
   std::ostringstream out;
   out << "{\"faults\": " << result.detections.size()
       << ", \"detected\": " << detected << ", ";
-  AppendDouble(out, "coverage",
-               result.detections.empty()
-                   ? 100.0
-                   : 100.0 * detected /
-                         static_cast<double>(result.detections.size()));
+  AppendDouble(out, "coverage", result.FaultCoverage());
   out << ", \"frames_evaluated\": " << result.frames_evaluated
       << ", \"gate_evals\": " << result.gate_evals << "}";
   return out.str();
@@ -469,46 +464,36 @@ void Service::RunJob(JobRec& rec, const core::JobContext& ctx) {
         break;
       }
       case JobKind::kPreserve: {
-        // The Fig. 6 pair flow over an untrusted pair: the certifier
-        // re-establishes that `retimed` really is a retiming (and
-        // yields the Theorem-4 prefix) before any test mapping.
-        const auto cert =
-            analyze::CertifyRetiming(rec.circuit, rec.retimed);
-        if (!cert.certified) {
+        // The Fig. 6 pair flow over an untrusted pair: PreservePair's
+        // certifier re-establishes that `retimed` really is a retiming
+        // (and yields the Theorem-4 prefix) before any test mapping.
+        const core::PreserveReport report =
+            core::PreservePair(rec.circuit, rec.retimed, atpg_options);
+        if (!report.cert.certified) {
           out << "\"status\": \"failed\", \"error\": \"certification "
-              << "refused: " << JsonEscape(cert.diagnostics.ToString())
+              << "refused: " << JsonEscape(report.cert.diagnostics.ToString())
               << "\"}";
           FinishJob(rec, JobState::kFailed, out.str(), false);
           return;
         }
-        const atpg::AtpgResult atpg_result =
-            atpg::RunAtpg(rec.circuit, atpg_options);
-        resumed = atpg_result.resumed;
-        if (atpg_result.preempted && cancel_requested()) {
+        resumed = report.atpg.resumed;
+        if (report.atpg.preempted && cancel_requested()) {
           finish_cancelled(resumed);
           return;
         }
-        core::TestSet original_set;
-        original_set.tests = atpg_result.tests;
-        const int prefix = cert.certificate.prefix_length;
-        const core::TestSet derived = core::DeriveRetimedTestSet(
-            original_set, prefix, rec.retimed.num_inputs());
-        faultsim::ProofsOptions proofs_options;
-        proofs_options.num_threads = ctx.thread_budget;
-        const fault::CollapsedFaults faults = fault::Collapse(rec.retimed);
-        const faultsim::ProofsResult mapped = faultsim::SimulateProofs(
-            rec.retimed, faults.representatives, derived.Concatenated(),
-            proofs_options);
+        // Whole milliseconds of the whole pipeline: certify, ATPG,
+        // derive, collapse and PROOFS.
         out << "\"status\": \"ok\", \"resumed\": "
-            << (atpg_result.resumed ? "true" : "false")
+            << (report.atpg.resumed ? "true" : "false")
             << ", \"preempted\": "
-            << (atpg_result.preempted ? "true" : "false")
-            << ", \"elapsed_ms\": " << atpg_result.elapsed_ms
-            << ", \"certified\": true, \"prefix_length\": " << prefix
+            << (report.atpg.preempted ? "true" : "false")
+            << ", \"elapsed_ms\": " << static_cast<long>(report.ms.total)
+            << ", \"certified\": true, \"prefix_length\": "
+            << report.prefix_length()
             << ", \"original_dffs\": " << rec.circuit.num_dffs()
             << ", \"retimed_dffs\": " << rec.retimed.num_dffs()
-            << ", \"atpg\": " << AtpgJson(atpg_result)
-            << ", \"mapped\": " << FaultSimJson(mapped) << "}";
+            << ", \"atpg\": " << AtpgJson(report.atpg)
+            << ", \"mapped\": " << FaultSimJson(report.mapped) << "}";
         break;
       }
     }

@@ -90,6 +90,12 @@ struct ProofsResult {
     for (const Detection& d : detections) count += d.detected ? 1 : 0;
     return count;
   }
+  /// %FC over the simulated faults (100 for an empty fault list).
+  double FaultCoverage() const {
+    return detections.empty() ? 100.0
+                              : 100.0 * num_detected() /
+                                    static_cast<double>(detections.size());
+  }
 };
 
 /// Fault simulates `sequence` over `faults` (64 or 512 per pass).

@@ -7,16 +7,22 @@
 #include <thread>
 #include <vector>
 
+#include "analyze/certify.h"
+#include "atpg/engine.h"
 #include "core/crc32.h"
+#include "core/flow.h"
 #include "core/preserve.h"
 #include "core/status.h"
 #include "core/thread_pool.h"
 #include "core/syncseq.h"
 #include "core/testset.h"
 #include "core/watchdog.h"
+#include "fault/collapse.h"
+#include "faultsim/proofs.h"
 #include "netlist/builder.h"
 #include "retime/minreg.h"
 #include "tests/paper_circuits.h"
+#include "tests/random_circuits.h"
 
 namespace retest::core {
 namespace {
@@ -50,11 +56,9 @@ TEST(TestSetT, TextRoundTrip) {
 TEST(Prefix, LengthsFromRetiming) {
   const auto fig3 = retest::testing::MakeFig3Pair();
   EXPECT_EQ(PrefixLength(fig3.build.graph, fig3.retiming), 1);
-  EXPECT_EQ(InversePrefixLength(fig3.build.graph, fig3.retiming), 0);
 
   const auto fig2 = retest::testing::MakeFig2Pair();  // backward move
   EXPECT_EQ(PrefixLength(fig2.build.graph, fig2.retiming), 0);
-  EXPECT_EQ(InversePrefixLength(fig2.build.graph, fig2.retiming), 1);
 }
 
 TEST(Prefix, MakePrefixStyles) {
@@ -80,24 +84,128 @@ TEST(Prefix, DeriveStreamHead) {
   EXPECT_EQ(derived.total_vectors(), 3);
 }
 
-TEST(Prefix, DerivePerTest) {
-  TestSet original;
-  original.tests.push_back({FromString("01")});
-  original.tests.push_back({FromString("10")});
-  const TestSet derived = DeriveRetimedTestSet(
-      original, 1, 2, PrefixStyle::kZeros, /*prefix_each_test=*/true);
-  ASSERT_EQ(derived.num_tests(), 2);
-  EXPECT_EQ(derived.tests[0].size(), 2u);
-  EXPECT_EQ(derived.tests[0][0], FromString("00"));
-  EXPECT_EQ(derived.tests[1][0], FromString("00"));
-}
-
 TEST(Prefix, ZeroLengthIsIdentity) {
   TestSet original;
   original.tests.push_back({FromString("01")});
   const TestSet derived = DeriveRetimedTestSet(original, 0, 2);
   EXPECT_EQ(derived.num_tests(), original.num_tests());
   EXPECT_EQ(derived.tests[0], original.tests[0]);
+}
+
+/// Bounded ATPG whose wall-clock budget never binds, so every result
+/// below is a pure function of the circuit and the seed.
+atpg::AtpgOptions PreserveAtpg(int threads) {
+  atpg::AtpgOptions options;
+  options.random_rounds = 8;
+  options.backtracks_per_fault = 200;
+  options.time_budget_ms = 600'000;
+  options.num_threads = threads;
+  return options;
+}
+
+TEST(Preserve, Fig3PairMatchesTheHandWiredFlow) {
+  // Fig. 3's forward move across the stem of q needs one prefix vector;
+  // the pipeline must equal certify -> RunAtpg -> derive -> PROOFS.
+  const auto fig3 = retest::testing::MakeFig3Pair();
+  const Circuit original = retest::testing::MakeFig3L1();
+  const Circuit& retimed = fig3.applied.circuit;
+  const atpg::AtpgOptions options = PreserveAtpg(1);
+  const PreserveReport report = PreservePair(original, retimed, options);
+  ASSERT_TRUE(report.cert.certified) << report.cert.diagnostics.ToString();
+  EXPECT_EQ(report.prefix_length(), 1);
+
+  const auto cert = analyze::CertifyRetiming(original, retimed);
+  const atpg::AtpgResult atpg_result = atpg::RunAtpg(original, options);
+  TestSet original_set;
+  original_set.tests = atpg_result.tests;
+  const TestSet derived = DeriveRetimedTestSet(
+      original_set, cert.certificate.prefix_length, retimed.num_inputs());
+  faultsim::ProofsOptions proofs_options;
+  proofs_options.num_threads = 1;
+  const auto faults = fault::Collapse(retimed);
+  const faultsim::ProofsResult mapped = faultsim::SimulateProofs(
+      retimed, faults.representatives, derived.Concatenated(),
+      proofs_options);
+
+  EXPECT_EQ(report.atpg.tests, atpg_result.tests);
+  EXPECT_EQ(report.derived.tests, derived.tests);
+  EXPECT_EQ(report.mapped.detections, mapped.detections);
+  EXPECT_EQ(report.mapped.gate_evals, mapped.gate_evals);
+  EXPECT_GT(report.mapped.num_detected(), 0);
+  EXPECT_GE(report.ms.total, report.ms.atpg);
+}
+
+TEST(Preserve, ReversedPairsCertifyTheInversePrefix) {
+  // Mapping tests of the retimed circuit back onto the original (the
+  // Fig. 6 direction) needs the retiming's backward moves: one for
+  // Fig. 2's backward move, none for Fig. 3's forward move.
+  const auto fig2 = retest::testing::MakeFig2Pair();
+  const PreserveReport fig2_back = PreservePair(
+      fig2.applied.circuit, retest::testing::MakeFig2C1(), PreserveAtpg(1));
+  ASSERT_TRUE(fig2_back.cert.certified)
+      << fig2_back.cert.diagnostics.ToString();
+  EXPECT_EQ(fig2_back.prefix_length(), 1);
+  ASSERT_FALSE(fig2_back.derived.tests.empty());
+  EXPECT_EQ(fig2_back.derived.tests[0].size(), 1u);
+
+  const auto fig3 = retest::testing::MakeFig3Pair();
+  const PreserveReport fig3_back = PreservePair(
+      fig3.applied.circuit, retest::testing::MakeFig3L1(), PreserveAtpg(1));
+  ASSERT_TRUE(fig3_back.cert.certified);
+  EXPECT_EQ(fig3_back.prefix_length(), 0);
+}
+
+TEST(Preserve, RefusedPairStopsAfterCertification) {
+  const PreserveReport report =
+      PreservePair(retest::testing::MakeFig3L1(),
+                   retest::testing::MakeFig5N1(), PreserveAtpg(1));
+  EXPECT_FALSE(report.cert.certified);
+  EXPECT_FALSE(report.cert.diagnostics.ok());
+  EXPECT_TRUE(report.atpg.faults.empty());
+  EXPECT_TRUE(report.derived.tests.empty());
+  EXPECT_TRUE(report.mapped.detections.empty());
+}
+
+TEST(Preserve, RaisedStopFlagSkipsTheMapping) {
+  const auto fig3 = retest::testing::MakeFig3Pair();
+  const std::atomic<bool> stop{true};
+  atpg::AtpgOptions options = PreserveAtpg(1);
+  options.stop = &stop;
+  const PreserveReport report = PreservePair(
+      retest::testing::MakeFig3L1(), fig3.applied.circuit, options);
+  ASSERT_TRUE(report.cert.certified);
+  EXPECT_TRUE(report.atpg.preempted);
+  EXPECT_TRUE(report.derived.tests.empty());
+  EXPECT_TRUE(report.mapped.detections.empty());
+}
+
+TEST(Preserve, ReportIsIdenticalAtOneAndFourThreads) {
+  // Everything but wall clock and the engines' threads_used is a pure
+  // function of the pair and the seed.
+  retest::testing::RandomCircuitOptions shape;
+  shape.num_inputs = 5;
+  shape.num_dffs = 4;
+  shape.num_gates = 40;
+  const Circuit original = retest::testing::MakeRandomCircuit(3, shape);
+  const auto build = retime::BuildGraph(original);
+  const auto retiming =
+      retest::testing::MakeRandomRetiming(build.graph, 3, 24);
+  const Circuit retimed =
+      retime::ApplyRetiming(original, build, retiming, "random.re").circuit;
+
+  const PreserveReport one = PreservePair(original, retimed, PreserveAtpg(1));
+  const PreserveReport four = PreservePair(original, retimed, PreserveAtpg(4));
+  ASSERT_TRUE(one.cert.certified) << one.cert.diagnostics.ToString();
+  EXPECT_EQ(one.cert.certificate.ToString(), four.cert.certificate.ToString());
+  EXPECT_EQ(one.atpg.faults, four.atpg.faults);
+  EXPECT_EQ(one.atpg.status, four.atpg.status);
+  EXPECT_EQ(one.atpg.tests, four.atpg.tests);
+  EXPECT_EQ(one.atpg.evaluations, four.atpg.evaluations);
+  EXPECT_EQ(one.derived.tests, four.derived.tests);
+  EXPECT_EQ(one.mapped.detections, four.mapped.detections);
+  EXPECT_EQ(one.mapped.gate_evals, four.mapped.gate_evals);
+  EXPECT_EQ(one.mapped.frames_evaluated, four.mapped.frames_evaluated);
+  EXPECT_EQ(one.mapped.lanes, four.mapped.lanes);
 }
 
 TEST(Sync, Fig3VectorIsNotStructural) {

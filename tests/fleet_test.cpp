@@ -7,7 +7,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <cstdint>
 #include <filesystem>
+#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -364,6 +367,44 @@ TEST(Fleet, CancelByIdPreemptsARunningJobThroughItsStopFlag) {
   EXPECT_TRUE(fleet.Cancel(id));  // Running: preemptive, not a refusal.
   fleet.WaitAll();
   EXPECT_TRUE(observed_stop.load(std::memory_order_acquire));
+}
+
+TEST(Fleet, SubmitWakesAWorkerThatIsAboutToSleep) {
+  // A fresh worker checks "anything queued?" under the fleet mutex and
+  // then sleeps.  A Submit that notified without taking the mutex could
+  // land between the two, and its job then never ran.  Each round
+  // starts a one-worker fleet and submits after a jittered spin, so
+  // some submissions hit that window, then waits a bounded time for the
+  // job to run.  On a timeout the test fails and submits once more: the
+  // worker, asleep by then, wakes for that notify, so the fleet drains.
+  std::mutex mutex;
+  std::condition_variable ran_cv;
+  int ran = 0;
+  FleetOptions options;
+  options.num_workers = 1;
+  std::uint64_t jitter = 88172645463325252ull;
+  for (int round = 0; round < 20'000; ++round) {
+    Fleet fleet(options);
+    jitter ^= jitter << 13;
+    jitter ^= jitter >> 7;
+    jitter ^= jitter << 17;
+    const auto spin_until = std::chrono::steady_clock::now() +
+                            std::chrono::nanoseconds(jitter % 40'000);
+    while (std::chrono::steady_clock::now() < spin_until) {
+    }
+    fleet.Submit({}, [&](const JobContext&) {
+      std::lock_guard<std::mutex> lock(mutex);
+      ++ran;
+      ran_cv.notify_all();
+    });
+    std::unique_lock<std::mutex> lock(mutex);
+    if (!ran_cv.wait_for(lock, std::chrono::seconds(5),
+                         [&] { return ran == round + 1; })) {
+      lock.unlock();
+      fleet.Submit({}, [](const JobContext&) {});
+      FAIL() << "job of round " << round << " was never picked up";
+    }
+  }
 }
 
 }  // namespace

@@ -109,14 +109,16 @@ TEST(Integration, RetimeForTestFlowRecoversCoverage) {
   // Fig. 6: ATPG on the register-minimized version plus prefix mapping
   // achieves high coverage on the hard circuit.
   const Prepared prepared = PrepareDk16();
-  core::RetimeForTestOptions options;
-  options.atpg.seed = 17;
-  options.atpg.time_budget_ms = 30'000;
+  atpg::AtpgOptions options;
+  options.seed = 17;
+  options.time_budget_ms = 30'000;
   const auto result = core::RetimeForTest(prepared.retimed, options);
-  EXPECT_LE(result.easy_dffs, result.hard_dffs);
-  EXPECT_GE(result.HardCoverage(), 75.0);
-  EXPECT_GE(result.prefix_length, 0);
-  EXPECT_FALSE(result.derived.tests.empty());
+  const core::PreserveReport& report = result.report;
+  ASSERT_TRUE(report.cert.certified) << report.cert.diagnostics.ToString();
+  EXPECT_LE(result.easy.num_dffs(), prepared.retimed.num_dffs());
+  EXPECT_GE(report.mapped.FaultCoverage(), 75.0);
+  EXPECT_GE(report.prefix_length(), 0);
+  EXPECT_FALSE(report.derived.tests.empty());
 }
 
 TEST(Integration, SixteenPaperCircuitsSynthesize) {

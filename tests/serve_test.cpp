@@ -16,6 +16,7 @@
 
 #include "atpg/engine.h"
 #include "core/crc32.h"
+#include "core/flow.h"
 #include "core/server/framing.h"
 #include "core/server/protocol.h"
 #include "core/server/service.h"
@@ -23,6 +24,7 @@
 #include "fsm/benchmarks.h"
 #include "netlist/bench_io.h"
 #include "synth/synthesize.h"
+#include "tests/paper_circuits.h"
 #include "tests/random_circuits.h"
 
 namespace retest::core::server {
@@ -563,6 +565,43 @@ TEST(Service, PreserveJobCertifiesAndMapsTests) {
   ASSERT_EQ(record->state, JobState::kDone) << record->result_json;
   EXPECT_EQ(Field(record->result_json, "certified"), "true");
   EXPECT_EQ(Field(record->result_json, "prefix_length"), "0");
+}
+
+TEST(Service, PreserveJobMapsTheFig3PairWithOnePrefixVector) {
+  // Fig. 3's forward move across the stem of q: the served pipeline
+  // certifies the pair, prepends one vector, and reports what a direct
+  // core::PreservePair run of the same pair reports.
+  const netlist::Circuit original = retest::testing::MakeFig3L1();
+  const netlist::Circuit retimed =
+      retest::testing::MakeFig3Pair().applied.circuit;
+  JobSpec spec;
+  spec.kind = JobKind::kPreserve;
+  spec.name = "fig3";
+  spec.atpg = QuickAtpg();
+  spec.netlist = netlist::WriteBenchString(original);
+  spec.retimed = netlist::WriteBenchString(retimed);
+  Service service;
+  const auto submission = service.Submit(spec);
+  ASSERT_TRUE(submission.accepted) << submission.diagnostics.ToString();
+  const auto record = service.Wait(submission.id);
+  ASSERT_TRUE(record.has_value());
+  ASSERT_EQ(record->state, JobState::kDone) << record->result_json;
+  EXPECT_EQ(Field(record->result_json, "certified"), "true");
+  EXPECT_EQ(Field(record->result_json, "prefix_length"), "1");
+  EXPECT_EQ(Field(record->result_json, "retimed_dffs"),
+            std::to_string(retimed.num_dffs()));
+
+  atpg::AtpgOptions reference_options = QuickAtpg();
+  reference_options.num_threads = 1;  // spec.threads default.
+  const core::PreserveReport reference =
+      core::PreservePair(original, retimed, reference_options);
+  core::TestSet reference_set;
+  reference_set.tests = reference.atpg.tests;
+  char crc[16];
+  std::snprintf(crc, sizeof(crc), "%08x", core::Crc32(reference_set.ToText()));
+  EXPECT_EQ(Field(record->result_json, "tests_crc32"), crc);
+  EXPECT_EQ(Field(record->result_json, "gate_evals"),
+            std::to_string(reference.mapped.gate_evals));
 }
 
 }  // namespace
