@@ -1,27 +1,22 @@
 // Deterministic-ATPG performance harness.
 //
-// Two configurations per Table II circuit pair:
+// Two configurations per Table II circuit pair, each timed with one
+// worker (_1t) and with the multi-worker fault-parallel driver (_mt):
 //
 //   quick   a low-backtrack quick pass (the classic first ATPG sweep:
 //           most faults fall with little search, so per-fault model
-//           construction dominates).  This is the workload model reuse
-//           targets; it is timed three ways:
-//             rebuild_1t  1 worker, fresh UnrolledModel per fault+depth
-//                         (the pre-reuse engine's cost model)
-//             reuse_1t    1 worker, models re-armed via
-//                         SetFault/GrowFrames (the default engine)
-//             reuse_mt    multi-worker fault-parallel driver
+//           preparation is a large share of the cost);
 //   table2  the paper's HITEC-style budget configuration (search
-//           bound, not construction bound), timed reuse_1t/reuse_mt;
-//           its original-vs-retimed CPU ratio is the Table II story.
+//           bound); its original-vs-retimed CPU ratio is the Table II
+//           story.
 //
 // Runs of the same configuration must produce bit-identical results
 // (status sets, test lists, evaluation counters) regardless of thread
-// count or model reuse -- the harness cross-checks this before
-// reporting anything and fails loudly on a mismatch.  Emits
-// BENCH_atpg.json (ATPG CPU + coverage original vs retimed, reuse and
-// parallel speedups, thread scaling) into the current directory so the
-// perf trajectory is tracked over PRs.
+// count -- the harness cross-checks this before reporting anything and
+// fails loudly on a mismatch.  Emits BENCH_atpg.json (the host record,
+// ATPG CPU + coverage original vs retimed, parallel speedups, thread
+// scaling) into the current directory so the perf trajectory is
+// tracked over PRs.
 //
 // Modes:
 //   (default)           4 circuit variants, scaled table2 budgets
@@ -88,8 +83,8 @@ constexpr long kBudgetMs = 600'000;
 
 /// The quick-pass sweep: forward-ILA with a near-zero backtrack limit
 /// and no redundancy proofs (those belong to the thorough pass).  Easy
-/// faults fall in one descent, so per-fault model preparation is the
-/// dominant cost -- the workload SetFault/GrowFrames exists for.
+/// faults fall in one descent, so per-fault model preparation
+/// (SetFault/GrowFrames) is a large share of the cost.
 atpg::AtpgOptions QuickOptions() {
   atpg::AtpgOptions options;
   options.style = atpg::AtpgStyle::kForwardIla;
@@ -118,19 +113,14 @@ struct CircuitReport {
   const char* role;  // "original" | "retimed"
   int num_nodes = 0;
   int num_faults = 0;
-  RunStats quick_rebuild_1t;
-  RunStats quick_reuse_1t;
-  RunStats quick_reuse_mt;
-  RunStats table2_reuse_1t;
-  RunStats table2_reuse_mt;
+  RunStats quick_1t;
+  RunStats quick_mt;
+  RunStats table2_1t;
+  RunStats table2_mt;
   bool identical = true;  ///< All same-config runs agree bit-for-bit.
 
-  double ReuseSpeedup() const {
-    return quick_reuse_1t.ms > 0 ? quick_rebuild_1t.ms / quick_reuse_1t.ms
-                                 : 0;
-  }
   double ParallelSpeedup() const {
-    return quick_reuse_mt.ms > 0 ? quick_reuse_1t.ms / quick_reuse_mt.ms : 0;
+    return quick_mt.ms > 0 ? quick_1t.ms / quick_mt.ms : 0;
   }
 };
 
@@ -158,7 +148,9 @@ bool EmitJson(const std::vector<CircuitReport>& reports,
     std::fprintf(f, "  \"error\": \"%s\",\n",
                  bench::JsonEscape(error).c_str());
   }
-  std::fprintf(f, "  \"cpus\": %u,\n", std::thread::hardware_concurrency());
+  std::fprintf(f, "  \"host\": {\"nproc\": %u, \"isa\": \"%s\"},\n",
+               std::max(1u, std::thread::hardware_concurrency()),
+               bench::HostIsa().c_str());
   std::fprintf(f, "  \"mt_threads\": %d,\n", mt_threads);
   std::fprintf(f,
                "  \"config\": {\"style\": \"justification\", "
@@ -174,19 +166,17 @@ bool EmitJson(const std::vector<CircuitReport>& reports,
     std::fprintf(f, "     \"nodes\": %d, \"faults\": %d,\n", r.num_nodes,
                  r.num_faults);
     std::fprintf(f, "     \"runs\": {\n");
-    EmitRun(f, "quick_rebuild_1t", r.quick_rebuild_1t, false);
-    EmitRun(f, "quick_reuse_1t", r.quick_reuse_1t, false);
-    EmitRun(f, "quick_reuse_mt", r.quick_reuse_mt, smoke);
+    EmitRun(f, "quick_1t", r.quick_1t, false);
+    EmitRun(f, "quick_mt", r.quick_mt, smoke);
     if (!smoke) {
-      EmitRun(f, "table2_reuse_1t", r.table2_reuse_1t, false);
-      EmitRun(f, "table2_reuse_mt", r.table2_reuse_mt, true);
+      EmitRun(f, "table2_1t", r.table2_1t, false);
+      EmitRun(f, "table2_mt", r.table2_mt, true);
     }
     std::fprintf(f, "     },\n");
     std::fprintf(f,
-                 "     \"speedup_reuse_vs_rebuild\": %.2f, "
-                 "\"speedup_mt_vs_1t\": %.2f, \"identical_results\": %s}%s\n",
-                 r.ReuseSpeedup(), r.ParallelSpeedup(),
-                 r.identical ? "true" : "false",
+                 "     \"speedup_mt_vs_1t\": %.2f, "
+                 "\"identical_results\": %s}%s\n",
+                 r.ParallelSpeedup(), r.identical ? "true" : "false",
                  i + 1 < reports.size() ? "," : "");
   }
   // Table II shape: the retimed/original ATPG CPU ratio per pair
@@ -195,8 +185,8 @@ bool EmitJson(const std::vector<CircuitReport>& reports,
   for (size_t i = 0; i + 1 < reports.size(); i += 2) {
     const CircuitReport& o = reports[i];
     const CircuitReport& r = reports[i + 1];
-    const RunStats& om = smoke ? o.quick_reuse_1t : o.table2_reuse_1t;
-    const RunStats& rm = smoke ? r.quick_reuse_1t : r.table2_reuse_1t;
+    const RunStats& om = smoke ? o.quick_1t : o.table2_1t;
+    const RunStats& rm = smoke ? r.quick_1t : r.table2_1t;
     std::fprintf(f,
                  "    {\"name\": \"%s\", \"atpg_cpu_original_ms\": %.3f, "
                  "\"atpg_cpu_retimed_ms\": %.3f, "
@@ -238,9 +228,9 @@ int main(int argc, char** argv) {
 
   std::printf("deterministic ATPG perf (mt_threads=%d%s)\n", mt_threads,
               smoke ? ", --smoke" : "");
-  std::printf("%-14s %-9s | %7s %6s | %9s %9s %9s | %6s %6s | %9s %9s\n",
-              "circuit", "role", "faults", "nodes", "q:rebuild", "q:reuse1",
-              "q:reuseN", "reuse", "par", "t2:1t", "t2:Nt");
+  std::printf("%-14s %-9s | %7s %6s | %9s %9s | %6s | %9s %9s\n",
+              "circuit", "role", "faults", "nodes", "q:1t", "q:Nt", "par",
+              "t2:1t", "t2:Nt");
 
   std::vector<CircuitReport> reports;
   std::string error;
@@ -257,28 +247,22 @@ int main(int argc, char** argv) {
         report.role = role;
         report.num_nodes = circuit.size();
 
-        // Quick pass: rebuild vs reuse vs parallel.
+        // Quick pass: serial vs parallel.
         atpg::AtpgOptions quick = QuickOptions();
-        atpg::AtpgResult rebuild, reuse1, reuseN;
+        atpg::AtpgResult q_1t, q_mt;
         quick.num_threads = 1;
-        quick.reuse_models = false;
-        const double q_rebuild_ms =
-            TimeMs([&] { rebuild = atpg::RunAtpg(circuit, quick); }, reps);
-        quick.reuse_models = true;
-        const double q_reuse1_ms =
-            TimeMs([&] { reuse1 = atpg::RunAtpg(circuit, quick); }, reps);
+        const double q_1t_ms =
+            TimeMs([&] { q_1t = atpg::RunAtpg(circuit, quick); }, reps);
         quick.num_threads = mt_threads;
-        const double q_reuseN_ms =
-            TimeMs([&] { reuseN = atpg::RunAtpg(circuit, quick); }, reps);
-        report.num_faults = static_cast<int>(rebuild.faults.size());
-        report.quick_rebuild_1t = Summarize(rebuild, q_rebuild_ms);
-        report.quick_reuse_1t = Summarize(reuse1, q_reuse1_ms);
-        report.quick_reuse_mt = Summarize(reuseN, q_reuseN_ms);
-        report.identical =
-            SameResults(rebuild, reuse1) && SameResults(reuse1, reuseN);
+        const double q_mt_ms =
+            TimeMs([&] { q_mt = atpg::RunAtpg(circuit, quick); }, reps);
+        report.num_faults = static_cast<int>(q_1t.faults.size());
+        report.quick_1t = Summarize(q_1t, q_1t_ms);
+        report.quick_mt = Summarize(q_mt, q_mt_ms);
+        report.identical = SameResults(q_1t, q_mt);
 
-        // Table II budgets: serial vs parallel (reuse is the engine
-        // default; search cost dominates here, which the JSON records).
+        // Table II budgets: serial vs parallel (search cost dominates
+        // here, which the JSON records).
         if (!smoke) {
           atpg::AtpgOptions paper = PaperOptions();
           atpg::AtpgResult t2_1t, t2_mt;
@@ -288,19 +272,17 @@ int main(int argc, char** argv) {
           paper.num_threads = mt_threads;
           const double t2_mt_ms =
               TimeMs([&] { t2_mt = atpg::RunAtpg(circuit, paper); }, 1);
-          report.table2_reuse_1t = Summarize(t2_1t, t2_1t_ms);
-          report.table2_reuse_mt = Summarize(t2_mt, t2_mt_ms);
+          report.table2_1t = Summarize(t2_1t, t2_1t_ms);
+          report.table2_mt = Summarize(t2_mt, t2_mt_ms);
           report.identical = report.identical && SameResults(t2_1t, t2_mt);
         }
         all_identical = all_identical && report.identical;
 
         std::printf(
-            "%-14s %-9s | %7d %6d | %9.1f %9.1f %9.1f | %5.2fx %5.2fx | "
-            "%9.1f %9.1f%s\n",
+            "%-14s %-9s | %7d %6d | %9.1f %9.1f | %5.2fx | %9.1f %9.1f%s\n",
             report.name.c_str(), role, report.num_faults, report.num_nodes,
-            q_rebuild_ms, q_reuse1_ms, q_reuseN_ms, report.ReuseSpeedup(),
-            report.ParallelSpeedup(), report.table2_reuse_1t.ms,
-            report.table2_reuse_mt.ms, report.identical ? "" : "  MISMATCH");
+            q_1t_ms, q_mt_ms, report.ParallelSpeedup(), report.table2_1t.ms,
+            report.table2_mt.ms, report.identical ? "" : "  MISMATCH");
         std::fflush(stdout);
         reports.push_back(std::move(report));
       }
@@ -347,7 +329,8 @@ int main(int argc, char** argv) {
   }
   if (!all_identical) {
     std::fprintf(stderr,
-                 "DETERMINISM MISMATCH: rebuild/reuse/parallel disagree\n");
+                 "DETERMINISM MISMATCH: 1-thread and parallel runs "
+                 "disagree\n");
     return bench::kExitDeterminismMismatch;
   }
   return bench::kExitOk;

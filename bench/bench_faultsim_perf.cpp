@@ -38,21 +38,9 @@
 namespace {
 
 using namespace retest;
+using bench::HostIsa;
 using bench::RandomSequence;
 using bench::TimeMs;
-
-/// The host's vector extensions, for the record; the engine is built
-/// for the baseline ISA whatever the host offers.
-std::string HostIsa() {
-#if defined(__x86_64__)
-  std::string isa = "x86-64";
-  if (__builtin_cpu_supports("avx2")) isa += " avx2";
-  if (__builtin_cpu_supports("avx512f")) isa += " avx512f";
-  return isa;
-#else
-  return "not x86-64";
-#endif
-}
 
 /// One timed configuration: best-of-reps wall ms plus its work.
 struct EngineRun {

@@ -64,6 +64,17 @@ sim::InputSequence RandomSequence(const netlist::Circuit& circuit, int length,
   return sequence;
 }
 
+std::string HostIsa() {
+#if defined(__x86_64__)
+  std::string isa = "x86-64";
+  if (__builtin_cpu_supports("avx2")) isa += " avx2";
+  if (__builtin_cpu_supports("avx512f")) isa += " avx512f";
+  return isa;
+#else
+  return "not x86-64";
+#endif
+}
+
 std::string JsonEscape(const std::string& text) {
   std::string out;
   out.reserve(text.size());

@@ -77,6 +77,10 @@ sim::InputSequence RandomSequence(const netlist::Circuit& circuit, int length,
 /// Minimal JSON string escaping for error messages and names.
 std::string JsonEscape(const std::string& text);
 
+/// The host's vector extensions, for the BENCH_*.json host records; the
+/// engines are built for the baseline ISA whatever the host offers.
+std::string HostIsa();
+
 /// Checkpoint journal path for `circuit_name` under the
 /// REPRO_CHECKPOINT_DIR environment directory, or "" when the variable
 /// is unset (checkpointing off).

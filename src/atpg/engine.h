@@ -9,8 +9,9 @@
 // budget, backtrack limits, frame caps) is explicit in AtpgOptions.
 //
 // The deterministic phase is fault-parallel: remaining faults are
-// dispatched across a core::ThreadPool, each worker reuses one set of
-// unrolled models (SetFault/GrowFrames instead of reconstruction), and
+// dispatched across a core::ThreadPool, the workers share one compiled
+// image of the circuit, each worker reuses one set of unrolled models
+// (SetFault/GrowFrames instead of reconstruction), and
 // every found test is fault-simulated against the still-pending
 // universe so one worker's test retires other workers' queued faults.
 // Results commit in fault order with per-fault seeded RNGs, so the
@@ -71,11 +72,6 @@ struct AtpgOptions {
   /// any thread count for a given seed (only wall clock changes),
   /// except when the time budget cuts the run short.
   int num_threads = 0;
-  /// Reuse per-worker unrolled models across faults and depths
-  /// (SetFault/GrowFrames) instead of reconstructing each one.  Always
-  /// produces identical results; exists as an ablation knob for
-  /// bench_atpg_perf to measure the reconstruction cost.
-  bool reuse_models = true;
   /// Crash-safe checkpoint journal (atpg/journal).  Empty = disabled.
   /// When set, every random-phase test and every deterministic commit
   /// is appended (CRC-guarded, flushed at the commit frontier); a

@@ -1,14 +1,16 @@
 #include "atpg/justify.h"
 
+#include <cstdint>
+#include <limits>
+#include <utility>
+
 #include "atpg/val5.h"
-#include "sim/levelizer.h"
+#include "core/metrics.h"
 #include "sim/logic3.h"
 
 namespace retest::atpg {
 namespace {
 
-using netlist::Node;
-using netlist::NodeId;
 using netlist::NodeKind;
 using sim::V3;
 
@@ -25,25 +27,136 @@ struct Budget {
   }
 };
 
+/// What every frame solver of one JustifyState call shares: the
+/// compiled circuit, the fault, the composite all-X frame image and
+/// the event queue.  The recursion runs one solver at a time and each
+/// drains the queue before it yields, so one queue serves them all.
+class FrameContext {
+ public:
+  FrameContext(const sim::CompiledNetlist& net,
+               const std::optional<fault::Fault>& fault)
+      : net_(net),
+        frame_cost_(net.num_nodes() - static_cast<long>(net.inputs().size()) -
+                    static_cast<long>(net.dffs().size())),
+        all_x_(static_cast<size_t>(net.num_nodes()), V5::X()),
+        buckets_(static_cast<size_t>(net.depth()) + 1),
+        queued_(static_cast<size_t>(net.num_nodes()), 0) {
+    if (fault) {
+      fault_node_ = static_cast<std::uint32_t>(fault->site.node);
+      fault_pin_ = fault->site.pin;
+      forced_ = fault->stuck_at_1 ? V3::k1 : V3::k0;
+    }
+    for (std::uint32_t id = 0;
+         id < static_cast<std::uint32_t>(net.num_nodes()); ++id) {
+      const NodeKind kind = net.kind(id);
+      if (kind == NodeKind::kInput || kind == NodeKind::kDff) {
+        all_x_[id] = Source(id, V3::kX);
+      } else if (kind == NodeKind::kConst0 || kind == NodeKind::kConst1) {
+        all_x_[id] = Compute(all_x_, id);
+      }
+    }
+    for (std::uint32_t id : net.schedule()) all_x_[id] = Compute(all_x_, id);
+  }
+
+  const sim::CompiledNetlist& net() const { return net_; }
+  /// Evaluations charged per solver step: one combinational frame.
+  long frame_cost() const { return frame_cost_; }
+  /// The frame with every PI and pseudo-PI at X.
+  const std::vector<V5>& all_x() const { return all_x_; }
+
+  /// The value a PI or DFF output carries when assigned `value`.
+  V5 Source(std::uint32_t id, V3 value) const {
+    V5 out = Both(value);
+    if (id == fault_node_ && fault_pin_ < 0) out.faulty = forced_;
+    return out;
+  }
+
+  /// The value latched by DFF `b` (with a data-pin fault applied).
+  V5 Latched(const std::vector<V5>& values, size_t b) const {
+    V5 out = values[net_.dff_data(b)];
+    if (net_.dffs()[b] == fault_node_ && fault_pin_ == 0) out.faulty = forced_;
+    return out;
+  }
+
+  /// Schedules the same-frame consumers of `id` (DFFs latch, they are
+  /// not re-evaluated within the frame).
+  void TouchFanouts(std::uint32_t id) {
+    for (std::uint32_t sink : net_.fanouts(id)) {
+      if (net_.kind(sink) == NodeKind::kDff || queued_[sink]) continue;
+      queued_[sink] = 1;
+      const auto level = static_cast<size_t>(net_.level(sink));
+      buckets_[level].push_back(sink);
+      if (pending_ == 0 || level < lowest_) lowest_ = level;
+      ++pending_;
+    }
+  }
+
+  /// Re-evaluates every scheduled node of `values` in level order;
+  /// a node whose value changes schedules its own consumers.
+  void Drain(std::vector<V5>& values) {
+    for (size_t level = lowest_; pending_ > 0; ++level) {
+      // Consumers sit at higher levels, so this bucket does not grow
+      // while it is drained.
+      std::vector<std::uint32_t>& bucket = buckets_[level];
+      for (std::uint32_t id : bucket) {
+        queued_[id] = 0;
+        --pending_;
+        const V5 value = Compute(values, id);
+        if (value == values[id]) continue;
+        values[id] = value;
+        TouchFanouts(id);
+      }
+      bucket.clear();
+    }
+  }
+
+  /// Drops whatever a finished solver left scheduled.
+  void Discard() {
+    for (auto& bucket : buckets_) {
+      for (std::uint32_t id : bucket) queued_[id] = 0;
+      bucket.clear();
+    }
+    pending_ = 0;
+  }
+
+ private:
+  V5 Compute(const std::vector<V5>& values, std::uint32_t id) const {
+    V5 out = EvalNode5(net_.kind(id), net_.fanins(id), values.data(),
+                       id == fault_node_ ? fault_pin_ : -1, forced_);
+    if (id == fault_node_ && fault_pin_ < 0) out.faulty = forced_;
+    return out;
+  }
+
+  const sim::CompiledNetlist& net_;
+  std::uint32_t fault_node_ = std::numeric_limits<std::uint32_t>::max();
+  int fault_pin_ = -1;
+  V3 forced_ = V3::kX;
+  long frame_cost_;
+  std::vector<V5> all_x_;
+  std::vector<std::vector<std::uint32_t>> buckets_;  // by level
+  std::vector<char> queued_;
+  size_t lowest_ = 0;
+  size_t pending_ = 0;
+};
+
 /// Enumerates (input vector, predecessor state cube) pairs whose
 /// next-state function covers the target cube in BOTH the good and the
 /// faulty machine, via PODEM over one composite combinational frame
 /// with PIs and pseudo-PIs assignable.
 class FrameSolver {
  public:
-  FrameSolver(const netlist::Circuit& circuit, const sim::Levelization& levels,
-              const std::vector<char>& pi_reachable,
-              const std::vector<V3>& target,
-              const std::optional<fault::Fault>& fault, Budget& budget)
-      : circuit_(circuit),
-        levels_(levels),
-        pi_reachable_(pi_reachable),
+  FrameSolver(FrameContext& context, const std::vector<V3>& target,
+              Budget& budget)
+      : context_(context),
+        net_(context.net()),
         target_(target),
-        fault_(fault),
         budget_(budget),
-        values_(static_cast<size_t>(circuit.size()), V5::X()),
-        pi_(static_cast<size_t>(circuit.num_inputs()), V3::kX),
-        ppi_(static_cast<size_t>(circuit.num_dffs()), V3::kX) {}
+        values_(context.all_x()),
+        pi_(net_.inputs().size(), V3::kX),
+        ppi_(net_.dffs().size(), V3::kX) {}
+  ~FrameSolver() { context_.Discard(); }
+  FrameSolver(const FrameSolver&) = delete;
+  FrameSolver& operator=(const FrameSolver&) = delete;
 
   /// Finds the next satisfying assignment; returns false when the
   /// space (or budget) is exhausted.  After a `true` return, read the
@@ -63,7 +176,7 @@ class FrameSolver {
         done_ = true;
         return false;
       }
-      Evaluate();
+      Settle();
       const int verdict = CheckTargets();
       if (verdict == kSatisfied) {
         yielded_ = true;
@@ -100,85 +213,20 @@ class FrameSolver {
     bool flipped = false;
   };
 
-  bool HasFaultAt(NodeId id, int pin) const {
-    return fault_ && fault_->site.node == id && fault_->site.pin == pin;
-  }
-  V3 Forced() const { return fault_->stuck_at_1 ? V3::k1 : V3::k0; }
-
-  void Evaluate() {
-    const auto& pis = circuit_.inputs();
-    for (size_t i = 0; i < pis.size(); ++i) {
-      V5 v = Both(pi_[i]);
-      if (HasFaultAt(pis[i], -1)) v.faulty = Forced();
-      values_[static_cast<size_t>(pis[i])] = v;
-    }
-    const auto& dffs = circuit_.dffs();
-    for (size_t i = 0; i < dffs.size(); ++i) {
-      V5 v = Both(ppi_[i]);
-      if (HasFaultAt(dffs[i], -1)) v.faulty = Forced();
-      values_[static_cast<size_t>(dffs[i])] = v;
-    }
-    for (NodeId id : levels_.order) {
-      const Node& node = circuit_.node(id);
-      if (node.kind == NodeKind::kInput || node.kind == NodeKind::kDff) {
-        continue;
-      }
-      ++budget_.evaluations;
-      V5 out;
-      auto fold = [&](V3 unit, auto&& op, bool invert) {
-        out = Both(unit);
-        for (size_t pin = 0; pin < node.fanin.size(); ++pin) {
-          V5 in = values_[static_cast<size_t>(node.fanin[pin])];
-          if (HasFaultAt(id, static_cast<int>(pin))) in.faulty = Forced();
-          out.good = op(out.good, in.good);
-          out.faulty = op(out.faulty, in.faulty);
-        }
-        if (invert) {
-          out.good = sim::Not3(out.good);
-          out.faulty = sim::Not3(out.faulty);
-        }
-      };
-      switch (node.kind) {
-        case NodeKind::kConst0: out = Both(V3::k0); break;
-        case NodeKind::kConst1: out = Both(V3::k1); break;
-        case NodeKind::kOutput:
-        case NodeKind::kBuf:
-        case NodeKind::kNot:
-          out = values_[static_cast<size_t>(node.fanin[0])];
-          if (HasFaultAt(id, 0)) out.faulty = Forced();
-          if (node.kind == NodeKind::kNot) {
-            out.good = sim::Not3(out.good);
-            out.faulty = sim::Not3(out.faulty);
-          }
-          break;
-        case NodeKind::kAnd: fold(V3::k1, sim::And3, false); break;
-        case NodeKind::kNand: fold(V3::k1, sim::And3, true); break;
-        case NodeKind::kOr: fold(V3::k0, sim::Or3, false); break;
-        case NodeKind::kNor: fold(V3::k0, sim::Or3, true); break;
-        case NodeKind::kXor: fold(V3::k0, sim::Xor3, false); break;
-        case NodeKind::kXnor: fold(V3::k0, sim::Xor3, true); break;
-        default: out = V5::X(); break;
-      }
-      if (HasFaultAt(id, -1)) out.faulty = Forced();
-      values_[static_cast<size_t>(id)] = out;
-    }
-  }
-
-  /// The value latched by DFF index b (with a data-pin fault applied).
-  V5 Latched(size_t b) const {
-    const NodeId dff = circuit_.dffs()[b];
-    V5 v = values_[static_cast<size_t>(circuit_.node(dff).fanin[0])];
-    if (HasFaultAt(dff, 0)) v.faulty = Forced();
-    return v;
+  /// Brings the frame up to date with the assignments and charges one
+  /// full frame to the budget (see JustifyState).
+  void Settle() {
+    context_.Drain(values_);
+    budget_.evaluations += context_.frame_cost();
   }
 
   /// Returns kSatisfied, kConflict, or the index of an unsatisfied
   /// target bit (one whose latched value still has an unknown side).
-  int CheckTargets() {
+  int CheckTargets() const {
     int unsatisfied = kSatisfied;
     for (size_t b = 0; b < target_.size(); ++b) {
       if (target_[b] == V3::kX) continue;
-      const V5 value = Latched(b);
+      const V5 value = context_.Latched(values_, b);
       if ((value.good != V3::kX && value.good != target_[b]) ||
           (value.faulty != V3::kX && value.faulty != target_[b])) {
         return kConflict;
@@ -190,38 +238,28 @@ class FrameSolver {
     return unsatisfied;
   }
 
-  std::optional<Decision> Backtrace(int target_bit) {
-    NodeId where = circuit_.node(circuit_.dffs()[static_cast<size_t>(
-        target_bit)]).fanin[0];
+  std::optional<Decision> Backtrace(int target_bit) const {
+    std::uint32_t where = net_.dff_data(static_cast<size_t>(target_bit));
     V3 value = target_[static_cast<size_t>(target_bit)];
     for (int guard = 0; guard < 1'000'000; ++guard) {
-      const Node& node = circuit_.node(where);
-      switch (node.kind) {
+      switch (net_.kind(where)) {
         case NodeKind::kInput: {
-          int pi_index = 0;
-          for (NodeId pi : circuit_.inputs()) {
-            if (pi == where) break;
-            ++pi_index;
-          }
-          if (pi_[static_cast<size_t>(pi_index)] != V3::kX) {
+          const int pi = net_.pi_index(where);
+          if (pi_[static_cast<size_t>(pi)] != V3::kX) {
             return std::nullopt;  // already assigned; nothing to decide
           }
           Decision decision;
-          decision.pi = pi_index;
+          decision.pi = pi;
           decision.value = value;
           return decision;
         }
         case NodeKind::kDff: {
-          int ppi_index = 0;
-          for (NodeId dff : circuit_.dffs()) {
-            if (dff == where) break;
-            ++ppi_index;
-          }
-          if (ppi_[static_cast<size_t>(ppi_index)] != V3::kX) {
+          const int ppi = net_.dff_index(where);
+          if (ppi_[static_cast<size_t>(ppi)] != V3::kX) {
             return std::nullopt;
           }
           Decision decision;
-          decision.ppi = ppi_index;
+          decision.ppi = ppi;
           decision.value = value;
           return decision;
         }
@@ -230,7 +268,7 @@ class FrameSolver {
           [[fallthrough]];
         case NodeKind::kBuf:
         case NodeKind::kOutput:
-          where = node.fanin[0];
+          where = net_.fanins(where)[0];
           break;
         case NodeKind::kNand:
         case NodeKind::kNor:
@@ -242,19 +280,19 @@ class FrameSolver {
         case NodeKind::kXnor: {
           // Prefer inputs whose cone reaches a real PI: assignments
           // there relax the predecessor cube faster.
-          NodeId chosen = netlist::kNoNode;
-          for (int pass = 0; pass < 2 && chosen == netlist::kNoNode; ++pass) {
-            for (NodeId driver : node.fanin) {
-              const V5& v = values_[static_cast<size_t>(driver)];
+          bool found = false;
+          std::uint32_t chosen = 0;
+          for (int pass = 0; pass < 2 && !found; ++pass) {
+            for (std::uint32_t driver : net_.fanins(where)) {
+              const V5& v = values_[driver];
               if (v.good != V3::kX && v.faulty != V3::kX) continue;
-              if (pass == 0 && !pi_reachable_[static_cast<size_t>(driver)]) {
-                continue;
-              }
+              if (pass == 0 && !net_.pi_reachable(driver)) continue;
               chosen = driver;
+              found = true;
               break;
             }
           }
-          if (chosen == netlist::kNoNode) return std::nullopt;
+          if (!found) return std::nullopt;
           where = chosen;
           break;
         }
@@ -265,12 +303,19 @@ class FrameSolver {
     return std::nullopt;
   }
 
+  /// Sets a PI or pseudo-PI and schedules its consumers.
+  void Assign(int pi, int ppi, V3 value) {
+    const auto pos = static_cast<size_t>(pi >= 0 ? pi : ppi);
+    (pi >= 0 ? pi_ : ppi_)[pos] = value;
+    const std::uint32_t id = pi >= 0 ? net_.inputs()[pos] : net_.dffs()[pos];
+    const V5 source = context_.Source(id, value);
+    if (source == values_[id]) return;
+    values_[id] = source;
+    context_.TouchFanouts(id);
+  }
+
   void Apply(const Decision& decision) {
-    if (decision.pi >= 0) {
-      pi_[static_cast<size_t>(decision.pi)] = decision.value;
-    } else {
-      ppi_[static_cast<size_t>(decision.ppi)] = decision.value;
-    }
+    Assign(decision.pi, decision.ppi, decision.value);
   }
 
   bool Backtrack() {
@@ -282,22 +327,15 @@ class FrameSolver {
         Apply(top);
         return true;
       }
-      // Unassign.
-      if (top.pi >= 0) {
-        pi_[static_cast<size_t>(top.pi)] = V3::kX;
-      } else {
-        ppi_[static_cast<size_t>(top.ppi)] = V3::kX;
-      }
+      Assign(top.pi, top.ppi, V3::kX);  // unassign
       stack_.pop_back();
     }
     return false;
   }
 
-  const netlist::Circuit& circuit_;
-  const sim::Levelization& levels_;
-  const std::vector<char>& pi_reachable_;
+  FrameContext& context_;
+  const sim::CompiledNetlist& net_;
   const std::vector<V3>& target_;
-  const std::optional<fault::Fault>& fault_;
   Budget& budget_;
   std::vector<V5> values_;
   std::vector<V3> pi_;
@@ -309,30 +347,10 @@ class FrameSolver {
 
 class Justifier {
  public:
-  Justifier(const netlist::Circuit& circuit, const JustifyOptions& options,
-            const std::optional<fault::Fault>& fault, JustifyCache* cache)
-      : circuit_(circuit),
-        options_(options),
-        fault_(fault),
-        cache_(cache),
-        levels_(sim::Levelize(circuit)) {
+  Justifier(const sim::CompiledNetlist& net, const JustifyOptions& options,
+            const std::optional<fault::Fault>& fault)
+      : options_(options), context_(net, fault) {
     budget_.options = &options_;
-    // Static reachability of a real PI per node.
-    pi_reachable_.assign(static_cast<size_t>(circuit.size()), 0);
-    for (NodeId id : levels_.order) {
-      const Node& node = circuit.node(id);
-      if (node.kind == NodeKind::kInput) {
-        pi_reachable_[static_cast<size_t>(id)] = 1;
-      } else if (node.kind == NodeKind::kDff) {
-        pi_reachable_[static_cast<size_t>(id)] = 0;
-      } else {
-        char value = 0;
-        for (NodeId driver : node.fanin) {
-          value |= pi_reachable_[static_cast<size_t>(driver)];
-        }
-        pi_reachable_[static_cast<size_t>(id)] = value;
-      }
-    }
   }
 
   JustifyResult Run(const std::vector<V3>& target) {
@@ -357,17 +375,9 @@ class Justifier {
     bool trivial = true;
     for (V3 v : target) trivial &= (v == V3::kX);
     if (trivial) return true;  // any state will do
-    if (cache_ != nullptr) {
-      if (const sim::InputSequence* known = cache_->FindSuccess(target)) {
-        sequence = *known;
-        return true;
-      }
-      if (cache_->IsKnownFailure(target, fault_)) return false;
-    }
     if (depth >= options_.max_depth || budget_.Exhausted()) return false;
 
-    FrameSolver solver(circuit_, levels_, pi_reachable_, target, fault_,
-                       budget_);
+    FrameSolver solver(context_, target, budget_);
     while (solver.Next()) {
       if (Recurse(solver.predecessor(), depth + 1, sequence)) {
         // Prefix found for the predecessor; append this frame's
@@ -377,68 +387,31 @@ class Justifier {
           if (v == V3::kX) v = V3::k0;
         }
         sequence.push_back(std::move(vector));
-        if (cache_ != nullptr) cache_->RecordSuccess(target, sequence);
         return true;
       }
-    }
-    if (cache_ != nullptr && !budget_.Exhausted()) {
-      cache_->RecordFailure(target, fault_);
     }
     return false;
   }
 
-  const netlist::Circuit& circuit_;
   JustifyOptions options_;
-  std::optional<fault::Fault> fault_;
-  JustifyCache* cache_;
-  sim::Levelization levels_;
-  std::vector<char> pi_reachable_;
+  FrameContext context_;
   Budget budget_;
 };
 
 }  // namespace
 
-const sim::InputSequence* JustifyCache::FindSuccess(
-    const std::vector<V3>& target) const {
-  for (const auto& [cube, sequence] : successes_) {
-    if (cube.size() != target.size()) continue;
-    bool subsumes = true;
-    for (size_t b = 0; b < target.size() && subsumes; ++b) {
-      if (target[b] != V3::kX && cube[b] != target[b]) subsumes = false;
-    }
-    if (subsumes) return &sequence;
-  }
-  return nullptr;
-}
-
-bool JustifyCache::IsKnownFailure(
-    const std::vector<V3>& target,
-    const std::optional<fault::Fault>& fault) const {
-  for (const auto& [cube, tag] : failures_) {
-    if (cube == target && tag == fault) return true;
-  }
-  return false;
-}
-
-void JustifyCache::RecordSuccess(const std::vector<V3>& cube,
-                                 sim::InputSequence sequence) {
-  if (FindSuccess(cube) != nullptr) return;
-  successes_.emplace_back(cube, std::move(sequence));
-}
-
-void JustifyCache::RecordFailure(const std::vector<V3>& cube,
-                                 const std::optional<fault::Fault>& fault) {
-  if (IsKnownFailure(cube, fault)) return;
-  failures_.emplace_back(cube, fault);
-}
-
-JustifyResult JustifyState(const netlist::Circuit& circuit,
+JustifyResult JustifyState(const sim::CompiledNetlist& net,
                            const std::vector<V3>& target,
                            const JustifyOptions& options,
-                           const std::optional<fault::Fault>& fault,
-                           JustifyCache* cache) {
-  Justifier justifier(circuit, options, fault, cache);
-  return justifier.Run(target);
+                           const std::optional<fault::Fault>& fault) {
+  RETEST_SCOPED_TIMER(justify_timer, "atpg.justify_ms", "atpg",
+                      "wall time of one JustifyState call");
+  Justifier justifier(net, options, fault);
+  const JustifyResult result = justifier.Run(target);
+  RETEST_COUNTER_ADD("atpg.justify.evaluations", "node-evals", "atpg",
+                     "node evaluations charged by backward justification",
+                     result.evaluations);
+  return result;
 }
 
 }  // namespace retest::atpg

@@ -20,7 +20,7 @@
 #include <vector>
 
 #include "fault/fault.h"
-#include "netlist/circuit.h"
+#include "sim/compiled.h"
 #include "sim/simulator.h"
 
 namespace retest::atpg {
@@ -51,54 +51,25 @@ struct JustifyResult {
   long evaluations = 0;
 };
 
-/// Learned justification results shared across faults of one ATPG run
-/// (HITEC keeps similar state knowledge).  Successful entries are
-/// reused for any target they subsume; failures are keyed exactly.
-/// Cache entries from fault-free justifications are sound for any
-/// fault-free query; the ATPG only shares a cache across queries of
-/// the same composite machine semantics (see engine.cpp).
-class JustifyCache {
- public:
-  /// A sequence known to realize a cube subsuming `target` from the
-  /// all-X state, or nullptr when none is recorded.  Successes are
-  /// shared across faults (the ATPG verifies candidates by fault
-  /// simulation, so a stale hit can cost a retry but never a wrong
-  /// detection claim).
-  const sim::InputSequence* FindSuccess(
-      const std::vector<sim::V3>& target) const;
-
-  /// Failures are fault-specific: a cube unjustifiable under one
-  /// composite machine may be justifiable under another.
-  bool IsKnownFailure(const std::vector<sim::V3>& target,
-                      const std::optional<fault::Fault>& fault) const;
-
-  void RecordSuccess(const std::vector<sim::V3>& cube,
-                     sim::InputSequence sequence);
-  void RecordFailure(const std::vector<sim::V3>& cube,
-                     const std::optional<fault::Fault>& fault);
-
-  size_t successes() const { return successes_.size(); }
-  size_t failures() const { return failures_.size(); }
-
- private:
-  std::vector<std::pair<std::vector<sim::V3>, sim::InputSequence>> successes_;
-  std::vector<std::pair<std::vector<sim::V3>, std::optional<fault::Fault>>>
-      failures_;
-};
-
 /// Runs the backward justification for `target` (size = num_dffs).
 /// When `fault` is given, justification runs on the composite
 /// good/faulty machine (the fault injected in every frame): every
 /// assigned target bit must be reached in BOTH machines, which is what
 /// test generation needs (Lemmas 4/5: the faulty machine must be
 /// synchronized too).  Without a fault, only the good machine is
-/// constrained.  `cache` (optional) carries learned results across
-/// calls.
-JustifyResult JustifyState(const netlist::Circuit& circuit,
+/// constrained.
+///
+/// Each frame solver keeps its frame's values current event-driven: a
+/// decision or backtrack re-evaluates only the fanout cone of the PI
+/// or pseudo-PI it changed.  The work measure is not that cone: every
+/// solver step charges one full combinational frame (the node count
+/// less the PIs and DFFs) to JustifyResult::evaluations and against
+/// max_evaluations, so the count and the bound do not depend on how
+/// much of the frame a step re-evaluates.
+JustifyResult JustifyState(const sim::CompiledNetlist& net,
                            const std::vector<sim::V3>& target,
                            const JustifyOptions& options = {},
                            const std::optional<fault::Fault>& fault =
-                               std::nullopt,
-                           JustifyCache* cache = nullptr);
+                               std::nullopt);
 
 }  // namespace retest::atpg

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <span>
@@ -50,8 +51,9 @@ struct Slot {
   FaultOutcome outcome;
 };
 
-/// Per-worker reusable models; constructed lazily on the worker's
-/// first fault and re-armed with SetFault/GrowFrames afterwards.
+/// Per-worker reusable models over the run's shared compiled image;
+/// constructed lazily on the worker's first fault and re-armed with
+/// SetFault/GrowFrames afterwards.
 struct WorkerModels {
   std::optional<UnrolledModel> redundancy;  // 1 frame, free + observed
   std::optional<UnrolledModel> search;      // style-dependent state mode
@@ -63,6 +65,7 @@ class Driver {
          const std::vector<std::size_t>& remaining, long budget_ms,
          AtpgResult& result, const DetPhaseControl* control)
       : circuit_(circuit),
+        net_(sim::Compile(circuit)),
         options_(options),
         queue_(remaining),
         budget_ms_(budget_ms),
@@ -206,10 +209,10 @@ class Driver {
 
     // Redundancy proof: one frame, free and observed state.
     if (options_.redundancy_check) {
-      if (models.redundancy && options_.reuse_models) {
+      if (models.redundancy) {
         models.redundancy->SetFault(fault);
       } else {
-        models.redundancy.emplace(circuit_, fault, 1, /*free_state=*/true,
+        models.redundancy.emplace(net_, fault, 1, /*free_state=*/true,
                                   /*observe_state=*/true);
       }
       PodemOptions podem_options;
@@ -230,8 +233,8 @@ class Driver {
         out.status = FaultStatus::kUntried;
         return out;
       }
-      if (!models.search || !options_.reuse_models) {
-        models.search.emplace(circuit_, fault, frames, free_state);
+      if (!models.search) {
+        models.search.emplace(net_, fault, frames, free_state);
       } else if (frames == 1) {
         models.search->SetFault(fault, 1);
       } else {
@@ -265,7 +268,7 @@ class Driver {
       justify_options.max_backtracks = options_.justify_backtracks;
       justify_options.stop = stop;
       const JustifyResult justified = JustifyState(
-          circuit_, model.StateAssignments(), justify_options, fault);
+          *net_, model.StateAssignments(), justify_options, fault);
       out.evaluations += justified.evaluations;
       RETEST_COUNTER_ADD("atpg.justify.calls", "calls", "atpg",
                          "backward state-justification attempts", 1);
@@ -447,6 +450,9 @@ class Driver {
   }
 
   const netlist::Circuit& circuit_;
+  /// Built once per run; every worker's models and justification
+  /// searches evaluate from it read-only.
+  const std::shared_ptr<const sim::CompiledNetlist> net_;
   const AtpgOptions& options_;
   const std::vector<std::size_t>& queue_;
   const long budget_ms_;

@@ -1,10 +1,12 @@
 // Fault-parallel deterministic ATPG phase.
 //
 // Remaining faults are dispatched across a core::ThreadPool work queue
-// in fault order.  Each worker keeps two reusable unrolled models (the
-// 1-frame redundancy prover and the depth-doubling search model) and
-// re-arms them per fault with UnrolledModel::SetFault / GrowFrames, so
-// the per-fault path performs no model reconstruction.
+// in fault order.  The phase compiles the circuit once
+// (sim::CompiledNetlist); every worker's models and justification
+// searches read that one image.  Each worker keeps two reusable
+// unrolled models (the 1-frame redundancy prover and the depth-doubling
+// search model) and re-arms them per fault with UnrolledModel::SetFault
+// / GrowFrames, so the per-fault path performs no model reconstruction.
 //
 // Determinism at any thread count: each fault's search is a pure
 // function of (circuit, fault, seed) -- per-fault RNG streams, no

@@ -8,7 +8,6 @@
 namespace retest::atpg {
 namespace {
 
-using netlist::Node;
 using netlist::NodeId;
 using netlist::NodeKind;
 using sim::V3;
@@ -92,14 +91,16 @@ class Podem {
   }
 
   std::optional<Objective> ChooseObjective() {
+    const sim::CompiledNetlist& net = model_.net();
     if (!model_.FaultExcited()) {
       const auto frames = model_.ActivationFrames();
       const fault::Fault& fault = FaultOf();
-      const NodeId site = fault.site.pin < 0
-                              ? fault.site.node
-                              : model_.circuit()
-                                    .node(fault.site.node)
-                                    .fanin[static_cast<size_t>(fault.site.pin)];
+      const NodeId site =
+          fault.site.pin < 0
+              ? fault.site.node
+              : static_cast<NodeId>(
+                    net.fanins(static_cast<std::uint32_t>(fault.site.node))
+                        [static_cast<size_t>(fault.site.pin)]);
       for (int t : frames) {
         if (!model_.Controllable({t, site})) continue;
         return Objective{{t, site},
@@ -112,11 +113,11 @@ class Podem {
     // forward in time).
     const auto frontier = model_.DFrontier();
     for (auto it = frontier.rbegin(); it != frontier.rend(); ++it) {
-      const Node& gate = model_.circuit().node(it->node);
-      const auto value = NonControlling(gate.kind);
+      const auto gate = static_cast<std::uint32_t>(it->node);
+      const auto value = NonControlling(net.kind(gate));
       if (!value) continue;
-      for (NodeId driver : gate.fanin) {
-        const FrameNode input{it->frame, driver};
+      for (std::uint32_t driver : net.fanins(gate)) {
+        const FrameNode input{it->frame, static_cast<NodeId>(driver)};
         if (model_.value(input).good == V3::kX &&
             model_.Controllable(input)) {
           return Objective{input, *value};
@@ -127,37 +128,29 @@ class Podem {
   }
 
   std::optional<Decision> Backtrace(const Objective& objective) {
+    const sim::CompiledNetlist& net = model_.net();
     FrameNode where = objective.node;
     V3 value = objective.value;
     // Walk X-valued, controllable nodes back to a decision variable.
     for (int guard = 0; guard < 1'000'000; ++guard) {
-      const Node& node = model_.circuit().node(where.node);
-      switch (node.kind) {
+      const auto node = static_cast<std::uint32_t>(where.node);
+      const auto fanins = net.fanins(node);
+      switch (net.kind(node)) {
         case NodeKind::kInput: {
-          int pi_index = 0;
-          for (NodeId pi : model_.circuit().inputs()) {
-            if (pi == where.node) break;
-            ++pi_index;
-          }
           Decision decision;
-          decision.pi = {where.frame, pi_index};
+          decision.pi = {where.frame, net.pi_index(node)};
           decision.value = value;
           return decision;
         }
         case NodeKind::kDff: {
           if (where.frame == 0) {
             if (!model_.free_state()) return std::nullopt;
-            int dff_index = 0;
-            for (NodeId dff : model_.circuit().dffs()) {
-              if (dff == where.node) break;
-              ++dff_index;
-            }
             Decision decision;
-            decision.dff_index = dff_index;
+            decision.dff_index = net.dff_index(node);
             decision.value = value;
             return decision;
           }
-          where = {where.frame - 1, node.fanin[0]};
+          where = {where.frame - 1, static_cast<NodeId>(fanins[0])};
           break;
         }
         case NodeKind::kNot:
@@ -165,7 +158,7 @@ class Podem {
           [[fallthrough]];
         case NodeKind::kBuf:
         case NodeKind::kOutput:
-          where = {where.frame, node.fanin[0]};
+          where = {where.frame, static_cast<NodeId>(fanins[0])};
           break;
         case NodeKind::kNand:
         case NodeKind::kNor:
@@ -180,14 +173,14 @@ class Podem {
           // piling requirements onto the state).
           NodeId chosen = netlist::kNoNode;
           for (int pass = 0; pass < 2 && chosen == netlist::kNoNode; ++pass) {
-            for (NodeId driver : node.fanin) {
-              const FrameNode input{where.frame, driver};
+            for (std::uint32_t driver : fanins) {
+              const FrameNode input{where.frame, static_cast<NodeId>(driver)};
               if (model_.value(input).good != V3::kX ||
                   !model_.Controllable(input)) {
                 continue;
               }
               if (pass == 0 && !model_.PiReachable(input)) continue;
-              chosen = driver;
+              chosen = input.node;
               break;
             }
           }
@@ -244,6 +237,8 @@ class Podem {
 }  // namespace
 
 PodemResult RunPodem(UnrolledModel& model, const PodemOptions& options) {
+  RETEST_SCOPED_TIMER(podem_timer, "atpg.podem_ms", "atpg",
+                      "wall time of one RunPodem call");
   Podem podem(model, options);
   const PodemResult result = podem.Run();
   RETEST_COUNTER_ADD("atpg.podem.searches", "searches", "atpg",

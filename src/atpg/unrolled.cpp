@@ -1,165 +1,156 @@
 #include "atpg/unrolled.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <stdexcept>
+#include <utility>
 
 #include "core/metrics.h"
 
 namespace retest::atpg {
 
-using netlist::Node;
 using netlist::NodeId;
 using netlist::NodeKind;
 using sim::V3;
 
-UnrolledModel::UnrolledModel(const netlist::Circuit& circuit,
+namespace {
+
+bool IsSource(NodeKind kind) {
+  return kind == NodeKind::kInput || kind == NodeKind::kDff ||
+         kind == NodeKind::kConst0 || kind == NodeKind::kConst1;
+}
+
+/// Calls `fn(id)` for every node, each gate after its same-frame
+/// fanins: the sources (PIs, DFFs, constants) first, then the compiled
+/// schedule.
+template <typename Fn>
+void ForEachInOrder(const sim::CompiledNetlist& net, Fn&& fn) {
+  for (std::uint32_t id = 0;
+       id < static_cast<std::uint32_t>(net.num_nodes()); ++id) {
+    if (IsSource(net.kind(id))) fn(static_cast<NodeId>(id));
+  }
+  for (std::uint32_t id : net.schedule()) fn(static_cast<NodeId>(id));
+}
+
+}  // namespace
+
+UnrolledModel::UnrolledModel(std::shared_ptr<const sim::CompiledNetlist> net,
                              const fault::Fault& fault, int frames,
                              bool free_state, bool observe_state)
-    : circuit_(&circuit),
+    : net_(std::move(net)),
+      num_nodes_(static_cast<size_t>(net_->num_nodes())),
       fault_(fault),
       frames_(frames),
       free_state_(free_state),
-      observe_state_(observe_state),
-      levels_(sim::Levelize(circuit)) {
+      observe_state_(observe_state) {
   if (frames <= 0) throw std::invalid_argument("UnrolledModel: frames <= 0");
   observe_node_ = ObserveNodeFor(fault_);
-  state_assignments_.assign(static_cast<size_t>(circuit.num_dffs()), V3::kX);
+  state_assignments_.assign(net_->dffs().size(), V3::kX);
   EnsureCapacity(frames);
   Reset();
 }
 
+UnrolledModel::UnrolledModel(const netlist::Circuit& circuit,
+                             const fault::Fault& fault, int frames,
+                             bool free_state, bool observe_state)
+    : UnrolledModel(sim::Compile(circuit), fault, frames, free_state,
+                    observe_state) {}
+
 netlist::NodeId UnrolledModel::ObserveNodeFor(const fault::Fault& fault) const {
   return fault.site.pin < 0
              ? fault.site.node
-             : circuit_->node(fault.site.node)
-                   .fanin[static_cast<size_t>(fault.site.pin)];
+             : static_cast<NodeId>(
+                   net_->fanins(static_cast<std::uint32_t>(fault.site.node))
+                       [static_cast<size_t>(fault.site.pin)]);
 }
 
 void UnrolledModel::EnsureCapacity(int frames) {
   if (frames <= frames_built_) return;
-  const netlist::Circuit& circuit = *circuit_;
-  const size_t total =
-      static_cast<size_t>(frames) * static_cast<size_t>(circuit.size());
-  assignments_.resize(
-      static_cast<size_t>(frames),
-      std::vector<V3>(static_cast<size_t>(circuit.num_inputs()), V3::kX));
+  const sim::CompiledNetlist& net = *net_;
+  const size_t total = static_cast<size_t>(frames) * num_nodes_;
+  assignments_.resize(static_cast<size_t>(frames),
+                      std::vector<V3>(net.inputs().size(), V3::kX));
   values_.resize(total, V5::X());
   queued_.resize(total, 0);
   buckets_.resize(static_cast<size_t>(frames) *
-                  static_cast<size_t>(levels_.depth + 2));
-  latched_effect_.resize(
-      static_cast<size_t>(frames) * static_cast<size_t>(circuit.num_dffs()),
-      0);
+                  static_cast<size_t>(net.depth() + 2));
+  latched_effect_.resize(static_cast<size_t>(frames) * net.dffs().size(), 0);
   excited_.resize(static_cast<size_t>(frames), 0);
+  const auto data_of = [&](std::uint32_t dff) {
+    return static_cast<NodeId>(net.fanins(dff)[0]);
+  };
 
   // Static controllability: a decision input lies in the cone.  The
   // per-frame recurrence only looks at frame t-1, so new frames extend
   // the existing tables.
   controllable_.resize(total, 0);
   for (int t = frames_built_; t < frames; ++t) {
-    for (NodeId id : levels_.order) {
-      const Node& node = circuit.node(id);
+    ForEachInOrder(net, [&](NodeId id) {
+      const auto node = static_cast<std::uint32_t>(id);
       char value = 0;
-      switch (node.kind) {
+      switch (net.kind(node)) {
         case NodeKind::kInput:
           value = 1;
           break;
         case NodeKind::kDff:
           value = t == 0 ? (free_state_ ? 1 : 0)
-                         : controllable_[index(t - 1, node.fanin[0])];
+                         : controllable_[index(t - 1, data_of(node))];
           break;
         case NodeKind::kConst0:
         case NodeKind::kConst1:
           value = 0;
           break;
         default:
-          for (NodeId driver : node.fanin) {
-            value |= controllable_[index(t, driver)];
+          for (std::uint32_t driver : net.fanins(node)) {
+            value |= controllable_[index(t, static_cast<NodeId>(driver))];
           }
           break;
       }
       controllable_[index(t, id)] = value;
-    }
+    });
   }
   // Real-PI reachability (state bits excluded even in free_state).
   pi_reachable_.resize(total, 0);
   for (int t = frames_built_; t < frames; ++t) {
-    for (NodeId id : levels_.order) {
-      const Node& node = circuit.node(id);
+    ForEachInOrder(net, [&](NodeId id) {
+      const auto node = static_cast<std::uint32_t>(id);
       char value = 0;
-      switch (node.kind) {
+      switch (net.kind(node)) {
         case NodeKind::kInput:
           value = 1;
           break;
         case NodeKind::kDff:
-          value = t == 0 ? 0 : pi_reachable_[index(t - 1, node.fanin[0])];
+          value = t == 0 ? 0 : pi_reachable_[index(t - 1, data_of(node))];
           break;
         case NodeKind::kConst0:
         case NodeKind::kConst1:
           break;
         default:
-          for (NodeId driver : node.fanin) {
-            value |= pi_reachable_[index(t, driver)];
+          for (std::uint32_t driver : net.fanins(node)) {
+            value |= pi_reachable_[index(t, static_cast<NodeId>(driver))];
           }
           break;
       }
       pi_reachable_[index(t, id)] = value;
-    }
+    });
   }
   // Fault-free all-X baseline (the Reset restore image).  Frame t only
   // reads frame t-1, so new frames extend the existing image.
   baseline_.resize(total, V5::X());
   for (int t = frames_built_; t < frames; ++t) {
-    for (NodeId id : levels_.order) {
-      baseline_[index(t, id)] = Both(BaselineGood(t, id));
-    }
+    const V5* frame = baseline_.data() + static_cast<size_t>(t) * num_nodes_;
+    ForEachInOrder(net, [&](NodeId id) {
+      const auto node = static_cast<std::uint32_t>(id);
+      V5 value = V5::X();  // PIs, and frame-0 state, are unknown
+      if (net.kind(node) == NodeKind::kDff) {
+        if (t > 0) value = baseline_[index(t - 1, data_of(node))];
+      } else if (net.kind(node) != NodeKind::kInput) {
+        value = EvalNode5(net.kind(node), net.fanins(node), frame, -1, V3::kX);
+      }
+      baseline_[index(t, id)] = value;
+    });
   }
   frames_built_ = frames;
-}
-
-V3 UnrolledModel::BaselineGood(int t, NodeId id) const {
-  const Node& node = circuit_->node(id);
-  switch (node.kind) {
-    case NodeKind::kInput:
-      return V3::kX;  // all-X assignment by definition
-    case NodeKind::kDff:
-      // Frame 0 carries the unknown (or unassigned free) state.
-      return t == 0 ? V3::kX : baseline_[index(t - 1, node.fanin[0])].good;
-    case NodeKind::kConst0:
-      return V3::k0;
-    case NodeKind::kConst1:
-      return V3::k1;
-    case NodeKind::kOutput:
-    case NodeKind::kBuf:
-      return baseline_[index(t, node.fanin[0])].good;
-    case NodeKind::kNot:
-      return sim::Not3(baseline_[index(t, node.fanin[0])].good);
-    case NodeKind::kAnd:
-    case NodeKind::kNand: {
-      V3 out = V3::k1;
-      for (NodeId driver : node.fanin) {
-        out = sim::And3(out, baseline_[index(t, driver)].good);
-      }
-      return node.kind == NodeKind::kNand ? sim::Not3(out) : out;
-    }
-    case NodeKind::kOr:
-    case NodeKind::kNor: {
-      V3 out = V3::k0;
-      for (NodeId driver : node.fanin) {
-        out = sim::Or3(out, baseline_[index(t, driver)].good);
-      }
-      return node.kind == NodeKind::kNor ? sim::Not3(out) : out;
-    }
-    case NodeKind::kXor:
-    case NodeKind::kXnor: {
-      V3 out = V3::k0;
-      for (NodeId driver : node.fanin) {
-        out = sim::Xor3(out, baseline_[index(t, driver)].good);
-      }
-      return node.kind == NodeKind::kXnor ? sim::Not3(out) : out;
-    }
-  }
-  return V3::kX;
 }
 
 void UnrolledModel::Reset() {
@@ -173,8 +164,7 @@ void UnrolledModel::Reset() {
   // Frames beyond frames_ may hold stale values from an earlier,
   // deeper search, but nothing reads them before a later Reset (via
   // GrowFrames/SetFault) restores that range too.
-  const size_t active =
-      static_cast<size_t>(frames_) * static_cast<size_t>(circuit_->size());
+  const size_t active = static_cast<size_t>(frames_) * num_nodes_;
   std::copy(baseline_.begin(), baseline_.begin() + static_cast<long>(active),
             values_.begin());
   std::fill(latched_effect_.begin(), latched_effect_.end(), 0);
@@ -199,8 +189,8 @@ void UnrolledModel::Reset() {
   // be re-derived rather than zeroed.
   if (observe_state_) {
     for (int t = 0; t < frames_; ++t) {
-      for (int i = 0; i < circuit_->num_dffs(); ++i) {
-        UpdateLatchedObservation(t, i);
+      for (size_t i = 0; i < net_->dffs().size(); ++i) {
+        UpdateLatchedObservation(t, static_cast<int>(i));
       }
     }
   }
@@ -234,118 +224,37 @@ void UnrolledModel::GrowFrames(int frames) {
 }
 
 V5 UnrolledModel::Compute(int t, NodeId id) const {
-  const netlist::Circuit& circuit = *circuit_;
-  const Node& node = circuit.node(id);
+  const sim::CompiledNetlist& net = *net_;
+  const auto node = static_cast<std::uint32_t>(id);
+  const NodeKind kind = net.kind(node);
   const V3 forced = fault_.stuck_at_1 ? V3::k1 : V3::k0;
-  const bool branch_fault = fault_.site.node == id && fault_.site.pin >= 0;
-  const bool stem_fault = fault_.site.node == id && fault_.site.pin < 0;
+  const bool at_site = fault_.site.node == id;
+  const int fault_pin = at_site ? fault_.site.pin : -1;
 
   V5 out;
-  switch (node.kind) {
-    case NodeKind::kInput: {
-      int pi_index = 0;
-      for (NodeId pi : circuit.inputs()) {
-        if (pi == id) break;
-        ++pi_index;
-      }
-      out = Both(assignments_[static_cast<size_t>(t)]
-                             [static_cast<size_t>(pi_index)]);
-      break;
+  if (kind == NodeKind::kInput) {
+    out = Both(assignments_[static_cast<size_t>(t)]
+                           [static_cast<size_t>(net.pi_index(node))]);
+  } else if (kind == NodeKind::kDff) {
+    if (t == 0) {
+      out = free_state_ ? Both(state_assignments_[static_cast<size_t>(
+                              net.dff_index(node))])
+                        : V5::X();
+    } else {
+      out = values_[index(t - 1, static_cast<NodeId>(net.fanins(node)[0]))];
+      if (fault_pin == 0) out.faulty = forced;  // data-pin fault
     }
-    case NodeKind::kDff: {
-      if (t == 0) {
-        if (free_state_) {
-          size_t dff_index = 0;
-          for (NodeId dff : circuit.dffs()) {
-            if (dff == id) break;
-            ++dff_index;
-          }
-          out = Both(state_assignments_[dff_index]);
-        } else {
-          out = V5::X();
-        }
-      } else {
-        out = values_[index(t - 1, node.fanin[0])];
-        if (branch_fault) out.faulty = forced;  // data-pin fault
-      }
-      break;
-    }
-    case NodeKind::kConst0:
-      out = Both(V3::k0);
-      break;
-    case NodeKind::kConst1:
-      out = Both(V3::k1);
-      break;
-    case NodeKind::kOutput:
-    case NodeKind::kBuf:
-    case NodeKind::kNot: {
-      out = values_[index(t, node.fanin[0])];
-      if (branch_fault) out.faulty = forced;
-      if (node.kind == NodeKind::kNot) {
-        out.good = sim::Not3(out.good);
-        out.faulty = sim::Not3(out.faulty);
-      }
-      break;
-    }
-    case NodeKind::kAnd:
-    case NodeKind::kNand: {
-      out = Both(V3::k1);
-      for (size_t pin = 0; pin < node.fanin.size(); ++pin) {
-        V5 in = values_[index(t, node.fanin[pin])];
-        if (branch_fault && static_cast<int>(pin) == fault_.site.pin) {
-          in.faulty = forced;
-        }
-        out.good = sim::And3(out.good, in.good);
-        out.faulty = sim::And3(out.faulty, in.faulty);
-      }
-      if (node.kind == NodeKind::kNand) {
-        out.good = sim::Not3(out.good);
-        out.faulty = sim::Not3(out.faulty);
-      }
-      break;
-    }
-    case NodeKind::kOr:
-    case NodeKind::kNor: {
-      out = Both(V3::k0);
-      for (size_t pin = 0; pin < node.fanin.size(); ++pin) {
-        V5 in = values_[index(t, node.fanin[pin])];
-        if (branch_fault && static_cast<int>(pin) == fault_.site.pin) {
-          in.faulty = forced;
-        }
-        out.good = sim::Or3(out.good, in.good);
-        out.faulty = sim::Or3(out.faulty, in.faulty);
-      }
-      if (node.kind == NodeKind::kNor) {
-        out.good = sim::Not3(out.good);
-        out.faulty = sim::Not3(out.faulty);
-      }
-      break;
-    }
-    case NodeKind::kXor:
-    case NodeKind::kXnor: {
-      out = Both(V3::k0);
-      for (size_t pin = 0; pin < node.fanin.size(); ++pin) {
-        V5 in = values_[index(t, node.fanin[pin])];
-        if (branch_fault && static_cast<int>(pin) == fault_.site.pin) {
-          in.faulty = forced;
-        }
-        out.good = sim::Xor3(out.good, in.good);
-        out.faulty = sim::Xor3(out.faulty, in.faulty);
-      }
-      if (node.kind == NodeKind::kXnor) {
-        out.good = sim::Not3(out.good);
-        out.faulty = sim::Not3(out.faulty);
-      }
-      break;
-    }
+  } else {
+    out = EvalNode5(kind, net.fanins(node),
+                    values_.data() + static_cast<size_t>(t) * num_nodes_,
+                    fault_pin, forced);
   }
-  if (stem_fault) out.faulty = forced;
+  if (at_site && fault_.site.pin < 0) out.faulty = forced;  // stem fault
   return out;
 }
 
 void UnrolledModel::UpdateLatchedObservation(int t, int dff_index) {
-  const size_t slot = static_cast<size_t>(t) *
-                          static_cast<size_t>(circuit_->num_dffs()) +
+  const size_t slot = static_cast<size_t>(t) * net_->dffs().size() +
                       static_cast<size_t>(dff_index);
   const char now = LatchedValue(t, dff_index).IsFaultEffect() ? 1 : 0;
   if (now != latched_effect_[slot]) {
@@ -359,10 +268,6 @@ bool UnrolledModel::Install(int t, NodeId id, const V5& value) {
   if (slot == value) return false;
   const bool was_effect = slot.IsFaultEffect();
   const bool is_effect = value.IsFaultEffect();
-  const bool was_po_effect =
-      circuit_->node(id).kind == NodeKind::kOutput && was_effect;
-  const bool is_po_effect =
-      circuit_->node(id).kind == NodeKind::kOutput && is_effect;
   slot = value;
   if (was_effect != is_effect) {
     if (is_effect) {
@@ -370,9 +275,9 @@ bool UnrolledModel::Install(int t, NodeId id, const V5& value) {
     } else {
       effect_nodes_.erase({t, id});
     }
-  }
-  if (was_po_effect != is_po_effect) {
-    observed_count_ += is_po_effect ? 1 : -1;
+    if (net_->kind(static_cast<std::uint32_t>(id)) == NodeKind::kOutput) {
+      observed_count_ += is_effect ? 1 : -1;
+    }
   }
   if (id == observe_node_) {
     const V3 stuck = fault_.stuck_at_1 ? V3::k1 : V3::k0;
@@ -392,14 +297,16 @@ void UnrolledModel::Touch(int t, NodeId id) {
   if (queued_[slot]) return;
   queued_[slot] = 1;
   const size_t key =
-      static_cast<size_t>(t) * static_cast<size_t>(levels_.depth + 2) +
-      static_cast<size_t>(levels_.level[static_cast<size_t>(id)]);
+      static_cast<size_t>(t) * static_cast<size_t>(net_->depth() + 2) +
+      static_cast<size_t>(net_->level(static_cast<std::uint32_t>(id)));
   buckets_[key].push_back(id);
   if (queue_pending_ == 0 || key < queue_cursor_) queue_cursor_ = key;
   ++queue_pending_;
 }
 
 void UnrolledModel::Propagate() {
+  const sim::CompiledNetlist& net = *net_;
+  const size_t keys_per_frame = static_cast<size_t>(net.depth() + 2);
   while (queue_pending_ > 0) {
     auto& bucket = buckets_[queue_cursor_];
     if (bucket.empty()) {
@@ -409,27 +316,18 @@ void UnrolledModel::Propagate() {
     const NodeId id = bucket.back();
     bucket.pop_back();
     --queue_pending_;
-    const int t = static_cast<int>(queue_cursor_ /
-                                   static_cast<size_t>(levels_.depth + 2));
+    const int t = static_cast<int>(queue_cursor_ / keys_per_frame);
     queued_[index(t, id)] = 0;
     ++evaluations_;
     const V5 value = Compute(t, id);
     if (!Install(t, id, value)) continue;
-    const Node& node = circuit_->node(id);
     // Same-frame consumers; DFF consumers observe in the next frame.
-    for (NodeId sink : node.fanout) {
-      if (circuit_->node(sink).kind == NodeKind::kDff) {
-        Touch(t + 1, sink);
-        if (observe_state_) {
-          int dff_index = 0;
-          for (NodeId dff : circuit_->dffs()) {
-            if (dff == sink) break;
-            ++dff_index;
-          }
-          UpdateLatchedObservation(t, dff_index);
-        }
+    for (std::uint32_t sink : net.fanouts(static_cast<std::uint32_t>(id))) {
+      if (net.kind(sink) == NodeKind::kDff) {
+        Touch(t + 1, static_cast<NodeId>(sink));
+        if (observe_state_) UpdateLatchedObservation(t, net.dff_index(sink));
       } else {
-        Touch(t, sink);
+        Touch(t, static_cast<NodeId>(sink));
       }
     }
   }
@@ -440,7 +338,8 @@ void UnrolledModel::AssignPi(const FramePi& pi, V3 value) {
       assignments_[static_cast<size_t>(pi.frame)][static_cast<size_t>(pi.pi)];
   if (slot == value) return;
   slot = value;
-  Touch(pi.frame, circuit_->inputs()[static_cast<size_t>(pi.pi)]);
+  Touch(pi.frame,
+        static_cast<NodeId>(net_->inputs()[static_cast<size_t>(pi.pi)]));
   Propagate();
 }
 
@@ -456,13 +355,14 @@ void UnrolledModel::AssignState(int dff_index, V3 value) {
   auto& slot = state_assignments_[static_cast<size_t>(dff_index)];
   if (slot == value) return;
   slot = value;
-  Touch(0, circuit_->dffs()[static_cast<size_t>(dff_index)]);
+  Touch(0, static_cast<NodeId>(net_->dffs()[static_cast<size_t>(dff_index)]));
   Propagate();
 }
 
 V5 UnrolledModel::LatchedValue(int t, int dff_index) const {
-  const NodeId dff = circuit_->dffs()[static_cast<size_t>(dff_index)];
-  V5 value = values_[index(t, circuit_->node(dff).fanin[0])];
+  const auto i = static_cast<size_t>(dff_index);
+  const auto dff = static_cast<NodeId>(net_->dffs()[i]);
+  V5 value = values_[index(t, static_cast<NodeId>(net_->dff_data(i)))];
   if (fault_.site.node == dff && fault_.site.pin == 0) {
     value.faulty = fault_.stuck_at_1 ? V3::k1 : V3::k0;
   }
@@ -480,12 +380,13 @@ std::vector<int> UnrolledModel::ActivationFrames() const {
 std::vector<FrameNode> UnrolledModel::DFrontier() const {
   // Fault effects drive the frontier: any consumer with an unknown
   // output is a propagation opportunity.
+  const netlist::Circuit& circuit = net_->circuit();
   std::vector<FrameNode> frontier;
   for (const FrameNode& effect : effect_nodes_) {
-    for (NodeId sink : circuit_->node(effect.node).fanout) {
-      const Node& gate = circuit_->node(sink);
-      if (gate.kind == NodeKind::kDff) continue;  // handled next frame
-      if (!netlist::IsGate(gate.kind)) continue;
+    for (NodeId sink : circuit.node(effect.node).fanout) {
+      const NodeKind kind = net_->kind(static_cast<std::uint32_t>(sink));
+      if (kind == NodeKind::kDff) continue;  // handled next frame
+      if (!netlist::IsGate(kind)) continue;
       const FrameNode candidate{effect.frame, sink};
       if (!values_[index(candidate.frame, candidate.node)].HasUnknown()) {
         continue;
@@ -501,19 +402,15 @@ long UnrolledModel::Evaluate() {
   // Install so counters stay exact.
   long count = 0;
   for (int t = 0; t < frames_; ++t) {
-    for (NodeId id : levels_.order) {
+    ForEachInOrder(*net_, [&](NodeId id) {
       Install(t, id, Compute(t, id));
       ++count;
-      if (observe_state_ && circuit_->node(id).kind == NodeKind::kDff &&
-          t > 0) {
-        // The latched observation of frame t-1 is now final.
-      }
-    }
+    });
   }
   if (observe_state_) {
     for (int t = 0; t < frames_; ++t) {
-      for (int i = 0; i < circuit_->num_dffs(); ++i) {
-        UpdateLatchedObservation(t, i);
+      for (size_t i = 0; i < net_->dffs().size(); ++i) {
+        UpdateLatchedObservation(t, static_cast<int>(i));
       }
     }
   }

@@ -11,20 +11,24 @@
 // polls every decision: fault-effect sites, primary-output effects and
 // excitation frames.
 //
+// The model evaluates from a sim::CompiledNetlist: kinds, CSR fanins
+// and fanouts, levels and the PI/DFF position tables.  One compiled
+// image is shared read-only by every model of an ATPG run.
+//
 // The model is reusable: SetFault re-arms it for another fault of the
 // same circuit and GrowFrames changes the unroll depth, both reusing
-// the levelization, the static controllability tables and every buffer
-// (capacity is kept at its high-water mark), so a fault-parallel ATPG
-// driver pays the construction cost once per worker instead of once
-// per (fault, depth).
+// the static controllability tables and every buffer (capacity is kept
+// at its high-water mark), so a fault-parallel ATPG driver pays the
+// construction cost once per worker instead of once per (fault, depth).
 #pragma once
 
+#include <memory>
 #include <set>
 #include <vector>
 
 #include "fault/fault.h"
 #include "atpg/val5.h"
-#include "sim/levelizer.h"
+#include "sim/compiled.h"
 
 namespace retest::atpg {
 
@@ -53,11 +57,15 @@ class UnrolledModel {
   /// additionally treats the DFF data inputs of every frame as
   /// observation points (pseudo-primary outputs), which is what the
   /// combinational-redundancy proof needs.
+  UnrolledModel(std::shared_ptr<const sim::CompiledNetlist> net,
+                const fault::Fault& fault, int frames, bool free_state = false,
+                bool observe_state = false);
+  /// The same over a compiled image of `circuit` made for this model.
   UnrolledModel(const netlist::Circuit& circuit, const fault::Fault& fault,
                 int frames, bool free_state = false,
                 bool observe_state = false);
 
-  const netlist::Circuit& circuit() const { return *circuit_; }
+  const sim::CompiledNetlist& net() const { return *net_; }
   const fault::Fault& fault() const { return fault_; }
   int frames() const { return frames_; }
   bool free_state() const { return free_state_; }
@@ -71,8 +79,8 @@ class UnrolledModel {
 
   /// Re-arms the model for a different fault of the same circuit (and,
   /// when `frames` > 0, a different unroll depth) and Resets.  Reuses
-  /// the levelization, static tables and value buffers; equivalent to
-  /// constructing a fresh model with the same parameters.
+  /// the static tables and value buffers; equivalent to constructing a
+  /// fresh model with the same parameters.
   void SetFault(const fault::Fault& fault, int frames = 0);
 
   /// Changes the unroll depth (keeping the fault) and Resets.  Buffer
@@ -120,7 +128,10 @@ class UnrolledModel {
 
   /// Gates on the D-frontier: output has an unknown component and at
   /// least one input carries a fault effect.  Derived from the
-  /// incrementally-maintained set of fault-effect sites.
+  /// incrementally-maintained set of fault-effect sites, in (frame,
+  /// node) order and then in the Circuit's fanout order, which PODEM's
+  /// objective choice depends on (the compiled fanouts are ordered by
+  /// (sink, pin) instead).
   std::vector<FrameNode> DFrontier() const;
 
   /// True when node (frame, id) has at least one assignable input
@@ -153,7 +164,7 @@ class UnrolledModel {
 
  private:
   size_t index(int frame, netlist::NodeId node) const {
-    return static_cast<size_t>(frame) * static_cast<size_t>(circuit_->size()) +
+    return static_cast<size_t>(frame) * num_nodes_ +
            static_cast<size_t>(node);
   }
 
@@ -165,10 +176,6 @@ class UnrolledModel {
   /// controllability/PI-reachability tables and the fault-free
   /// baseline up to `frames` (no-op for frames already built).
   void EnsureCapacity(int frames);
-
-  /// Fault-free good value of (t, id) under all-X inputs/state,
-  /// reading previously computed entries of `baseline_`.
-  sim::V3 BaselineGood(int t, netlist::NodeId id) const;
 
   /// Recomputes the value of (t, id) from its fanins and the fault
   /// injection; returns the new value.
@@ -188,13 +195,13 @@ class UnrolledModel {
   /// frame t (observe_state mode).
   void UpdateLatchedObservation(int t, int dff_index);
 
-  const netlist::Circuit* circuit_;
+  std::shared_ptr<const sim::CompiledNetlist> net_;
+  size_t num_nodes_;
   fault::Fault fault_;
   int frames_;
   int frames_built_ = 0;  ///< Capacity high-water mark (>= frames_).
   bool free_state_;
   bool observe_state_;
-  sim::Levelization levels_;
   /// The net whose good value excites the fault (the branch's driver
   /// for pin faults, the node itself for stem faults).
   netlist::NodeId observe_node_ = netlist::kNoNode;

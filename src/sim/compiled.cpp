@@ -17,6 +17,7 @@ CompiledNetlist::CompiledNetlist(const netlist::Circuit& circuit)
   kind_.resize(n);
   level_.assign(n, 0);
   pi_index_.assign(n, -1);
+  dff_index_.assign(n, -1);
   fanin_begin_.assign(n + 1, 0);
   fanout_begin_.assign(n + 1, 0);
 
@@ -101,9 +102,21 @@ CompiledNetlist::CompiledNetlist(const netlist::Circuit& circuit)
   }
   dffs_.reserve(circuit.dffs().size());
   dff_data_.reserve(circuit.dffs().size());
-  for (NodeId id : circuit.dffs()) {
+  for (size_t i = 0; i < circuit.dffs().size(); ++i) {
+    const NodeId id = circuit.dffs()[i];
     dffs_.push_back(static_cast<std::uint32_t>(id));
     dff_data_.push_back(static_cast<std::uint32_t>(circuit.node(id).fanin[0]));
+    dff_index_[static_cast<size_t>(id)] = static_cast<std::int32_t>(i);
+  }
+
+  // PI reachability in schedule order: every fanin of a scheduled node
+  // is a source or sits at a lower level.
+  pi_reachable_.assign(n, 0);
+  for (std::uint32_t id : inputs_) pi_reachable_[id] = 1;
+  for (std::uint32_t id : schedule_) {
+    for (std::uint32_t driver : fanins(id)) {
+      pi_reachable_[id] |= pi_reachable_[driver];
+    }
   }
 }
 

@@ -14,12 +14,16 @@
 //     level-contiguous runs, each run sorted by (kind, id) so the
 //     evaluator's kind dispatch runs in monotone batches;
 //   * source/sink tables (`inputs`, `outputs`, `dffs`, `dff_data`,
-//     `output_src`, `pi_index`) so frame evaluators never consult the
-//     Circuit at all inside the clock loop.
+//     `output_src`, `pi_index`, `dff_index`) so frame evaluators never
+//     consult the Circuit at all inside the clock loop;
+//   * `pi_reachable`: whether a primary input lies in a node's
+//     combinational fanin cone (the backtrace preference of the ATPG
+//     searches).
 //
 // A CompiledNetlist is immutable after construction and safe to share
 // read-only across threads; the PROOFS batch workers all evaluate
-// against one instance.  The source Circuit must outlive it.
+// against one instance, and so do the workers of one ATPG run.  The
+// source Circuit must outlive it.
 #pragma once
 
 #include <cstdint>
@@ -81,6 +85,11 @@ class CompiledNetlist {
   std::uint32_t output_src(size_t o) const { return output_src_[o]; }
   /// Primary-input position of a node, -1 for non-PI nodes.
   std::int32_t pi_index(std::uint32_t id) const { return pi_index_[id]; }
+  /// DFF position of a node (Circuit::dffs order), -1 for non-DFF nodes.
+  std::int32_t dff_index(std::uint32_t id) const { return dff_index_[id]; }
+  /// True when a primary input lies in the node's combinational fanin
+  /// cone; DFF outputs end the cone (a PI is reachable from itself).
+  bool pi_reachable(std::uint32_t id) const { return pi_reachable_[id] != 0; }
 
  private:
   const netlist::Circuit* circuit_;
@@ -100,6 +109,8 @@ class CompiledNetlist {
   std::vector<std::uint32_t> dff_data_;
   std::vector<std::uint32_t> output_src_;
   std::vector<std::int32_t> pi_index_;
+  std::vector<std::int32_t> dff_index_;
+  std::vector<char> pi_reachable_;
 };
 
 /// Builds a shareable CompiledNetlist (the form the PROOFS dispatcher

@@ -64,20 +64,6 @@ TEST(ParallelAtpg, DeterministicAcrossThreadCountsJustification) {
   ExpectIdenticalResults(one, four);
 }
 
-TEST(ParallelAtpg, ModelReuseDoesNotChangeResults) {
-  const Circuit circuit = MidSizeCircuit();
-  AtpgOptions options;
-  options.seed = 21;
-  options.random_rounds = 0;
-  options.time_budget_ms = 600'000;
-  options.num_threads = 2;
-  options.reuse_models = true;
-  const AtpgResult reused = RunAtpg(circuit, options);
-  options.reuse_models = false;
-  const AtpgResult rebuilt = RunAtpg(circuit, options);
-  ExpectIdenticalResults(reused, rebuilt);
-}
-
 TEST(ParallelAtpg, ParallelDetectionsVerifyUnderSerialSimulation) {
   // Every fault the multi-threaded run claims detected must be
   // detected by the concatenated stream under the independent scalar

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -9,10 +11,16 @@
 #include "atpg/justify.h"
 #include "atpg/podem.h"
 #include "atpg/unrolled.h"
+#include "core/crc32.h"
 #include "core/trace.h"
+#include "fault/collapse.h"
 #include "faultsim/serial.h"
 #include "fsm/benchmarks.h"
 #include "netlist/builder.h"
+#include "retime/apply.h"
+#include "retime/from_netlist.h"
+#include "sim/compiled.h"
+#include "sim/logic3.h"
 #include "synth/synthesize.h"
 #include "tests/paper_circuits.h"
 #include "tests/random_circuits.h"
@@ -243,6 +251,106 @@ TEST(Engine, EvaluationsArePinned) {
   }
 }
 
+/// A random circuit under a random legal retiming: the retimed
+/// circuit's fanout lists are in rewiring order, not netlist order.
+Circuit RetimedRandomCircuit(std::uint64_t seed,
+                             const retest::testing::RandomCircuitOptions& shape,
+                             int moves) {
+  const Circuit circuit = retest::testing::MakeRandomCircuit(seed, shape);
+  const auto build = retime::BuildGraph(circuit);
+  const auto retiming =
+      retest::testing::MakeRandomRetiming(build.graph, seed, moves);
+  return retime::ApplyRetiming(circuit, build, retiming, "re").circuit;
+}
+
+std::string SequenceText(const sim::InputSequence& sequence) {
+  std::string text;
+  for (const auto& vector : sequence) text += sim::ToString(vector) + "\n";
+  return text;
+}
+
+// The HITEC path -- free-state PODEM, backward justification, PROOFS
+// verification -- on a retimed circuit with the random phase off, as
+// Table II runs it.  The values pin the search itself, at any thread
+// count: an evaluator change that only makes it faster keeps them.
+TEST(Engine, JustificationEvaluationsArePinned) {
+  const Circuit circuit = RetimedRandomCircuit(
+      7, {.num_inputs = 4, .num_dffs = 4, .num_gates = 40}, 24);
+  for (int threads : {1, 4}) {
+    AtpgOptions options;
+    options.seed = 11;
+    options.style = AtpgStyle::kJustification;
+    options.random_rounds = 0;
+    options.time_budget_ms = 600'000;
+    options.num_threads = threads;
+    const AtpgResult result = RunAtpg(circuit, options);
+    ASSERT_FALSE(result.preempted);
+    std::string tests;
+    for (const auto& test : result.tests) tests += SequenceText(test) + ";";
+    EXPECT_EQ(result.evaluations, 45220746) << "threads " << threads;
+    EXPECT_EQ(result.Count(FaultStatus::kDetected), 72);
+    EXPECT_EQ(result.Count(FaultStatus::kRedundant), 36);
+    EXPECT_EQ(result.Count(FaultStatus::kAborted), 52);
+    EXPECT_EQ(core::Crc32(tests), 0xdc4a9564u) << "threads " << threads;
+  }
+}
+
+// JustifyState on 32 targets of a retimed circuit: half are reachable
+// states with some bits relaxed to X, half are random cubes, and every
+// other call injects a random fault.  One digest pins every call's
+// status, sequence, backtracks and evaluations (evaluations charge one
+// full frame per solver step, however much of it a step re-evaluates).
+TEST(Justify, RandomTargetsArePinned) {
+  const Circuit circuit = RetimedRandomCircuit(
+      3, {.num_inputs = 4, .num_dffs = 5, .num_gates = 48}, 30);
+  ASSERT_EQ(circuit.num_dffs(), 14);
+  const auto faults = fault::Collapse(circuit).representatives;
+  const sim::CompiledNetlist net(circuit);
+  retest::testing::TestRng rng{42};
+  JustifyOptions options;
+  options.max_backtracks = 300;
+  std::string digest;
+  long evaluations = 0;
+  int justified = 0;
+  for (int k = 0; k < 32; ++k) {
+    std::vector<V3> target(static_cast<size_t>(circuit.num_dffs()));
+    std::optional<fault::Fault> fault;
+    if (k % 4 < 2) {
+      sim::Simulator simulator(circuit);
+      simulator.Reset();
+      const int length = 1 + rng.Below(6);
+      for (int step = 0; step < length; ++step) {
+        std::vector<V3> inputs(static_cast<size_t>(circuit.num_inputs()));
+        for (V3& v : inputs) v = rng.Bit() ? V3::k1 : V3::k0;
+        simulator.Step(inputs);
+      }
+      target = simulator.State();
+      for (V3& v : target) {
+        if (rng.Bit()) v = V3::kX;
+      }
+    } else {
+      for (V3& v : target) {
+        const int pick = rng.Below(5);
+        v = pick == 0 ? V3::k0 : pick == 1 ? V3::k1 : V3::kX;
+      }
+    }
+    if (k % 2 == 1) {
+      fault = faults[static_cast<size_t>(
+          rng.Below(static_cast<int>(faults.size())))];
+    }
+    const JustifyResult result = JustifyState(net, target, options, fault);
+    digest += std::to_string(static_cast<int>(result.status)) + ":" +
+              SequenceText(result.sequence) + ":" +
+              std::to_string(result.backtracks) + ":" +
+              std::to_string(result.evaluations) + ";";
+    evaluations += result.evaluations;
+    justified += result.status == JustifyStatus::kJustified ? 1 : 0;
+  }
+  EXPECT_EQ(justified, 6);
+  EXPECT_EQ(evaluations, 624105);
+  EXPECT_EQ(core::Crc32(digest), 0x47317d02u);
+}
+
 TEST(Unrolled, IncrementalMatchesFullEvaluation) {
   // Random assignment/unassignment sequences: the event-driven values
   // must equal a from-scratch evaluation at every step.
@@ -367,7 +475,7 @@ TEST(Unrolled, SetFaultMatchesFreshFreeObservedModel) {
 TEST(Justify, TrivialTargetNeedsNothing) {
   const Circuit circuit = retest::testing::MakeFig5N1();
   const std::vector<V3> target(3, V3::kX);
-  const auto result = JustifyState(circuit, target);
+  const auto result = JustifyState(sim::CompiledNetlist(circuit), target);
   EXPECT_EQ(result.status, JustifyStatus::kJustified);
   EXPECT_TRUE(result.sequence.empty());
 }
@@ -381,7 +489,7 @@ TEST(Justify, ReachableStateIsJustified) {
     for (int b = 0; b < 3; ++b) {
       target[static_cast<size_t>(b)] = (code >> b) & 1 ? V3::k1 : V3::k0;
     }
-    const auto result = JustifyState(circuit, target);
+    const auto result = JustifyState(sim::CompiledNetlist(circuit), target);
     ASSERT_EQ(result.status, JustifyStatus::kJustified) << code;
     // Verify by forward simulation: every non-X target bit must hold.
     sim::Simulator simulator(circuit);
@@ -408,8 +516,8 @@ TEST(Justify, UnreachableStateFails) {
   const Circuit circuit = builder.Build();
   atpg::JustifyOptions options;
   options.max_depth = 8;
-  const auto result =
-      JustifyState(circuit, {V3::k1, V3::k1}, options);  // q == q2 == 1
+  const auto result = JustifyState(sim::CompiledNetlist(circuit),
+                                   {V3::k1, V3::k1}, options);  // q == q2 == 1
   EXPECT_NE(result.status, JustifyStatus::kJustified);
 }
 
@@ -418,27 +526,12 @@ TEST(Justify, CompositeJustificationSyncsFaultyMachine) {
   // the faulty machine's q3 is forced to OR(1, i3) = 1 every cycle.
   const Circuit circuit = retest::testing::MakeFig5N1();
   const fault::Fault fault{{circuit.Find("g1"), -1}, true};
-  const auto result =
-      JustifyState(circuit, {V3::kX, V3::kX, V3::k0}, {}, fault);
+  const sim::CompiledNetlist net(circuit);
+  const auto result = JustifyState(net, {V3::kX, V3::kX, V3::k0}, {}, fault);
   EXPECT_NE(result.status, JustifyStatus::kJustified);
   // The good machine alone could do it.
-  const auto good = JustifyState(circuit, {V3::kX, V3::kX, V3::k0});
+  const auto good = JustifyState(net, {V3::kX, V3::kX, V3::k0});
   EXPECT_EQ(good.status, JustifyStatus::kJustified);
-}
-
-TEST(Justify, CacheReusesResults) {
-  const Circuit circuit = retest::testing::MakeFig5N1();
-  JustifyCache cache;
-  const std::vector<V3> target{V3::k1, V3::k1, V3::kX};
-  const auto first = JustifyState(circuit, target, {}, std::nullopt, &cache);
-  ASSERT_EQ(first.status, JustifyStatus::kJustified);
-  EXPECT_GT(cache.successes(), 0u);
-  // A subsumed target (fewer constraints) hits the cache with zero
-  // new work.
-  const auto second = JustifyState(circuit, {V3::k1, V3::kX, V3::kX}, {},
-                                   std::nullopt, &cache);
-  EXPECT_EQ(second.status, JustifyStatus::kJustified);
-  EXPECT_EQ(second.evaluations, 0);
 }
 
 TEST(Engine, JustificationStyleDetectsAndVerifies) {
