@@ -1,7 +1,8 @@
 #include "fault/collapse.h"
 
 #include <algorithm>
-#include <map>
+#include <cassert>
+#include <functional>
 #include <numeric>
 
 namespace retest::fault {
@@ -37,10 +38,11 @@ struct UnionFind {
 CollapsedFaults Collapse(const Circuit& circuit) {
   CollapsedFaults result;
   result.all = EnumerateFaults(circuit);
-  std::map<Fault, int> index;
-  for (size_t i = 0; i < result.all.size(); ++i) {
-    index.emplace(result.all[i], static_cast<int>(i));
-  }
+  // EnumerateFaults emits faults in strictly increasing Fault order
+  // (node, then pin with the stem's -1 first, then stuck-at value), so
+  // `all` is its own index: a binary search finds a fault's position.
+  assert(std::adjacent_find(result.all.begin(), result.all.end(),
+                            std::greater_equal<>()) == result.all.end());
   UnionFind classes(result.all.size());
 
   // The line a gate reads on pin `pin`: the branch if the driver fans
@@ -51,12 +53,15 @@ CollapsedFaults Collapse(const Circuit& circuit) {
     if (circuit.node(driver).fanout.size() >= 2) return Site{id, pin};
     return Site{driver, -1};
   };
+  auto index_of = [&](const Fault& fault) -> int {
+    auto it = std::lower_bound(result.all.begin(), result.all.end(), fault);
+    if (it == result.all.end() || *it != fault) return -1;
+    return static_cast<int>(it - result.all.begin());
+  };
   auto unite = [&](const Fault& a, const Fault& b) {
-    auto ia = index.find(a);
-    auto ib = index.find(b);
-    if (ia != index.end() && ib != index.end()) {
-      classes.Union(ia->second, ib->second);
-    }
+    const int ia = index_of(a);
+    const int ib = index_of(b);
+    if (ia >= 0 && ib >= 0) classes.Union(ia, ib);
   };
 
   for (NodeId id = 0; id < circuit.size(); ++id) {
@@ -102,12 +107,8 @@ CollapsedFaults Collapse(const Circuit& circuit) {
   for (size_t i = 0; i < result.all.size(); ++i) {
     if (is_rep[i]) result.representatives.push_back(result.all[i]);
   }
-  // Deterministic representative order, independent of how the
-  // union-find picked roots: sort by the Fault ordering itself
-  // (site.node, site.pin, stuck_at_1).  EnumerateFaults already emits
-  // in this order, so today this is a no-op pass — the sort makes the
-  // contract explicit rather than an accident of enumeration.
-  std::sort(result.representatives.begin(), result.representatives.end());
+  // `all` is sorted, so the representatives are too: in Fault order,
+  // independent of how the union-find picked roots.
   return result;
 }
 

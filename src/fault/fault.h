@@ -43,7 +43,8 @@ std::string ToString(const netlist::Circuit& circuit, const Site& site);
 /// two faults per line.  Lines are: the output of every node that
 /// drives at least one sink, plus every fanin pin whose driver net has
 /// two or more sinks (fanout branches).  Output-pin nodes observe their
-/// single fanin, so a PO line is the driver's stem or branch.
+/// single fanin, so a PO line is the driver's stem or branch.  Faults
+/// come in strictly increasing Fault order (Collapse relies on it).
 std::vector<Fault> EnumerateFaults(const netlist::Circuit& circuit);
 
 /// Converts a fault to the simulator's injection record for lane

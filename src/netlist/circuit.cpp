@@ -132,7 +132,8 @@ void Circuit::RebuildFanout() {
 std::string Circuit::FreshName(std::string_view stem) {
   std::string base(stem);
   if (!by_name_.contains(base)) return base;
-  for (int i = 0;; ++i) {
+  int& i = next_suffix_[base];
+  for (;; ++i) {
     std::string candidate = base + "_" + std::to_string(i);
     if (!by_name_.contains(candidate)) return candidate;
   }

@@ -119,7 +119,9 @@ class Circuit {
   /// after bulk surgery; Add/Rewire keep fanouts consistent already.
   void RebuildFanout();
 
-  /// Returns a fresh name not used by any node, derived from `stem`.
+  /// Returns a fresh name not used by any node, derived from `stem`:
+  /// `stem` itself if free, else `stem_<i>` for the smallest free i.
+  /// Calling it again without adding the name returns the same name.
   std::string FreshName(std::string_view stem);
 
  private:
@@ -129,6 +131,9 @@ class Circuit {
   std::vector<NodeId> outputs_;
   std::vector<NodeId> dffs_;
   std::unordered_map<std::string, NodeId> by_name_;
+  /// FreshName's scan start per stem: the suffix it last returned.
+  /// Names are never removed, so every lower suffix is still taken.
+  std::unordered_map<std::string, int> next_suffix_;
 };
 
 }  // namespace retest::netlist

@@ -54,30 +54,31 @@ bool Graph::IsLegal(const std::vector<int>& lags) const {
   return true;
 }
 
-int Graph::ClockPeriod(const std::vector<int>& lags) const {
-  // Longest-path DP over the zero-weight subgraph (must be acyclic in a
-  // legal synchronous circuit: every cycle carries a register).
-  std::vector<int> arrival(vertices.size(), -1);
-  std::vector<int> pending(vertices.size(), 0);
+bool Graph::Arrival(const std::vector<int>& lags,
+                    std::vector<int>& arrival) const {
+  // Longest-path DP in topological order over the zero-weight subgraph
+  // (acyclic in a legal synchronous circuit: every cycle carries a
+  // register).
+  const size_t n = vertices.size();
+  arrival.assign(n, 0);
+  std::vector<int> pending(n, 0);
   for (int e = 0; e < num_edges(); ++e) {
     if (RetimedWeight(e, lags) == 0) {
       ++pending[static_cast<size_t>(edges[static_cast<size_t>(e)].to)];
     }
   }
   std::vector<VertexId> ready;
-  for (size_t v = 0; v < vertices.size(); ++v) {
+  for (size_t v = 0; v < n; ++v) {
     if (pending[v] == 0) {
       ready.push_back(static_cast<VertexId>(v));
       arrival[v] = vertices[v].delay;
     }
   }
   size_t processed = 0;
-  int period = 0;
   while (!ready.empty()) {
     const VertexId v = ready.back();
     ready.pop_back();
     ++processed;
-    period = std::max(period, arrival[static_cast<size_t>(v)]);
     for (int e : out_edges[static_cast<size_t>(v)]) {
       if (RetimedWeight(e, lags) != 0) continue;
       const VertexId to = edges[static_cast<size_t>(e)].to;
@@ -88,10 +89,17 @@ int Graph::ClockPeriod(const std::vector<int>& lags) const {
       if (--pending[static_cast<size_t>(to)] == 0) ready.push_back(to);
     }
   }
-  if (processed != vertices.size()) {
+  return processed == n;
+}
+
+int Graph::ClockPeriod(const std::vector<int>& lags) const {
+  std::vector<int> arrival;
+  if (!Arrival(lags, arrival)) {
     throw std::runtime_error(
         "ClockPeriod: zero-weight cycle (illegal synchronous circuit)");
   }
+  int period = 0;
+  for (int a : arrival) period = std::max(period, a);
   return period;
 }
 

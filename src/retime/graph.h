@@ -86,6 +86,13 @@ struct Graph {
   /// Retimed weight of edge `index` under lags r.
   int RetimedWeight(int index, const std::vector<int>& lags) const;
 
+  /// Arrival times Delta(v): the longest combinational delay of a path
+  /// ending at v (inclusive of d(v)) over edges whose `lags`-retimed
+  /// weight is zero (pass empty lags for the as-built weights).
+  /// Returns false when that zero-weight subgraph has a cycle, which no
+  /// synchronous circuit has; `arrival` is then incomplete.
+  bool Arrival(const std::vector<int>& lags, std::vector<int>& arrival) const;
+
   /// Clock period: the maximum pure-combinational path delay when edge
   /// weights are taken as `lags`-retimed (pass empty lags for the
   /// as-built weights).

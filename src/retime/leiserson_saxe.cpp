@@ -1,81 +1,94 @@
 #include "retime/leiserson_saxe.h"
 
 #include <algorithm>
+#include <climits>
+#include <functional>
+#include <queue>
 #include <stdexcept>
+#include <utility>
+
+#include "core/metrics.h"
 
 namespace retest::retime {
 namespace {
 
-/// Computes Delta(v): the longest-path delay ending at v over edges
-/// with retimed weight zero.  Returns false if the zero-weight subgraph
-/// is cyclic (lags illegal as a synchronous circuit).
-bool ComputeArrival(const Graph& graph, const std::vector<int>& lags,
-                    std::vector<int>& arrival) {
-  const size_t n = graph.vertices.size();
-  arrival.assign(n, 0);
-  std::vector<int> pending(n, 0);
-  for (int e = 0; e < graph.num_edges(); ++e) {
-    if (graph.RetimedWeight(e, lags) == 0) {
-      ++pending[static_cast<size_t>(graph.edges[static_cast<size_t>(e)].to)];
-    }
-  }
-  std::vector<VertexId> ready;
-  for (size_t v = 0; v < n; ++v) {
-    if (pending[v] == 0) {
-      ready.push_back(static_cast<VertexId>(v));
-      arrival[v] = graph.vertices[v].delay;
-    }
-  }
-  size_t processed = 0;
-  while (!ready.empty()) {
-    const VertexId v = ready.back();
-    ready.pop_back();
-    ++processed;
-    for (int e : graph.out_edges[static_cast<size_t>(v)]) {
-      if (graph.RetimedWeight(e, lags) != 0) continue;
-      const VertexId to = graph.edges[static_cast<size_t>(e)].to;
-      arrival[static_cast<size_t>(to)] = std::max(
-          arrival[static_cast<size_t>(to)],
-          arrival[static_cast<size_t>(v)] +
-              graph.vertices[static_cast<size_t>(to)].delay);
-      if (--pending[static_cast<size_t>(to)] == 0) ready.push_back(to);
-    }
-  }
-  return processed == n;
+/// True for the vertices FEAS never moves: an I/O pin, or a dangling
+/// vertex with no registers to move across.  Their lags stay 0.
+bool Pinned(const Graph& graph, size_t v) {
+  const VertexKind kind = graph.vertices[v].kind;
+  return kind == VertexKind::kPi || kind == VertexKind::kPo ||
+         graph.out_edges[v].empty() || graph.in_edges[v].empty();
 }
 
-}  // namespace
+/// The fewest registers on any path from each vertex to a pinned
+/// vertex (a PO or a sink): a Dijkstra from the pinned vertices over
+/// in-edges, with the as-built edge weights as lengths.  INT_MAX where
+/// no pinned vertex is reachable.
+std::vector<int> LagBounds(const Graph& graph) {
+  const size_t n = graph.vertices.size();
+  std::vector<int> bound(n, INT_MAX);
+  using Entry = std::pair<int, VertexId>;  // (registers, vertex)
+  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> queue;
+  for (size_t v = 0; v < n; ++v) {
+    if (Pinned(graph, v)) {
+      bound[v] = 0;
+      queue.emplace(0, static_cast<VertexId>(v));
+    }
+  }
+  while (!queue.empty()) {
+    const auto [dist, v] = queue.top();
+    queue.pop();
+    if (dist > bound[static_cast<size_t>(v)]) continue;
+    for (int e : graph.in_edges[static_cast<size_t>(v)]) {
+      const Edge& edge = graph.edges[static_cast<size_t>(e)];
+      const int via = dist + edge.weight;
+      if (via < bound[static_cast<size_t>(edge.from)]) {
+        bound[static_cast<size_t>(edge.from)] = via;
+        queue.emplace(via, edge.from);
+      }
+    }
+  }
+  return bound;
+}
 
-std::optional<Retiming> Feasible(const Graph& graph, int phi) {
+/// FEAS with the early exit against `bound` (see Feasible()).
+std::optional<Retiming> Feas(const Graph& graph, int phi,
+                             const std::vector<int>& bound) {
+  RETEST_COUNTER_ADD("retime.feas.calls", "calls", "retime",
+                     "FEAS feasibility tests of one clock period", 1);
   const size_t n = graph.vertices.size();
   std::vector<int> lags(n, 0);
   std::vector<int> arrival;
-  // FEAS: |V| - 1 relaxation passes.
+  // FEAS: at most |V| - 1 relaxation passes.
   for (int pass = 0; pass < graph.num_vertices() - 1; ++pass) {
-    if (!ComputeArrival(graph, lags, arrival)) return std::nullopt;
+    RETEST_COUNTER_ADD("retime.feas.passes", "passes", "retime",
+                       "FEAS relaxation passes (one arrival DP each)", 1);
+    if (!graph.Arrival(lags, arrival)) return std::nullopt;
     bool changed = false;
     for (size_t v = 0; v < n; ++v) {
-      if (arrival[v] <= phi) continue;
-      const VertexKind kind = graph.vertices[v].kind;
-      if (kind == VertexKind::kPi || kind == VertexKind::kPo ||
-          graph.out_edges[v].empty() || graph.in_edges[v].empty()) {
-        // An I/O pin (or a dangling vertex) can never be retimed; a
-        // path ending here that is too long can only be shortened by
-        // retiming its predecessors, which FEAS will attempt on later
-        // passes -- do not increment.
-        continue;
-      }
-      ++lags[v];
+      // A path ending at a pinned vertex that is too long can only be
+      // shortened by retiming its predecessors, which FEAS attempts on
+      // later passes.
+      if (arrival[v] <= phi || Pinned(graph, v)) continue;
+      // Lags never decrease, so past the bound the final legality
+      // check is bound to fail.
+      if (++lags[v] > bound[v]) return std::nullopt;
       changed = true;
     }
     if (!changed) break;
   }
-  if (!ComputeArrival(graph, lags, arrival)) return std::nullopt;
+  if (!graph.Arrival(lags, arrival)) return std::nullopt;
   for (size_t v = 0; v < n; ++v) {
     if (arrival[v] > phi) return std::nullopt;
   }
   if (!graph.IsLegal(lags)) return std::nullopt;
   return Retiming{std::move(lags)};
+}
+
+}  // namespace
+
+std::optional<Retiming> Feasible(const Graph& graph, int phi) {
+  return Feas(graph, phi, LagBounds(graph));
 }
 
 MinPeriodResult MinimizePeriod(const Graph& graph) {
@@ -85,7 +98,8 @@ MinPeriodResult MinimizePeriod(const Graph& graph) {
   int lo = 0;
   for (const Vertex& vertex : graph.vertices) lo = std::max(lo, vertex.delay);
   int hi = result.original_period;
-  std::optional<Retiming> best = Feasible(graph, hi);
+  const std::vector<int> bound = LagBounds(graph);
+  std::optional<Retiming> best = Feas(graph, hi, bound);
   if (!best) {
     // The as-built weights achieve `hi`, so this cannot happen.
     throw std::runtime_error("MinimizePeriod: original period infeasible");
@@ -93,7 +107,7 @@ MinPeriodResult MinimizePeriod(const Graph& graph) {
   int best_phi = hi;
   while (lo < best_phi) {
     const int mid = lo + (best_phi - lo) / 2;
-    if (auto r = Feasible(graph, mid)) {
+    if (auto r = Feas(graph, mid, bound)) {
       best = std::move(r);
       best_phi = mid;
     } else {

@@ -12,6 +12,7 @@
 #include "analyze/lint.h"
 #include "analyze/scoap.h"
 #include "bench/experiments.h"
+#include "core/crc32.h"
 #include "core/preserve.h"
 #include "netlist/bench_io.h"
 #include "netlist/builder.h"
@@ -379,6 +380,45 @@ TEST(CertifyTest, CertifiesAllTable2Variants) {
         prepared.original, prepared.retimed, result.certificate);
     EXPECT_TRUE(verify.certified)
         << variant.fsm << ":\n" << verify.diagnostics.ToString();
+  }
+}
+
+// Circuit preparation is pinned byte for byte: the synthesized and
+// retimed netlists and the FEAS and final lags of three Table II rows,
+// recorded before FEAS gained its early exit and FreshName its
+// per-stem scan start.
+TEST(PreparationTest, Table2NetlistsAndLagsArePinned) {
+  struct Pin {
+    bench::Variant variant;
+    std::uint32_t original, retimed, min_period_lags, lags;
+  };
+  using synth::EncodingStyle;
+  using synth::ScriptStyle;
+  const Pin pins[] = {
+      {{"dk16", EncodingStyle::kInputDominant, ScriptStyle::kDelay},
+       2998343926u, 1154241616u, 2030311573u, 3802223866u},
+      {{"s510", EncodingStyle::kCombined, ScriptStyle::kDelay},
+       2919791750u, 4043743518u, 4084720940u, 1853359194u},
+      {{"scf", EncodingStyle::kInputDominant, ScriptStyle::kDelay},
+       2329760356u, 2152839089u, 1979793444u, 3630813621u},
+  };
+  auto lags_crc = [](const std::vector<int>& lags) {
+    std::string text;
+    for (int lag : lags) text += std::to_string(lag) + ",";
+    return core::Crc32(text);
+  };
+  for (const Pin& pin : pins) {
+    const auto prepared = bench::PrepareVariant(pin.variant);
+    const auto min_period = retime::MinimizePeriod(prepared.build.graph);
+    EXPECT_EQ(core::Crc32(netlist::WriteBenchString(prepared.original)),
+              pin.original)
+        << pin.variant.fsm;
+    EXPECT_EQ(core::Crc32(netlist::WriteBenchString(prepared.retimed)),
+              pin.retimed)
+        << pin.variant.fsm;
+    EXPECT_EQ(lags_crc(min_period.retiming.lags), pin.min_period_lags)
+        << pin.variant.fsm;
+    EXPECT_EQ(lags_crc(prepared.retiming.lags), pin.lags) << pin.variant.fsm;
   }
 }
 

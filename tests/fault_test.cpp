@@ -1,12 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <map>
+#include <numeric>
 
 #include "fault/collapse.h"
 #include "fault/correspondence.h"
 #include "fault/fault.h"
 #include "netlist/builder.h"
 #include "tests/paper_circuits.h"
+#include "tests/random_circuits.h"
 
 namespace retest::fault {
 namespace {
@@ -127,6 +131,104 @@ TEST(Collapse, BranchFaultsCollapseIntoGates) {
   EXPECT_EQ(class_of(branch_g2_sa1), class_of(g2_sa1));
   const Fault stem_a_sa0{{circuit.Find("a"), -1}, false};
   EXPECT_NE(class_of(stem_a_sa0), class_of(g1_sa0));
+}
+
+/// Collapse as it was built on a std::map index: the oracle for the
+/// binary search over `all`.
+CollapsedFaults ReferenceCollapse(const Circuit& circuit) {
+  CollapsedFaults result;
+  result.all = EnumerateFaults(circuit);
+  std::map<Fault, int> index;
+  for (size_t i = 0; i < result.all.size(); ++i) {
+    index.emplace(result.all[i], static_cast<int>(i));
+  }
+  std::vector<int> parent(result.all.size());
+  std::iota(parent.begin(), parent.end(), 0);
+  std::function<int(int)> find = [&](int x) {
+    return parent[static_cast<size_t>(x)] == x
+               ? x
+               : find(parent[static_cast<size_t>(x)]);
+  };
+  auto unite = [&](const Fault& a, const Fault& b) {
+    auto ia = index.find(a);
+    auto ib = index.find(b);
+    if (ia == index.end() || ib == index.end()) return;
+    const int ra = find(ia->second), rb = find(ib->second);
+    parent[static_cast<size_t>(std::max(ra, rb))] = std::min(ra, rb);
+  };
+  auto input_line = [&](netlist::NodeId id, int pin) -> Site {
+    const netlist::NodeId driver =
+        circuit.node(id).fanin[static_cast<size_t>(pin)];
+    if (circuit.node(driver).fanout.size() >= 2) return Site{id, pin};
+    return Site{driver, -1};
+  };
+  for (netlist::NodeId id = 0; id < circuit.size(); ++id) {
+    const auto& node = circuit.node(id);
+    const Site out{id, -1};
+    const int pins = static_cast<int>(node.fanin.size());
+    switch (node.kind) {
+      case NodeKind::kAnd:
+      case NodeKind::kNand:
+        for (int pin = 0; pin < pins; ++pin) {
+          unite({input_line(id, pin), false},
+                {out, node.kind == NodeKind::kNand});
+        }
+        break;
+      case NodeKind::kOr:
+      case NodeKind::kNor:
+        for (int pin = 0; pin < pins; ++pin) {
+          unite({input_line(id, pin), true},
+                {out, node.kind != NodeKind::kNor});
+        }
+        break;
+      case NodeKind::kBuf:
+      case NodeKind::kNot:
+        for (bool value : {false, true}) {
+          unite({input_line(id, 0), value},
+                {out, node.kind == NodeKind::kNot ? !value : value});
+        }
+        break;
+      default:
+        break;
+    }
+  }
+  for (size_t i = 0; i < result.all.size(); ++i) {
+    result.class_of.push_back(find(static_cast<int>(i)));
+    if (result.class_of.back() == static_cast<int>(i)) {
+      result.representatives.push_back(result.all[i]);
+    }
+  }
+  std::sort(result.representatives.begin(), result.representatives.end());
+  return result;
+}
+
+TEST(Collapse, MatchesMapIndexedReferenceOnRandomCircuits) {
+  for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+    Circuit circuit = testing::MakeRandomCircuit(
+        seed, {3 + static_cast<int>(seed % 3), 2 + static_cast<int>(seed % 5),
+               10 + static_cast<int>(seed % 40)});
+    // On odd seeds, a dangling gate: its output line has no fault, so
+    // the rules' lookups of that line must miss.
+    if (seed % 2 == 1) {
+      const netlist::NodeId a = circuit.inputs()[0];
+      if (seed % 4 == 1) {
+        circuit.Add(NodeKind::kNand, "dangle", {a, circuit.inputs()[1]});
+      } else {
+        circuit.Add(NodeKind::kNot, "dangle", {a});
+      }
+    }
+    const CollapsedFaults actual = Collapse(circuit);
+    const CollapsedFaults expected = ReferenceCollapse(circuit);
+    // Collapse's binary search relies on strictly increasing order.
+    EXPECT_TRUE(std::adjacent_find(actual.all.begin(), actual.all.end(),
+                                   std::greater_equal<>()) ==
+                actual.all.end())
+        << "seed " << seed;
+    EXPECT_EQ(actual.all, expected.all) << "seed " << seed;
+    EXPECT_EQ(actual.class_of, expected.class_of) << "seed " << seed;
+    EXPECT_EQ(actual.representatives, expected.representatives)
+        << "seed " << seed;
+  }
 }
 
 TEST(Correspondence, IdentityRetimingIsIdentity) {

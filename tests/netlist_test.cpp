@@ -65,6 +65,28 @@ TEST(Circuit, FreshNameAvoidsCollisions) {
   EXPECT_EQ(circuit.FreshName("fresh"), "fresh");
 }
 
+TEST(Circuit, FreshNameFillsGapsInSuffixOrder) {
+  Circuit circuit("c");
+  circuit.Add(NodeKind::kInput, "g");
+  circuit.Add(NodeKind::kInput, "g_0");
+  circuit.Add(NodeKind::kInput, "g_2");
+  std::vector<std::string> added;
+  for (int i = 0; i < 3; ++i) {
+    const std::string name = circuit.FreshName("g");
+    // A name that is not added yet is handed out again.
+    EXPECT_EQ(circuit.FreshName("g"), name);
+    circuit.Add(NodeKind::kInput, name);
+    added.push_back(name);
+  }
+  EXPECT_EQ(added, (std::vector<std::string>{"g_1", "g_3", "g_4"}));
+  // A copy keeps handing out names the copy has not used.
+  Circuit copy = circuit;
+  EXPECT_EQ(copy.FreshName("g"), "g_5");
+  copy.Add(NodeKind::kInput, "g_5");
+  EXPECT_EQ(copy.FreshName("g"), "g_6");
+  EXPECT_EQ(circuit.FreshName("g"), "g_5");
+}
+
 TEST(Circuit, RebuildFanout) {
   Circuit circuit("c");
   const NodeId a = circuit.Add(NodeKind::kInput, "a");

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+
+#include "core/metrics.h"
 #include "netlist/builder.h"
 #include "netlist/check.h"
 #include "retime/apply.h"
@@ -10,6 +14,7 @@
 #include "retime/moves.h"
 #include "sim/simulator.h"
 #include "tests/paper_circuits.h"
+#include "tests/random_circuits.h"
 
 namespace retest::retime {
 namespace {
@@ -112,6 +117,134 @@ TEST(MinPeriod, FeasibleMatchesClockPeriod) {
   const BuildResult build = BuildGraph(Pipeline());
   EXPECT_TRUE(Feasible(build.graph, 3).has_value());
   EXPECT_FALSE(Feasible(build.graph, 0).has_value());
+}
+
+/// FEAS as it ran before the early exit: |V| - 1 relaxation passes on
+/// an infeasible period, with its own arrival DP.  The oracle for
+/// Feasible().
+std::optional<std::vector<int>> ReferenceFeas(const Graph& graph, int phi) {
+  const size_t n = graph.vertices.size();
+  auto arrival_of = [&](const std::vector<int>& lags,
+                        std::vector<int>& arrival) {
+    arrival.assign(n, 0);
+    std::vector<int> pending(n, 0);
+    for (int e = 0; e < graph.num_edges(); ++e) {
+      if (graph.RetimedWeight(e, lags) == 0) {
+        ++pending[static_cast<size_t>(graph.edges[static_cast<size_t>(e)].to)];
+      }
+    }
+    std::vector<VertexId> ready;
+    for (size_t v = 0; v < n; ++v) {
+      if (pending[v] == 0) {
+        ready.push_back(static_cast<VertexId>(v));
+        arrival[v] = graph.vertices[v].delay;
+      }
+    }
+    size_t processed = 0;
+    while (!ready.empty()) {
+      const auto v = static_cast<size_t>(ready.back());
+      ready.pop_back();
+      ++processed;
+      for (int e : graph.out_edges[v]) {
+        if (graph.RetimedWeight(e, lags) != 0) continue;
+        const auto to =
+            static_cast<size_t>(graph.edges[static_cast<size_t>(e)].to);
+        arrival[to] =
+            std::max(arrival[to], arrival[v] + graph.vertices[to].delay);
+        if (--pending[to] == 0) ready.push_back(static_cast<VertexId>(to));
+      }
+    }
+    return processed == n;
+  };
+  std::vector<int> lags(n, 0);
+  std::vector<int> arrival;
+  for (int pass = 0; pass < graph.num_vertices() - 1; ++pass) {
+    if (!arrival_of(lags, arrival)) return std::nullopt;
+    bool changed = false;
+    for (size_t v = 0; v < n; ++v) {
+      const VertexKind kind = graph.vertices[v].kind;
+      if (arrival[v] <= phi || kind == VertexKind::kPi ||
+          kind == VertexKind::kPo || graph.out_edges[v].empty() ||
+          graph.in_edges[v].empty()) {
+        continue;
+      }
+      ++lags[v];
+      changed = true;
+    }
+    if (!changed) break;
+  }
+  if (!arrival_of(lags, arrival)) return std::nullopt;
+  for (size_t v = 0; v < n; ++v) {
+    if (arrival[v] > phi) return std::nullopt;
+  }
+  if (!graph.IsLegal(lags)) return std::nullopt;
+  return lags;
+}
+
+// The early exit only cuts infeasible runs short: at every period,
+// Feasible() returns exactly the reference's lags (or nullopt).
+TEST(MinPeriod, FeasibleMatchesFullRelaxationOnRandomCircuits) {
+  const testing::RandomCircuitOptions shapes[] = {{3, 3, 10}, {4, 6, 40}};
+  int feasible = 0, infeasible = 0;
+  for (const auto& shape : shapes) {
+    for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+      for (DelayModel model : {DelayModel::kUnit, DelayModel::kFaninCount}) {
+        const BuildResult build =
+            BuildGraph(testing::MakeRandomCircuit(seed, shape), model);
+        const Graph& graph = build.graph;
+        const int original = graph.ClockPeriod();
+        for (int phi = 0; phi <= original; ++phi) {
+          const auto expected = ReferenceFeas(graph, phi);
+          const auto actual = Feasible(graph, phi);
+          ASSERT_EQ(actual.has_value(), expected.has_value())
+              << "seed " << seed << " phi " << phi;
+          if (expected) {
+            EXPECT_EQ(actual->lags, *expected) << "seed " << seed;
+            ++feasible;
+          } else {
+            ++infeasible;
+          }
+        }
+        const MinPeriodResult min = MinimizePeriod(graph);
+        ASSERT_TRUE(ReferenceFeas(graph, min.period).has_value());
+        EXPECT_EQ(min.retiming.lags, *ReferenceFeas(graph, min.period));
+        if (min.period > 0) {
+          EXPECT_FALSE(ReferenceFeas(graph, min.period - 1).has_value());
+        }
+      }
+    }
+  }
+  EXPECT_GT(feasible, 0);
+  EXPECT_GT(infeasible, 0);
+}
+
+#if RETEST_METRICS
+// Below the largest gate delay no retiming helps; the old loop ran all
+// |V| - 1 passes to find that out, the early exit stops once a lag
+// passes its path register bound (at most the register count).
+TEST(MinPeriod, InfeasiblePeriodStopsEarly) {
+  const Circuit circuit = testing::MakeRandomCircuit(7, {4, 6, 40});
+  const BuildResult build = BuildGraph(circuit, DelayModel::kFaninCount);
+  auto passes = [] {
+    for (const auto& counter : core::metrics::Collect().counters) {
+      if (counter.name == "retime.feas.passes") return counter.value;
+    }
+    return 0L;
+  };
+  const long before = passes();
+  EXPECT_FALSE(Feasible(build.graph, 1).has_value());
+  EXPECT_LE(passes() - before, circuit.num_dffs() + 1);
+  EXPECT_GT(build.graph.num_vertices() - 1, circuit.num_dffs() + 1);
+}
+#endif
+
+TEST(Graph, ArrivalIsTheLongestZeroWeightPath) {
+  const BuildResult build = BuildGraph(Pipeline());
+  std::vector<int> arrival;
+  ASSERT_TRUE(build.graph.Arrival({}, arrival));
+  EXPECT_EQ(*std::max_element(arrival.begin(), arrival.end()),
+            build.graph.ClockPeriod());
+  EXPECT_EQ(arrival[static_cast<size_t>(FindVertex(build.graph, "g4"))], 3);
 }
 
 TEST(MinReg, RecoversSharedRegisters) {
