@@ -1,7 +1,6 @@
 // Ablation: wall time of the PROOFS-style parallel fault simulator
-// versus the serial reference, the cost of turning fault dropping off,
-// and the good-machine simulation alone, on the first Table II
-// circuit.  Prints best-of-reps ms per configuration and faults per
+// versus the serial reference and the good-machine simulation alone,
+// on the first Table II circuit.  Prints best-of-reps ms per configuration and faults per
 // second.
 #include <cstdio>
 #include <functional>
@@ -21,18 +20,12 @@ int main() {
   const sim::InputSequence sequence = bench::RandomSequence(circuit, 64, 42);
   constexpr int kReps = 5;
 
-  faultsim::ProofsOptions no_dropping;
-  no_dropping.drop_detected = false;
   const struct {
     const char* name;
     std::function<void()> run;
   } configs[] = {
       {"serial", [&] { faultsim::SimulateSerial(circuit, faults, sequence); }},
       {"proofs", [&] { faultsim::SimulateProofs(circuit, faults, sequence); }},
-      {"proofs_no_dropping",
-       [&] {
-         faultsim::SimulateProofs(circuit, faults, sequence, no_dropping);
-       }},
       {"good_simulation",
        [&] {
          sim::Simulator simulator(circuit);

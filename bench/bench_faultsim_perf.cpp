@@ -1,13 +1,12 @@
 // Fault-simulation wall-clock harness.
 //
 // Times PROOFS on the Table III circuits (original and retimed
-// stand-in machines) in the four engine configurations a caller can
-// pick — full evaluation or cone restriction, at one thread or the
-// default thread count — plus the scalar serial reference on a capped
-// fault subset.  Every configuration runs the whole collapsed fault
-// list, so it takes the 512-lane path; one more run splits the list
-// into 64-fault chunks, the 64-lane path, so both lane widths enter
-// the equivalence verdict.  Emits BENCH_faultsim.json into the current
+// stand-in machines) at one thread and at the default thread count,
+// plus the scalar serial reference on a capped fault subset.  Both
+// thread counts run the whole collapsed fault list, so they take the
+// 512-lane path; one more run splits the list into 64-fault chunks,
+// the 64-lane path, so both lane widths enter the equivalence
+// verdict.  Emits BENCH_faultsim.json into the current
 // directory: per row the wall ms of each configuration first, then the
 // work counters, with the host's CPU count and ISA.  Every engine must
 // agree on every detection before anything is reported.
@@ -100,9 +99,9 @@ int CountDetected(const std::vector<faultsim::Detection>& detections) {
 
 // The configurations, in JSON and table order; the last one runs in
 // 64-fault chunks.
-constexpr const char* kConfigs[] = {"full_1t", "full_nt", "cone_1t",
-                                    "cone_nt", "cone_1t_64chunks"};
-constexpr int kNumConfigs = 5;
+constexpr const char* kConfigs[] = {"cone_1t", "cone_nt",
+                                    "cone_1t_64chunks"};
+constexpr int kNumConfigs = 3;
 constexpr int kChunked = kNumConfigs - 1;
 
 struct Row {
@@ -190,13 +189,9 @@ int main(int argc, char** argv) {
   std::printf("\n");
 
   faultsim::ProofsOptions options[kNumConfigs];
-  options[0].cone_restricted = false;
   options[0].num_threads = 1;
-  options[1] = options[0];
   options[1].num_threads = 0;  // default / REPRO_THREADS
-  options[2].num_threads = 1;
-  options[3].num_threads = 0;
-  options[kChunked] = options[2];
+  options[kChunked] = options[0];
 
   std::vector<Row> rows;
   bool all_equivalent = true;
@@ -240,7 +235,7 @@ int main(int argc, char** argv) {
                                       reps);
       }
 
-      // Engine equivalence: every configuration and both lane widths
+      // Engine equivalence: both thread counts and both lane widths
       // agree everywhere, and the serial reference agrees on its subset.
       const auto& reference = row.runs[0].detections;
       for (const EngineRun& run : row.runs) {

@@ -124,7 +124,7 @@ AtpgResult RunAtpg(const netlist::Circuit& circuit,
 
   /// Fault-simulates `sequence` over the remaining universe, marks the
   /// detected faults, and returns their global indices.
-  auto drop_detected =
+  auto retire_detected =
       [&](const InputSequence& sequence) -> std::vector<size_t> {
     std::vector<fault::Fault> targets;
     targets.reserve(remaining.size());
@@ -313,7 +313,7 @@ AtpgResult RunAtpg(const netlist::Circuit& circuit,
           RandomSequence(rng, circuit.num_inputs(), sequence_length);
       RETEST_COUNTER_ADD("atpg.random.sequences", "sequences", "atpg",
                          "candidate sequences tried by the random phase", 1);
-      const std::vector<size_t> newly = drop_detected(sequence);
+      const std::vector<size_t> newly = retire_detected(sequence);
       ++rounds_done;
       if (!newly.empty()) {
         RETEST_COUNTER_ADD("atpg.random.sequences_kept", "sequences", "atpg",

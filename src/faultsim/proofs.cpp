@@ -58,27 +58,29 @@ std::vector<size_t> BatchOrder(const netlist::Circuit& circuit,
 }
 
 /// Per-worker reusable scratch: one frame evaluator and state vector,
-/// plus local work counters merged after the parallel loop.
+/// plus local work counters merged after the parallel loop.  Each
+/// starts on its own cache line: a frame writes its tail (gate counter,
+/// fanin scratch) and reads its head on every gate evaluation, so
+/// neighbours sharing a line would false-share whenever the vector
+/// happens to land that way on the heap.
 template <int W>
-struct WorkerScratch {
+struct alignas(64) WorkerScratch {
   std::optional<sim::WideFrame<W>> frame;
   std::vector<Vec3<W>> state;
   long frames_evaluated = 0;
 };
 
 /// The batch loop at one lane width.  All batches evaluate the shared
-/// compiled netlist and (in cone mode) the shared good-machine trace;
-/// detections land in `result.detections` at input positions, so the
-/// outcome is independent of batching, threading and W.
+/// compiled netlist and the shared good-machine trace; detections land
+/// in `result.detections` at input positions, so the outcome is
+/// independent of batching, threading and W.
 template <int W>
 void RunBatches(const netlist::Circuit& circuit,
                 std::span<const fault::Fault> faults,
-                const sim::InputSequence& sequence,
                 const ProofsOptions& options,
                 const std::shared_ptr<const sim::CompiledNetlist>& compiled,
-                const sim::Trace* trace,
-                const std::vector<std::vector<V3>>& good_outputs,
-                const std::vector<size_t>& order, ProofsResult& result) {
+                const sim::Trace& trace, const std::vector<size_t>& order,
+                ProofsResult& result) {
   constexpr int kLanes = Vec3<W>::kLanes;
 
   const size_t num_batches =
@@ -111,35 +113,27 @@ void RunBatches(const netlist::Circuit& circuit,
           faults[order[base + static_cast<size_t>(lane)]], lane));
     }
     frame.SetInjections(injections);
-    if (options.cone_restricted) {
-      frame.RestrictToInjectionCones();
-      RETEST_DIST_RECORD(
-          "faultsim.cone_activity_ratio", "ratio", "faultsim",
-          "batch activity-mask size / circuit size",
-          static_cast<double>(frame.cone_size()) /
-              static_cast<double>(std::max(1, circuit.size())));
-    }
+    RETEST_DIST_RECORD("faultsim.cone_activity_ratio", "ratio", "faultsim",
+                       "batch activity-mask size / circuit size",
+                       static_cast<double>(frame.cone_size()) /
+                           static_cast<double>(std::max(1, circuit.size())));
 
     ws.state.assign(num_dffs, Vec3<W>{});  // all-X initial state
     const LaneMask<W> lane_mask = LaneMask<W>::FirstN(lanes);
     LaneMask<W> undetected = lane_mask;
 
     long batch_frames = 0;
-    for (size_t t = 0; t < sequence.size(); ++t) {
-      if (options.cone_restricted) {
-        frame.Step(sequence[t], ws.state, trace->frame(t));
-      } else {
-        frame.Step(sequence[t], ws.state);
-      }
+    for (size_t t = 0; t < trace.num_frames(); ++t) {
+      frame.Step(ws.state, trace.frame(t));
       ++batch_frames;
       const LaneMask<W> before = undetected;
       for (int o : frame.active_outputs()) {
         const netlist::NodeId out_node =
             circuit.outputs()[static_cast<size_t>(o)];
-        // Event-driven mode only computes dirty words; a clean output
-        // matches the good machine in every lane, so nothing to scan.
-        if (options.cone_restricted && !frame.dirty(out_node)) continue;
-        const V3 g = good_outputs[t][static_cast<size_t>(o)];
+        // Step only computes dirty words; a clean output matches the
+        // good machine in every lane, so nothing to scan.
+        if (!frame.dirty(out_node)) continue;
+        const V3 g = trace.outputs()[t][static_cast<size_t>(o)];
         if (g == V3::kX) continue;
         const Vec3<W>& w = frame.value(out_node);
         for (int k = 0; k < W; ++k) {
@@ -160,15 +154,11 @@ void RunBatches(const netlist::Circuit& circuit,
           }
         }
       }
-      if (options.drop_detected) {
-        if (!undetected.any()) break;
-        // PROOFS fault dropping: retire detected lanes so they stop
-        // generating events inside the cone.
-        const LaneMask<W> dropped = before & ~undetected;
-        if (dropped.any() && options.cone_restricted) {
-          frame.DropLanes(dropped);
-        }
-      }
+      if (!undetected.any()) break;
+      // PROOFS fault dropping: retire detected lanes so they stop
+      // generating events inside the cone.
+      const LaneMask<W> dropped = before & ~undetected;
+      if (dropped.any()) frame.DropLanes(dropped);
     }
 
     ws.frames_evaluated += batch_frames;
@@ -180,11 +170,9 @@ void RunBatches(const netlist::Circuit& circuit,
     RETEST_COUNTER_ADD("faultsim.faults_detected", "faults", "faultsim",
                        "faults detected by PROOFS",
                        (lane_mask & ~undetected).count());
-    if (options.drop_detected) {
-      RETEST_DIST_RECORD("faultsim.dropped_per_batch", "faults", "faultsim",
-                         "faults dropped (detected) per batch",
-                         (lane_mask & ~undetected).count());
-    }
+    RETEST_DIST_RECORD("faultsim.dropped_per_batch", "faults", "faultsim",
+                       "faults dropped (detected) per batch",
+                       (lane_mask & ~undetected).count());
   });
 
   for (const WorkerScratch<W>& ws : scratch) {
@@ -210,35 +198,21 @@ ProofsResult SimulateProofs(const netlist::Circuit& circuit,
                      "faults handed to SimulateProofs",
                      static_cast<long>(faults.size()));
 
-  // Good-machine responses once, shared read-only by every batch.  The
-  // cone-restricted mode needs the full per-node trace (non-cone values
-  // are seeded from it); full evaluation only needs the PO responses.
-  std::optional<sim::Trace> trace;
-  std::vector<std::vector<V3>> good_po;
-  {
+  // The good machine's per-node trace once, shared read-only by every
+  // batch: non-cone values are seeded from it.
+  const sim::Trace trace = [&] {
     RETEST_TRACE_SPAN(good_span, "faultsim.good_trace");
-    if (options.cone_restricted) {
-      trace.emplace(circuit, sequence);
-    } else {
-      sim::Simulator good(circuit);
-      good.Reset();
-      good_po = good.Run(sequence);
-    }
-  }
-  const auto& good_outputs =
-      options.cone_restricted ? trace->outputs() : good_po;
+    return sim::Trace(circuit, sequence);
+  }();
 
   const std::vector<size_t> order = BatchOrder(circuit, faults);
   const std::shared_ptr<const sim::CompiledNetlist> compiled =
       sim::Compile(circuit);
-  const sim::Trace* good_trace = trace ? &*trace : nullptr;
   if (LaneWordsFor(faults.size()) == 1) {
-    RunBatches<1>(circuit, faults, sequence, options, compiled, good_trace,
-                  good_outputs, order, result);
+    RunBatches<1>(circuit, faults, options, compiled, trace, order, result);
   } else {
-    RunBatches<sim::kWideLaneWords>(circuit, faults, sequence, options,
-                                    compiled, good_trace, good_outputs,
-                                    order, result);
+    RunBatches<sim::kWideLaneWords>(circuit, faults, options, compiled,
+                                    trace, order, result);
   }
   RETEST_COUNTER_ADD("faultsim.gate_evals", "node-evals", "faultsim",
                      "lane-wide node evaluations performed",

@@ -5,12 +5,13 @@
 // paper's Section V.C experiments used).  The lane width follows one
 // rule on the run's input: a run that batches at most 64 faults uses
 // W=1 (one 64-lane word), every larger run W=8 (512 faults per pass;
-// sim/simd.h, docs/ARCHITECTURE.md).  Faults are dropped from further
-// work once detected; each faulty machine keeps its own DFF state
-// across the whole sequence.
+// sim/simd.h, docs/ARCHITECTURE.md).  Each faulty machine keeps its
+// own DFF state across the whole sequence.
 //
-// Two PROOFS insights drive the performance of the default
-// configuration:
+// The simulator has one configuration, built on PROOFS' two key ideas
+// and on batch locality:
+//  - fault dropping: a detected fault's lane is retired at once, and a
+//    batch stops as soon as all its faults are detected;
 //  - cone restriction: a fault can only perturb values inside the
 //    structural fanout cone of its site (transitive through DFFs), so
 //    each fault batch evaluates only the union of its cones and seeds
@@ -34,12 +35,12 @@
 //    (it shares no mutable state between runs), and each run's workers
 //    share only the immutable good-machine trace and compiled netlist;
 //    all per-batch scratch is worker-owned and merged by batch index.
-//  - Detections are a pure function of (circuit, faults, sequence,
-//    drop_detected/cone_restricted): bit-identical at any num_threads
-//    AND either lane width (so a run equals the concatenation of its
-//    runs over 64-fault chunks).  frames_evaluated and gate_evals are
-//    a pure function of the same inputs: invariant across thread
-//    counts and independent of the host.  Tier-1 tests and the
+//  - Detections are a pure function of (circuit, faults, sequence):
+//    bit-identical at any num_threads AND either lane width (so a run
+//    equals the concatenation of its runs over 64-fault chunks).
+//    frames_evaluated and gate_evals are a pure function of the same
+//    inputs: invariant across thread counts and independent of the
+//    host.  Tier-1 tests and the
 //    bench_faultsim_perf exit code enforce this.
 //  - Instrumentation (faultsim.* metrics, faultsim.* trace spans; see
 //    docs/METRICS.md) is observational only and never alters results.
@@ -54,13 +55,8 @@
 
 namespace retest::faultsim {
 
-/// Knobs for the parallel fault simulator.
+/// Options for the parallel fault simulator: only its thread count.
 struct ProofsOptions {
-  /// Stop simulating a fault group once all its faults are detected.
-  bool drop_detected = true;
-  /// Evaluate only the union of the batch's fault cones per frame,
-  /// seeding non-cone values from the good-machine trace.
-  bool cone_restricted = true;
   /// Worker threads for independent fault batches.  <= 0 means
   /// core::ThreadPool::DefaultThreadCount() (the REPRO_THREADS env var
   /// when set, else hardware concurrency).
@@ -76,8 +72,8 @@ struct ProofsResult {
   /// measure; each frame covers `lanes` machines).
   long frames_evaluated = 0;
   /// Total node evaluations across all frames (deterministic work
-  /// measure; cone restriction shrinks this, threading does not; each
-  /// evaluation covers `lanes` machines).
+  /// measure, unchanged by threading; each evaluation covers `lanes`
+  /// machines).
   long gate_evals = 0;
   /// Threads the run actually used.
   int threads_used = 1;

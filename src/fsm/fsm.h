@@ -16,7 +16,7 @@ struct Transition {
   std::string output;
 };
 
-/// A symbolic FSM, as read from a KISS2 file.
+/// A symbolic FSM with KISS2 semantics.
 struct Fsm {
   std::string name;
   int num_inputs = 0;

@@ -1,7 +1,6 @@
 #include "sim/parallel.h"
 
 #include <algorithm>
-#include <numeric>
 #include <stdexcept>
 
 #include "core/metrics.h"
@@ -73,13 +72,10 @@ WideFrame<W>::WideFrame(std::shared_ptr<const CompiledNetlist> compiled)
     : compiled_(std::move(compiled)),
       values_(static_cast<size_t>(compiled_->num_nodes())),
       by_node_(static_cast<size_t>(compiled_->num_nodes())),
-      in_cone_(static_cast<size_t>(compiled_->num_nodes()), 0) {
-  all_outputs_.resize(compiled_->outputs().size());
-  std::iota(all_outputs_.begin(), all_outputs_.end(), 0);
-  active_outputs_ = all_outputs_;
-  scheduled_.assign(static_cast<size_t>(compiled_->num_nodes()), 0);
-  buckets_.resize(static_cast<size_t>(compiled_->depth()) + 1);
-}
+      in_cone_(static_cast<size_t>(compiled_->num_nodes()), 0),
+      dirty_(static_cast<size_t>(compiled_->num_nodes()), 0),
+      scheduled_(static_cast<size_t>(compiled_->num_nodes()), 0),
+      buckets_(static_cast<size_t>(compiled_->depth()) + 1) {}
 
 template <int W>
 void WideFrame<W>::SetInjections(std::span<const Injection> injections) {
@@ -94,13 +90,7 @@ void WideFrame<W>::SetInjections(std::span<const Injection> injections) {
     }
     list.push_back(inj);
   }
-  cone_mode_ = false;
-  cone_size_ = 0;
-  active_outputs_ = all_outputs_;
-}
 
-template <int W>
-void WideFrame<W>::RestrictToInjectionCones() {
   in_cone_.assign(in_cone_.size(), 0);
   dirty_.assign(in_cone_.size(), 0);
   dirty_list_.clear();
@@ -151,139 +141,19 @@ void WideFrame<W>::RestrictToInjectionCones() {
   for (size_t o = 0; o < outputs.size(); ++o) {
     if (in_cone_[outputs[o]]) active_outputs_.push_back(static_cast<int>(o));
   }
-  cone_mode_ = true;
   RETEST_COUNTER_ADD("sim.cone_restrictions", "calls", "sim",
-                     "RestrictToInjectionCones invocations", 1);
+                     "fault batches armed (SetInjections)", 1);
   RETEST_DIST_RECORD("sim.cone_size", "nodes", "sim",
-                     "activity-mask size (nodes) per restriction",
+                     "activity-mask size (nodes) per fault batch",
                      cone_size_);
 }
 
 template <int W>
-void WideFrame<W>::SeedSources(std::span<const V3> inputs) {
-  const auto pis = compiled_->inputs();
-  for (size_t i = 0; i < pis.size(); ++i) {
-    values_[pis[i]] = Vec3<W>::Broadcast(inputs[i]);
-  }
-  // Constants are sources in the compiled schedule: seeded once per
-  // frame, never evaluated.
-  for (std::uint32_t id = 0;
-       id < static_cast<std::uint32_t>(compiled_->num_nodes()); ++id) {
-    const NodeKind kind = compiled_->kind(id);
-    if (kind == NodeKind::kConst0) values_[id] = Vec3<W>::Broadcast(V3::k0);
-    if (kind == NodeKind::kConst1) values_[id] = Vec3<W>::Broadcast(V3::k1);
-  }
-  // Output-stem injections on sources must be applied up front.
-  for (std::uint32_t id : touched_nodes_) {
-    if (!IsSource(compiled_->kind(id))) continue;
-    for (const Injection& inj : by_node_[id]) {
-      if (inj.pin < 0) values_[id].SetLane(inj.lane, inj.value);
-    }
-  }
-}
-
-template <int W>
-Vec3<W> WideFrame<W>::EvalFromValues(std::uint32_t id) const {
-  const auto fanin = compiled_->fanins(id);
-  const Vec3<W>* v = values_.data();
-  switch (compiled_->kind(id)) {
-    case NodeKind::kOutput:
-    case NodeKind::kBuf:
-      return v[fanin[0]];
-    case NodeKind::kNot:
-      return NotV(v[fanin[0]]);
-    case NodeKind::kAnd:
-    case NodeKind::kNand: {
-      Vec3<W> acc = v[fanin[0]];
-      for (size_t i = 1; i < fanin.size(); ++i) acc = AndV(acc, v[fanin[i]]);
-      return compiled_->kind(id) == NodeKind::kAnd ? acc : NotV(acc);
-    }
-    case NodeKind::kOr:
-    case NodeKind::kNor: {
-      Vec3<W> acc = v[fanin[0]];
-      for (size_t i = 1; i < fanin.size(); ++i) acc = OrV(acc, v[fanin[i]]);
-      return compiled_->kind(id) == NodeKind::kOr ? acc : NotV(acc);
-    }
-    case NodeKind::kXor:
-    case NodeKind::kXnor: {
-      Vec3<W> acc = v[fanin[0]];
-      for (size_t i = 1; i < fanin.size(); ++i) acc = XorV(acc, v[fanin[i]]);
-      return compiled_->kind(id) == NodeKind::kXor ? acc : NotV(acc);
-    }
-    default:
-      throw std::logic_error("WideFrame: source node in schedule");
-  }
-}
-
-template <int W>
-void WideFrame<W>::EvalNodeInjected(std::uint32_t id) {
-  const auto fanin = compiled_->fanins(id);
-  fanin_scratch_.clear();
-  for (std::uint32_t driver : fanin) fanin_scratch_.push_back(values_[driver]);
-  // Branch (input-pin) injections modify only this gate's view.
-  for (const Injection& inj : by_node_[id]) {
-    if (inj.pin >= 0) {
-      fanin_scratch_[static_cast<size_t>(inj.pin)].SetLane(inj.lane,
-                                                           inj.value);
-    }
-  }
-  const NodeKind kind = compiled_->kind(id);
-  Vec3<W> out = kind == NodeKind::kOutput
-                    ? fanin_scratch_[0]
-                    : EvalGateSpan<W>(kind, fanin_scratch_);
-  // Output-stem injections force the computed value.
-  for (const Injection& inj : by_node_[id]) {
-    if (inj.pin < 0) out.SetLane(inj.lane, inj.value);
-  }
-  values_[id] = out;
-}
-
-template <int W>
-void WideFrame<W>::Validate(std::span<const V3> inputs,
-                            const std::vector<Vec3<W>>& state) const {
-  if (inputs.size() != compiled_->inputs().size() ||
-      state.size() != compiled_->dffs().size()) {
-    throw std::invalid_argument("WideFrame::Step: width mismatch");
-  }
-}
-
-template <int W>
-void WideFrame<W>::Step(std::span<const V3> inputs,
-                        std::vector<Vec3<W>>& state) {
-  Validate(inputs, state);
-  const auto dffs = compiled_->dffs();
-  for (size_t i = 0; i < dffs.size(); ++i) values_[dffs[i]] = state[i];
-  SeedSources(inputs);
-  for (std::uint32_t id : compiled_->schedule()) {
-    if (by_node_[id].empty()) {
-      values_[id] = EvalFromValues(id);
-    } else {
-      EvalNodeInjected(id);
-    }
-    ++gate_evals_;
-  }
-  // Clock edge: latch every DFF's D, with branch injections on the
-  // data pin applied to the latched view only.
-  for (size_t i = 0; i < dffs.size(); ++i) {
-    Vec3<W> d = values_[compiled_->dff_data(i)];
-    for (const Injection& inj : by_node_[dffs[i]]) {
-      if (inj.pin >= 0) d.SetLane(inj.lane, inj.value);
-    }
-    state[i] = d;
-  }
-}
-
-template <int W>
-void WideFrame<W>::Step(std::span<const V3> inputs,
-                        std::vector<Vec3<W>>& state,
+void WideFrame<W>::Step(std::vector<Vec3<W>>& state,
                         std::span<const V3> good_frame) {
-  if (!cone_mode_) {
-    throw std::logic_error(
-        "WideFrame::Step(good_frame): call RestrictToInjectionCones first");
-  }
-  Validate(inputs, state);
-  if (good_frame.size() != values_.size()) {
-    throw std::invalid_argument("WideFrame::Step: good frame mismatch");
+  if (state.size() != compiled_->dffs().size() ||
+      good_frame.size() != values_.size()) {
+    throw std::invalid_argument("WideFrame::Step: width mismatch");
   }
   const V3* good = good_frame.data();
   const LaneMask<W> live = active_lanes_;

@@ -12,10 +12,10 @@
 //
 // WideFrame<W> is the frame evaluator over these words.  It runs on a
 // CompiledNetlist (sim/compiled.h): flattened CSR fanin/fanout arrays
-// and a level-contiguous, kind-batched evaluation schedule, instead of
-// chasing per-node std::vector pointers through the Circuit on every
-// gate evaluation.  Its cone-restricted mode reads the good machine
-// from one frame of the scalar sim::Trace (one V3 byte per node) and
+// and per-node levels, instead of chasing per-node std::vector
+// pointers through the Circuit on every gate evaluation.  It evaluates
+// only the fanout cones of its injections, reads the good machine from
+// one frame of the scalar sim::Trace (one V3 byte per node) and
 // broadcasts a value to all lanes only where it reads it.
 #pragma once
 
@@ -141,23 +141,9 @@ inline Vec3<W> XorV(const Vec3<W>& a, const Vec3<W>& b) {
   return r;
 }
 
-/// The classic 64-lane word and its operators, now the W=1 instance.
-using Word3 = Vec3<1>;
-
-inline Word3 Not64(Word3 a) { return NotV(a); }
-inline Word3 And64(Word3 a, Word3 b) { return AndV(a, b); }
-inline Word3 Or64(Word3 a, Word3 b) { return OrV(a, b); }
-inline Word3 Xor64(Word3 a, Word3 b) { return XorV(a, b); }
-
 /// Evaluates a combinational gate over W-word vectors.
 template <int W>
 Vec3<W> EvalGateWide(netlist::NodeKind kind, std::span<const Vec3<W>> fanin);
-
-/// 64-lane compatibility name.
-inline Word3 EvalGate64(netlist::NodeKind kind,
-                        std::span<const Word3> fanin) {
-  return EvalGateWide<1>(kind, fanin);
-}
 
 /// A set of lanes (one bit per faulty machine), W words wide.  Used
 /// for PROOFS fault dropping and the detection scan.
@@ -253,25 +239,19 @@ struct Injection {
 /// One-clock-frame evaluator over 64*W parallel machines with fault
 /// injection.  Owns per-node vector storage; the caller owns the state.
 ///
-/// Two evaluation modes:
-///  - full (default): every scheduled node is evaluated on every Step,
-///    walking the CompiledNetlist's level-contiguous, kind-batched
-///    schedule over CSR fanin runs.
-///  - cone-restricted: after RestrictToInjectionCones(), evaluation is
-///    limited to the union of the injection sites' structural fanout
-///    cones (transitive through DFFs) — the activity mask.  Everything
-///    outside behaves exactly like the good machine and is read from
-///    the scalar good-machine Trace, one byte per node, broadcast to
-///    all lanes where it is used (the PROOFS insight: a fault cannot
-///    perturb values outside its fanout cone).  Within the cone the
-///    evaluation is event-driven: dirty nodes (vector differs from the
-///    good machine this frame) schedule their cone fanouts into
-///    per-level buckets, so only gates on the active frontier are
-///    visited at all.  Detected faults can be retired per lane with
-///    DropLanes, after which their lanes are clamped to the good
-///    machine and stop generating events.  Per-frame cost falls from
-///    O(|circuit|) to O(|active frontier|), which decays as faults are
-///    detected and dropped.
+/// Evaluation is limited to the union of the injection sites'
+/// structural fanout cones (transitive through DFFs) — the activity
+/// mask.  Everything outside behaves exactly like the good machine and
+/// is read from the scalar good-machine Trace, one byte per node,
+/// broadcast to all lanes where it is used (the PROOFS insight: a
+/// fault cannot perturb values outside its fanout cone).  Within the
+/// cone the evaluation is event-driven: dirty nodes (vector differs
+/// from the good machine this frame) schedule their cone fanouts into
+/// per-level buckets, so only gates on the active frontier are visited
+/// at all.  Detected faults can be retired per lane with DropLanes,
+/// after which their lanes are clamped to the good machine and stop
+/// generating events.  Per-frame cost is O(|active frontier|), which
+/// decays as faults are detected and dropped.
 template <int W>
 class WideFrame {
  public:
@@ -281,36 +261,23 @@ class WideFrame {
   explicit WideFrame(const netlist::Circuit& circuit);
   explicit WideFrame(std::shared_ptr<const CompiledNetlist> compiled);
 
-  /// Installs the set of active injections (grouped by node internally)
-  /// and drops any cone restriction from a previous batch.
+  /// Installs the batch's injections (grouped by node internally),
+  /// re-activates every lane and computes the activity mask: the union
+  /// of the fanout cones of all injection sites, transitive through
+  /// DFFs (a faulty value latched into a register keeps perturbing its
+  /// Q consumers on later frames).
   void SetInjections(std::span<const Injection> injections);
 
-  /// Precomputes the activity mask for the current injections: the
-  /// union of the fanout cones of all injection sites, transitive
-  /// through DFFs (a faulty value latched into a register keeps
-  /// perturbing its Q consumers on later frames).  Until the next
-  /// SetInjections, Step must be called with a good-machine frame.
-  void RestrictToInjectionCones();
-
-  /// True when a cone restriction is active.
-  bool cone_restricted() const { return cone_mode_; }
-
-  /// Number of nodes inside the active cones (0 when unrestricted).
+  /// Number of nodes inside the active cones.
   int cone_size() const { return cone_size_; }
 
-  /// Evaluates one frame (full mode): seeds PIs with broadcast scalar
-  /// inputs and DFF outputs from `state` (one Vec3 per DFF), applies
-  /// injections, and leaves all node values readable via value().  Then
-  /// latches the next state into `state`.
-  void Step(std::span<const V3> inputs, std::vector<Vec3<W>>& state);
-
-  /// Cone-restricted frame: like Step, but only cone nodes on the
-  /// active frontier are evaluated; everything else matches
-  /// `good_frame` (every node's good-machine value at this frame, i.e.
-  /// Trace::frame(t)).  Only cone entries of `state` are maintained;
-  /// read results via word() and dirty(), not value().
-  void Step(std::span<const V3> inputs, std::vector<Vec3<W>>& state,
-            std::span<const V3> good_frame);
+  /// Evaluates one frame: only cone nodes on the active frontier are
+  /// evaluated; everything else matches `good_frame` (every node's
+  /// good-machine value at this frame, i.e. Trace::frame(t)).  `state`
+  /// holds one Vec3 per DFF; only its cone entries are read and
+  /// latched.  Read results via word(), or via value() on dirty()
+  /// nodes.
+  void Step(std::vector<Vec3<W>>& state, std::span<const V3> good_frame);
 
   /// Retires the given lanes: their injections stop being applied and
   /// their words are clamped to the good machine, so the dropped
@@ -319,64 +286,42 @@ class WideFrame {
   void DropLanes(const LaneMask<W>& lanes) {
     active_lanes_ &= ~lanes;
   }
-  /// Convenience for the first 64 lanes (the whole frame at W=1).
-  void DropLanes(std::uint64_t lanes) {
-    active_lanes_.bits[0] &= ~lanes;
-  }
 
-  /// Vector currently on a node's output net.  In cone-restricted mode
-  /// this is only valid for dirty(id) nodes — use word() elsewhere.
+  /// Vector on a node's output net this frame; only valid for dirty(id)
+  /// nodes — use word() elsewhere.
   const Vec3<W>& value(netlist::NodeId id) const {
     return values_[static_cast<size_t>(id)];
   }
 
   /// True when the node's vector differs from the good machine in some
-  /// lane this frame (cone-restricted mode; clean nodes were skipped).
+  /// lane this frame (clean nodes were skipped).
   bool dirty(netlist::NodeId id) const {
     return dirty_[static_cast<size_t>(id)] != 0;
   }
 
-  /// Node value in cone-restricted mode: the evaluated vector for dirty
-  /// nodes, the broadcast good-machine value for clean ones.
+  /// Node value: the evaluated vector for dirty nodes, the broadcast
+  /// good-machine value for clean ones.
   Vec3<W> word(netlist::NodeId id, std::span<const V3> good_frame) const {
     return dirty(id) ? values_[static_cast<size_t>(id)]
                      : Vec3<W>::Broadcast(good_frame[static_cast<size_t>(id)]);
   }
 
-  /// Indices into circuit().outputs() that can differ from the good
-  /// machine under the current restriction (all outputs when
-  /// unrestricted).  A detection scan only needs to look at these.
+  /// Indices into the circuit's outputs inside the active cones: the
+  /// only outputs that can differ from the good machine, so a detection scan
+  /// only needs to look at these.
   const std::vector<int>& active_outputs() const { return active_outputs_; }
 
-  /// Node evaluations performed by Step since construction / the last
-  /// ResetStats (deterministic work measure; each counts 64*W
-  /// machines).
+  /// Node evaluations performed by Step since construction
+  /// (deterministic work measure; each counts 64*W machines).
   long gate_evals() const { return gate_evals_; }
-  void ResetStats() { gate_evals_ = 0; }
-
-  const netlist::Circuit& circuit() const { return compiled_->circuit(); }
-  const CompiledNetlist& compiled() const { return *compiled_; }
 
  private:
-  void Validate(std::span<const V3> inputs,
-                const std::vector<Vec3<W>>& state) const;
-  void SeedSources(std::span<const V3> inputs);
-  /// Gate function over current values_, straight from the CSR fanin
-  /// run (no injections).
-  Vec3<W> EvalFromValues(std::uint32_t id) const;
-  /// Full evaluation of one node with this node's injections applied.
-  void EvalNodeInjected(std::uint32_t id);
-
   std::shared_ptr<const CompiledNetlist> compiled_;
   std::vector<Vec3<W>> values_;
   // Injections indexed by node id; empty vectors for untouched nodes.
   std::vector<std::vector<Injection>> by_node_;
   std::vector<std::uint32_t> touched_nodes_;
-  // All output indices, for active_outputs() in full mode.
-  std::vector<int> all_outputs_;
 
-  // Cone restriction (valid while cone_mode_):
-  bool cone_mode_ = false;
   int cone_size_ = 0;
   LaneMask<W> active_lanes_ = LaneMask<W>::All();  // lanes not yet dropped
   std::vector<char> in_cone_;                // activity mask, per node
@@ -387,15 +332,12 @@ class WideFrame {
   // Cone gates/POs carrying injections (node, lane mask): always
   // scheduled while any of their lanes is still active.
   std::vector<std::pair<std::uint32_t, LaneMask<W>>> forced_;
-  std::vector<size_t> cone_dffs_;  // dff indices latched in cone mode
+  std::vector<size_t> cone_dffs_;  // dff indices latched each frame
   std::vector<int> active_outputs_;
 
   std::vector<Vec3<W>> fanin_scratch_;
   long gate_evals_ = 0;
 };
-
-/// The classic 64-lane engine is the W=1 instance.
-using ParallelFrame = WideFrame<1>;
 
 // The two widths are instantiated once in sim/parallel.cpp (64 and
 // 512 lanes; see sim/simd.h for which run uses which).

@@ -12,6 +12,7 @@
 #include "faultsim/proofs.h"
 #include "faultsim/serial.h"
 #include "netlist/builder.h"
+#include "sim/compiled.h"
 #include "sim/simulator.h"
 #include "tests/random_circuits.h"
 
@@ -97,9 +98,7 @@ TEST(Proofs, MatchesSerialOnPaperStructure) {
   Rng rng{42};
   const InputSequence sequence = RandomSequence(rng, 2, 16);
   const auto serial = SimulateSerial(circuit, faults, sequence);
-  ProofsOptions options;
-  options.drop_detected = false;
-  const auto proofs = SimulateProofs(circuit, faults, sequence, options);
+  const auto proofs = SimulateProofs(circuit, faults, sequence);
   ASSERT_EQ(serial.size(), proofs.detections.size());
   for (size_t i = 0; i < serial.size(); ++i) {
     EXPECT_EQ(serial[i].detected, proofs.detections[i].detected)
@@ -129,9 +128,7 @@ TEST(Proofs, MatchesSerialOnRandomCircuits) {
     const auto faults = fault::EnumerateFaults(circuit);
     const InputSequence sequence = RandomSequence(rng, 3, 24);
     const auto serial = SimulateSerial(circuit, faults, sequence);
-    ProofsOptions options;
-    options.drop_detected = false;
-    const auto proofs = SimulateProofs(circuit, faults, sequence, options);
+    const auto proofs = SimulateProofs(circuit, faults, sequence);
     for (size_t i = 0; i < serial.size(); ++i) {
       EXPECT_EQ(serial[i].detected, proofs.detections[i].detected)
           << "seed " << seed << ": " << ToString(circuit, faults[i]);
@@ -168,20 +165,25 @@ TEST(Proofs, EmptyInputsAreSafe) {
   EXPECT_TRUE(result.detections.empty());
 }
 
+// Fault dropping ends a batch once all its faults are detected, and
+// retires each detected lane before that; the serial reference never
+// drops, so agreeing with it shows dropping loses no detection.
 TEST(Proofs, DroppingDoesNotChangeDetections) {
   const Circuit circuit = AndChain();
   const auto faults = fault::EnumerateFaults(circuit);
   Rng rng{7};
   const InputSequence sequence = RandomSequence(rng, 2, 12);
-  ProofsOptions keep;
-  keep.drop_detected = false;
-  const auto with_drop = SimulateProofs(circuit, faults, sequence);
-  const auto without_drop = SimulateProofs(circuit, faults, sequence, keep);
+  const auto serial = SimulateSerial(circuit, faults, sequence);
+  const auto proofs = SimulateProofs(circuit, faults, sequence);
   for (size_t i = 0; i < faults.size(); ++i) {
-    EXPECT_EQ(with_drop.detections[i].detected,
-              without_drop.detections[i].detected);
+    EXPECT_EQ(proofs.detections[i], serial[i]) << ToString(circuit, faults[i]);
   }
-  EXPECT_LE(with_drop.frames_evaluated, without_drop.frames_evaluated);
+  // The one batch stops at the latest detection time.
+  int last = -1;
+  for (const Detection& d : serial) last = std::max(last, d.time);
+  ASSERT_EQ(proofs.num_detected(), static_cast<int>(faults.size()));
+  EXPECT_EQ(proofs.frames_evaluated, last + 1);
+  EXPECT_LT(proofs.frames_evaluated, static_cast<long>(sequence.size()));
 }
 
 // ~25% X inputs so unknown-value paths are exercised alongside binary
@@ -204,8 +206,7 @@ InputSequence Random3Sequence(Rng& rng, int width, int length) {
 
 // The headline equivalence guarantee of the cone-restricted threaded
 // engine: identical Detection vectors (flag AND time) to the scalar
-// reference on randomized circuits, across thread counts, with and
-// without cone restriction.
+// reference on randomized circuits, across thread counts.
 TEST(Proofs, ConeRestrictedThreadedMatchesSerialOnRandomCircuits) {
   const int hw = static_cast<int>(
       std::max(1u, std::thread::hardware_concurrency()));
@@ -236,28 +237,20 @@ TEST(Proofs, ConeRestrictedThreadedMatchesSerialOnRandomCircuits) {
         rng, circuit.num_inputs(), 12 + static_cast<int>(seed % 20));
     const auto serial = SimulateSerial(circuit, faults, sequence);
 
-    auto check = [&](const ProofsOptions& options, const char* label) {
+    for (int threads : {1, 2, hw}) {
+      ProofsOptions options;
+      options.num_threads = threads;
       const auto proofs = SimulateProofs(circuit, faults, sequence, options);
       ASSERT_EQ(serial.size(), proofs.detections.size());
       for (size_t i = 0; i < serial.size(); ++i) {
         EXPECT_EQ(serial[i], proofs.detections[i])
-            << label << " seed " << seed << ": "
+            << "threads " << threads << " seed " << seed << ": "
             << ToString(circuit, faults[i]) << " (serial "
             << serial[i].detected << "@" << serial[i].time << ", proofs "
             << proofs.detections[i].detected << "@"
             << proofs.detections[i].time << ")";
       }
-    };
-
-    for (int threads : {1, 2, hw}) {
-      ProofsOptions options;
-      options.num_threads = threads;
-      check(options, "cone");
     }
-    ProofsOptions full;
-    full.cone_restricted = false;
-    full.num_threads = 2;
-    check(full, "full-eval");
   }
   // The universe exercised the site classes the engine special-cases.
   EXPECT_TRUE(saw_pi_stem);
@@ -289,9 +282,9 @@ ProofsResult SimulateInChunks(const Circuit& circuit,
 // The lane-width determinism gate: one run over more than 64 faults
 // (the 512-lane path) detects exactly what its 64-fault chunks (the
 // 64-lane path) detect — flag AND detection time — and both equal the
-// scalar serial reference.  Covered at one and many threads, in cone
-// and full mode, with and without dropping (which exercises DropLanes
-// on partially-live words).  Fault counts here are nowhere near
+// scalar serial reference.  Covered at one and many threads; dropping
+// exercises DropLanes on partially-live words.  Fault counts here are
+// nowhere near
 // multiples of 64 or 512, so both paths end in a partial final batch
 // with masked dead lanes.
 TEST(Proofs, LaneWidthDoesNotChangeDetections) {
@@ -311,30 +304,21 @@ TEST(Proofs, LaneWidthDoesNotChangeDetections) {
     const auto serial = SimulateSerial(circuit, faults, sequence);
 
     for (int threads : {1, hw}) {
-      for (bool cone : {true, false}) {
-        for (bool drop : {true, false}) {
-          ProofsOptions options;
-          options.num_threads = threads;
-          options.cone_restricted = cone;
-          options.drop_detected = drop;
-          const auto whole =
-              SimulateProofs(circuit, faults, sequence, options);
-          const auto chunked =
-              SimulateInChunks(circuit, faults, sequence, options);
-          EXPECT_EQ(whole.lanes, 512);
-          ASSERT_EQ(serial.size(), whole.detections.size());
-          ASSERT_EQ(serial.size(), chunked.detections.size());
-          for (size_t i = 0; i < serial.size(); ++i) {
-            EXPECT_EQ(serial[i], whole.detections[i])
-                << "seed " << seed << " threads " << threads << " cone "
-                << cone << " drop " << drop << ": "
-                << ToString(circuit, faults[i]);
-            EXPECT_EQ(whole.detections[i], chunked.detections[i])
-                << "seed " << seed << " threads " << threads << " cone "
-                << cone << " drop " << drop << ": "
-                << ToString(circuit, faults[i]);
-          }
-        }
+      ProofsOptions options;
+      options.num_threads = threads;
+      const auto whole = SimulateProofs(circuit, faults, sequence, options);
+      const auto chunked =
+          SimulateInChunks(circuit, faults, sequence, options);
+      EXPECT_EQ(whole.lanes, 512);
+      ASSERT_EQ(serial.size(), whole.detections.size());
+      ASSERT_EQ(serial.size(), chunked.detections.size());
+      for (size_t i = 0; i < serial.size(); ++i) {
+        EXPECT_EQ(serial[i], whole.detections[i])
+            << "seed " << seed << " threads " << threads << ": "
+            << ToString(circuit, faults[i]);
+        EXPECT_EQ(whole.detections[i], chunked.detections[i])
+            << "seed " << seed << " threads " << threads << ": "
+            << ToString(circuit, faults[i]);
       }
     }
   }
@@ -343,7 +327,7 @@ TEST(Proofs, LaneWidthDoesNotChangeDetections) {
 // A run that fits one batch keeps input order (no site sort): its one
 // cone union, dirty set and frame count are the same in any lane
 // order.  Permuting its faults permutes the detections and leaves the
-// work counters unchanged, at both lane widths and in both modes.
+// work counters unchanged, at both lane widths.
 TEST(Proofs, SingleBatchRunIsLaneOrderInvariant) {
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     const Circuit circuit = retest::testing::MakeRandomCircuit(
@@ -362,70 +346,63 @@ TEST(Proofs, SingleBatchRunIsLaneOrderInvariant) {
       }
       std::vector<fault::Fault> permuted;
       for (const size_t p : perm) permuted.push_back(faults[p]);
-      for (const bool cone : {true, false}) {
-        ProofsOptions options;
-        options.cone_restricted = cone;
-        const auto base = SimulateProofs(circuit, faults, sequence, options);
-        const auto shuffled =
-            SimulateProofs(circuit, permuted, sequence, options);
-        EXPECT_EQ(base.lanes, count <= 64 ? 64 : 512);
-        EXPECT_EQ(shuffled.frames_evaluated, base.frames_evaluated)
-            << "seed " << seed << " faults " << count << " cone " << cone;
-        EXPECT_EQ(shuffled.gate_evals, base.gate_evals)
-            << "seed " << seed << " faults " << count << " cone " << cone;
-        for (size_t i = 0; i < count; ++i) {
-          EXPECT_EQ(shuffled.detections[i], base.detections[perm[i]])
-              << "seed " << seed << " faults " << count << " cone " << cone
-              << ": " << ToString(circuit, permuted[i]);
-        }
+      const auto base = SimulateProofs(circuit, faults, sequence);
+      const auto shuffled = SimulateProofs(circuit, permuted, sequence);
+      EXPECT_EQ(base.lanes, count <= 64 ? 64 : 512);
+      EXPECT_EQ(shuffled.frames_evaluated, base.frames_evaluated)
+          << "seed " << seed << " faults " << count;
+      EXPECT_EQ(shuffled.gate_evals, base.gate_evals)
+          << "seed " << seed << " faults " << count;
+      for (size_t i = 0; i < count; ++i) {
+        EXPECT_EQ(shuffled.detections[i], base.detections[perm[i]])
+            << "seed " << seed << " faults " << count << ": "
+            << ToString(circuit, permuted[i]);
       }
     }
   }
 }
 
-// Without dropping every batch runs the whole sequence, so the frame
-// count is batches x frames: one 512-lane batch for the whole list,
-// one 64-lane batch per chunk.
+// An all-X sequence detects nothing, so no batch stops early and the
+// frame count is batches x frames: one 512-lane batch for the whole
+// list, one 64-lane batch per chunk.
 TEST(Proofs, WiderLanesEvaluateFewerFrames) {
   const Circuit circuit = retest::testing::MakeRandomCircuit(
       11, {.num_inputs = 4, .num_dffs = 3, .num_gates = 30});
   const auto faults = fault::EnumerateFaults(circuit);
   ASSERT_GT(faults.size(), 64u) << "need several 64-lane batches";
   ASSERT_LE(faults.size(), 512u) << "need a single 512-lane batch";
-  Rng rng{77};
-  const InputSequence sequence = Random3Sequence(rng, 4, 20);
-  ProofsOptions options;
-  options.drop_detected = false;  // fixed frame count per batch
+  const InputSequence sequence(20, sim::InputVector(4, V3::kX));
   const long frames = static_cast<long>(sequence.size());
   const long chunks = static_cast<long>((faults.size() + 63) / 64);
-  EXPECT_EQ(SimulateProofs(circuit, faults, sequence, options)
-                .frames_evaluated,
-            frames);
-  EXPECT_EQ(SimulateInChunks(circuit, faults, sequence, options)
-                .frames_evaluated,
-            chunks * frames);
+  const ProofsResult whole = SimulateProofs(circuit, faults, sequence);
+  const ProofsResult chunked = SimulateInChunks(circuit, faults, sequence, {});
+  EXPECT_EQ(whole.num_detected(), 0);
+  EXPECT_EQ(chunked.num_detected(), 0);
+  EXPECT_EQ(whole.frames_evaluated, frames);
+  EXPECT_EQ(chunked.frames_evaluated, chunks * frames);
 }
 
+// Evaluating every scheduled node on every frame would cost frames x
+// schedule size; the cone kernel evaluates only the active frontier of
+// each batch's cone union.
 TEST(Proofs, ConeRestrictionReducesGateEvals) {
   const Circuit circuit = retest::testing::MakeRandomCircuit(
       3, {.num_inputs = 4, .num_dffs = 4, .num_gates = 40});
   const auto faults = fault::EnumerateFaults(circuit);
   Rng rng{99};
   const InputSequence sequence = RandomSequence(rng, 4, 32);
-  ProofsOptions cone;
-  cone.drop_detected = false;
-  ProofsOptions full = cone;
-  full.cone_restricted = false;
   // 64-fault runs: a 512-lane batch would hold this whole fault list,
   // and its cone union would span the circuit, leaving nothing for the
   // restriction to skip.
-  const auto with_cone = SimulateInChunks(circuit, faults, sequence, cone);
-  const auto without = SimulateInChunks(circuit, faults, sequence, full);
+  const auto chunked = SimulateInChunks(circuit, faults, sequence, {});
+  const auto serial = SimulateSerial(circuit, faults, sequence);
   for (size_t i = 0; i < faults.size(); ++i) {
-    EXPECT_EQ(with_cone.detections[i], without.detections[i]);
+    EXPECT_EQ(chunked.detections[i], serial[i]);
   }
-  EXPECT_EQ(with_cone.frames_evaluated, without.frames_evaluated);
-  EXPECT_LT(with_cone.gate_evals, without.gate_evals);
+  const long schedule =
+      static_cast<long>(sim::Compile(circuit)->schedule().size());
+  EXPECT_GT(chunked.frames_evaluated, 0);
+  EXPECT_LT(chunked.gate_evals, chunked.frames_evaluated * schedule);
 }
 
 TEST(Proofs, ThreadCountDoesNotChangeWorkMeasures) {

@@ -2,48 +2,25 @@
 
 #include "fsm/benchmarks.h"
 #include "fsm/fsm.h"
-#include "fsm/kiss_io.h"
 
 namespace retest::fsm {
 namespace {
 
-const char* kExampleKiss = R"(
-.i 2
-.o 1
-.s 2
-.r s0
-0- s0 s0 0
-1- s0 s1 1
--0 s1 s0 0
--1 s1 s1 1
-.e
-)";
-
-TEST(Kiss, ParsesExample) {
-  const Fsm fsm = ReadKissString(kExampleKiss, "example");
-  EXPECT_EQ(fsm.num_inputs, 2);
-  EXPECT_EQ(fsm.num_outputs, 1);
-  EXPECT_EQ(fsm.num_states(), 2);
-  EXPECT_EQ(fsm.reset_state, fsm.FindState("s0"));
-  EXPECT_EQ(fsm.transitions.size(), 4u);
-}
-
-TEST(Kiss, RoundTrip) {
-  const Fsm fsm = ReadKissString(kExampleKiss, "example");
-  const Fsm again = ReadKissString(WriteKissString(fsm), "again");
-  EXPECT_EQ(again.num_inputs, fsm.num_inputs);
-  EXPECT_EQ(again.num_outputs, fsm.num_outputs);
-  EXPECT_EQ(again.num_states(), fsm.num_states());
-  EXPECT_EQ(again.transitions.size(), fsm.transitions.size());
-  EXPECT_EQ(again.reset_state, fsm.reset_state);
-}
-
-TEST(Kiss, RejectsMalformedTransition) {
-  EXPECT_THROW(ReadKissString(".i 1\n.o 1\n0 s0\n.e\n"), std::runtime_error);
-}
-
-TEST(Kiss, RejectsUnknownDirective) {
-  EXPECT_THROW(ReadKissString(".frobnicate 3\n"), std::runtime_error);
+/// Two states on a 2-input, 1-output interface: state s0 moves to s1
+/// on input 1-, and s1 holds on -1; every transition is specified.
+Fsm ExampleFsm() {
+  Fsm fsm;
+  fsm.name = "example";
+  fsm.num_inputs = 2;
+  fsm.num_outputs = 1;
+  fsm.AddState("s0");
+  fsm.AddState("s1");
+  fsm.reset_state = 0;
+  fsm.transitions = {{"0-", 0, 0, "0"},
+                     {"1-", 0, 1, "1"},
+                     {"-0", 1, 0, "0"},
+                     {"-1", 1, 1, "1"}};
+  return fsm;
 }
 
 TEST(Validate, CatchesWidthMismatch) {
@@ -80,7 +57,8 @@ TEST(Validate, AllowsAgreeingOverlap) {
 }
 
 TEST(Complete, DetectsIncompleteness) {
-  Fsm fsm = ReadKissString(kExampleKiss, "example");
+  Fsm fsm = ExampleFsm();
+  EXPECT_NO_THROW(Validate(fsm));
   EXPECT_TRUE(IsCompletelySpecified(fsm));
   fsm.transitions.pop_back();
   EXPECT_FALSE(IsCompletelySpecified(fsm));

@@ -60,10 +60,7 @@ TEST_P(SeededProperty, ProofsMatchesSerial) {
   TestRng rng{GetParam() + 123};
   const InputSequence stream = RandomStream(rng, circuit.num_inputs(), 30);
   const auto serial = faultsim::SimulateSerial(circuit, faults, stream);
-  faultsim::ProofsOptions options;
-  options.drop_detected = false;
-  const auto proofs =
-      faultsim::SimulateProofs(circuit, faults, stream, options);
+  const auto proofs = faultsim::SimulateProofs(circuit, faults, stream);
   for (size_t i = 0; i < faults.size(); ++i) {
     EXPECT_EQ(serial[i].detected, proofs.detections[i].detected)
         << ToString(circuit, faults[i]);
