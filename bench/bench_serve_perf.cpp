@@ -2,11 +2,10 @@
 //
 // Workload: an in-process Server on a loopback TCP port (port 0, so
 // runs never collide), fed the fixed-limit quick ATPG config over the
-// first Table II circuits — the same deterministic jobs
-// bench_fleet_perf uses, but arriving over the wire: framed SUBMIT
-// payloads built with the canonical serializer, results pushed back as
-// JSON frames.  What this measures is the serving overhead and the
-// concurrency of the daemon path (framing, parsing, admission, fleet
+// first Table II circuits — deterministic jobs arriving over the
+// wire: framed SUBMIT payloads built with the canonical serializer,
+// results pushed back as JSON frames.  What this measures is the serving overhead and the
+// concurrency of the daemon path (framing, parsing, admission, worker
 // dispatch, result push), not the ATPG engine itself.
 //
 // Measured: a client ladder.  Each ladder point submits the SAME J
@@ -68,8 +67,8 @@ double NowMs() {
 }
 
 /// The J submit payloads: job j runs the quick deterministic ATPG pass
-/// (bench_fleet_perf's workload) on circuit j % V under the unique
-/// name "job<j>" — the key results are compared under.
+/// on circuit j % V under the unique name "job<j>" — the key results
+/// are compared under.
 std::vector<std::string> BuildPayloads(std::size_t num_variants,
                                        std::size_t num_jobs) {
   const auto& all = bench::Table2Variants();
@@ -109,7 +108,7 @@ std::string MaskVolatile(std::string json) {
              (std::isdigit(static_cast<unsigned char>(json[end])) != 0)) {
         ++end;
       }
-      json.replace(digit, end - digit, "_");
+      json.replace(digit, end - digit, 1, '_');
       at = digit;
     }
   }
@@ -283,8 +282,7 @@ int main(int argc, char** argv) {
   const std::vector<int> clients_ladder =
       smoke ? std::vector<int>{1, 2} : std::vector<int>{1, 2, 4};
   // Pin 4 workers on a single-CPU host so the concurrency claim is
-  // exercised even where wall-clock speedup is impossible (the same
-  // rationale as bench_fleet_perf).
+  // exercised even where wall-clock speedup is impossible.
   const int workers = core::ResolveThreadCount(0) > 1
                           ? core::ResolveThreadCount(0)
                           : 4;

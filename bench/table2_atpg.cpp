@@ -19,12 +19,11 @@
 // instead of restarting; REPRO_DEADLINE_MS / REPRO_FAULT_TIMEOUT_MS
 // bound each ATPG call via the engine's watchdog.
 //
-// Scheduling: the sixteen pairs are submitted as independent jobs to
-// the core/fleet work-stealing scheduler (docs/FLEET.md) instead of a
-// sequential loop — one fleet worker per hardware thread (REPRO_THREADS
-// overrides), one ATPG thread per job, so a multi-core host overlaps
-// whole circuit pairs without oversubscription.  Rows are collected
-// and printed in paper order regardless of completion order.
+// Scheduling: the sixteen pairs run as independent items of a
+// core::ThreadPool::ParallelFor -- one pool thread per hardware thread
+// (REPRO_THREADS overrides), one ATPG thread per pair, so a multi-core
+// host overlaps whole circuit pairs without oversubscription.  Rows
+// are printed in paper order once every pair finished.
 #include <cmath>
 #include <cstdio>
 #include <exception>
@@ -33,8 +32,8 @@
 
 #include "analyze/certify.h"
 #include "analyze/scoap.h"
-#include "core/fleet.h"
 #include "core/metrics.h"
+#include "core/thread_pool.h"
 #include "experiments.h"
 
 namespace {
@@ -98,21 +97,18 @@ bool EmitJson(const std::vector<Row>& rows, double geomean_ratio,
   return std::fclose(f) == 0;
 }
 
-/// Synthesizes, retimes and runs ATPG on one Table II variant as one
-/// fleet job; the job's thread budget bounds each ATPG's internal
-/// parallelism and its deadline (when set) flows into the engine
-/// watchdog.  Checkpoint journals are written per circuit when
-/// REPRO_CHECKPOINT_DIR is set.  Throws on any pipeline failure.
+/// Synthesizes, retimes and runs ATPG on one Table II variant, one
+/// ATPG thread per circuit.  Checkpoint journals are written per
+/// circuit when REPRO_CHECKPOINT_DIR is set.  Throws on any pipeline
+/// failure.
 Row MeasurePair(const retest::bench::Variant& variant, long original_budget,
-                long retimed_budget, const retest::core::JobContext& ctx) {
+                long retimed_budget) {
   using namespace retest;
   const bench::Prepared prepared = bench::PrepareVariant(variant);
   auto original_options = bench::Table2AtpgOptions(original_budget);
   auto retimed_options = bench::Table2AtpgOptions(retimed_budget);
-  original_options.num_threads = ctx.thread_budget;
-  retimed_options.num_threads = ctx.thread_budget;
-  original_options.deadline_ms = ctx.deadline_ms;
-  retimed_options.deadline_ms = ctx.deadline_ms;
+  original_options.num_threads = 1;
+  retimed_options.num_threads = 1;
   original_options.checkpoint_path =
       bench::CheckpointPathFor(prepared.original.name() + ".original");
   retimed_options.checkpoint_path =
@@ -163,7 +159,7 @@ Row MeasurePair(const retest::bench::Variant& variant, long original_budget,
   return row;
 }
 
-/// Stdout reporting, separated from measurement: jobs complete out of
+/// Stdout reporting, separated from measurement: pairs complete out of
 /// order, the table prints in paper order at collection time.
 void PrintRow(const Row& row) {
   std::printf("%-12s | %5d %6.1f %6.1f %9ld | %5d %6.1f %6.1f %9ld | %8.1fx\n",
@@ -192,31 +188,29 @@ int main() {
               "#DFF", "%FC", "%FE", "#CPU", "#DFF", "%FC", "%FE", "#CPU",
               "CPU Ratio");
 
-  // Submit every pair to the fleet; collect (and print) in paper
-  // order.  Like the old sequential loop, the first failing pair ends
-  // the table there -- the concurrently finished later pairs are
+  // Run every pair, each catching its own failure; collect (and print)
+  // in paper order.  Like a sequential loop, the first failing pair
+  // ends the table there -- the concurrently finished later pairs are
   // dropped so the JSON's "finished rows + error" shape is unchanged.
   const auto& variants = bench::Table2Variants();
-  core::Fleet fleet;
   std::vector<Row> row_slots(variants.size());
-  std::vector<std::size_t> job_ids;
-  job_ids.reserve(variants.size());
-  for (std::size_t i = 0; i < variants.size(); ++i) {
-    core::JobOptions job;
-    job.name = variants[i].fsm;
-    job.thread_budget = 1;
-    job_ids.push_back(fleet.Submit(job, [&, i](const core::JobContext& ctx) {
+  std::vector<std::exception_ptr> failures(variants.size());
+  core::ThreadPool pool;
+  pool.ParallelFor(variants.size(), [&](int, std::size_t i) {
+    try {
       row_slots[i] =
-          MeasurePair(variants[i], original_budget, retimed_budget, ctx);
-    }));
-  }
+          MeasurePair(variants[i], original_budget, retimed_budget);
+    } catch (...) {
+      failures[i] = std::current_exception();
+    }
+  });
 
   std::vector<Row> rows;
   std::string error;
   double ratio_product = 1.0;
   for (std::size_t i = 0; i < variants.size(); ++i) {
     try {
-      fleet.Wait(job_ids[i]);
+      if (failures[i]) std::rethrow_exception(failures[i]);
       const Row& row = row_slots[i];
       PrintRow(row);
       ratio_product *= row.ratio > 0 ? row.ratio : 1.0;
@@ -227,7 +221,6 @@ int main() {
       break;
     }
   }
-  fleet.WaitAll();
   double geomean = 0;
   if (!rows.empty()) {
     geomean = std::pow(ratio_product, 1.0 / static_cast<double>(rows.size()));

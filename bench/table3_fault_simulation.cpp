@@ -20,18 +20,18 @@
 // REPRO_CHECKPOINT_DIR enables per-circuit ATPG checkpoint journals
 // for the test-set generation step.
 //
-// Scheduling: like table2_atpg, all sixteen pairs are submitted as
-// fleet jobs (core/fleet, docs/FLEET.md) with a one-thread budget per
-// job; the table prints in paper order at collection time.
+// Scheduling: like table2_atpg, the sixteen pairs run as items of a
+// core::ThreadPool::ParallelFor, one ATPG and PROOFS thread per pair;
+// the table prints in paper order at collection time.
 #include <cstdio>
 #include <exception>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "core/fleet.h"
 #include "core/flow.h"
 #include "core/metrics.h"
+#include "core/thread_pool.h"
 #include "experiments.h"
 #include "fault/collapse.h"
 #include "faultsim/proofs.h"
@@ -79,18 +79,15 @@ bool EmitJson(const std::vector<Row>& rows, long budget,
 /// Runs the preservation pipeline on the pair (certify, ATPG on the
 /// original, Theorem-4 prefix, PROOFS on the retimed circuit) and
 /// fault-simulates the original test set on the original circuit for
-/// the left-hand columns, confining ATPG and PROOFS parallelism to the
-/// fleet job's thread budget.  Throws on any pipeline failure;
-/// checkpoint journals cover the ATPG step when REPRO_CHECKPOINT_DIR
-/// is set.
-Row MeasurePair(const retest::bench::Variant& variant, long budget,
-                const retest::core::JobContext& ctx) {
+/// the left-hand columns, ATPG and PROOFS on one thread each.  Throws
+/// on any pipeline failure; checkpoint journals cover the ATPG step
+/// when REPRO_CHECKPOINT_DIR is set.
+Row MeasurePair(const retest::bench::Variant& variant, long budget) {
   using namespace retest;
   const bench::Prepared prepared = bench::PrepareVariant(variant);
 
   auto atpg_options = bench::TestSetAtpgOptions(budget);
-  atpg_options.num_threads = ctx.thread_budget;
-  atpg_options.deadline_ms = ctx.deadline_ms;
+  atpg_options.num_threads = 1;
   atpg_options.checkpoint_path =
       bench::CheckpointPathFor(prepared.original.name() + ".testset");
   const core::PreserveReport report =
@@ -101,7 +98,7 @@ Row MeasurePair(const retest::bench::Variant& variant, long budget,
   }
 
   faultsim::ProofsOptions sim_options;
-  sim_options.num_threads = ctx.thread_budget;
+  sim_options.num_threads = 1;
   const auto original_faults = fault::Collapse(prepared.original);
   const auto original_sim = faultsim::SimulateProofs(
       prepared.original, original_faults.representatives,
@@ -120,7 +117,7 @@ Row MeasurePair(const retest::bench::Variant& variant, long budget,
   return row;
 }
 
-/// Stdout reporting, separated from measurement: jobs complete out of
+/// Stdout reporting, separated from measurement: pairs complete out of
 /// order, the table prints in paper order at collection time.
 void PrintRow(const Row& row) {
   std::printf("%-12s | %7d %7d %6.1f | %7d %7d %6.1f | %6d\n",
@@ -143,28 +140,26 @@ int main() {
               "#Faults", "#UnDet", "%FC", "#Faults", "#UnDet", "%FC",
               "Prefix");
 
-  // Submit every pair to the fleet; collect (and print) in paper
-  // order.  Like the old sequential loop, the first failing pair ends
-  // the table there and later rows are dropped.
+  // Run every pair, each catching its own failure; collect (and print)
+  // in paper order.  Like a sequential loop, the first failing pair
+  // ends the table there and later rows are dropped.
   const auto& variants = bench::Table2Variants();
-  core::Fleet fleet;
   std::vector<Row> row_slots(variants.size());
-  std::vector<std::size_t> job_ids;
-  job_ids.reserve(variants.size());
-  for (std::size_t i = 0; i < variants.size(); ++i) {
-    core::JobOptions job;
-    job.name = variants[i].fsm;
-    job.thread_budget = 1;
-    job_ids.push_back(fleet.Submit(job, [&, i](const core::JobContext& ctx) {
-      row_slots[i] = MeasurePair(variants[i], budget, ctx);
-    }));
-  }
+  std::vector<std::exception_ptr> failures(variants.size());
+  core::ThreadPool pool;
+  pool.ParallelFor(variants.size(), [&](int, std::size_t i) {
+    try {
+      row_slots[i] = MeasurePair(variants[i], budget);
+    } catch (...) {
+      failures[i] = std::current_exception();
+    }
+  });
 
   std::vector<Row> rows;
   std::string error;
   for (std::size_t i = 0; i < variants.size(); ++i) {
     try {
-      fleet.Wait(job_ids[i]);
+      if (failures[i]) std::rethrow_exception(failures[i]);
       PrintRow(row_slots[i]);
       rows.push_back(row_slots[i]);
     } catch (const std::exception& e) {
@@ -173,7 +168,6 @@ int main() {
       break;
     }
   }
-  fleet.WaitAll();
   const bool wrote = EmitJson(rows, budget, error);
   if (wrote) {
     std::printf("wrote BENCH_table3.json (%zu rows%s)\n", rows.size(),

@@ -80,7 +80,7 @@ mask < "$TMP/batch.json" > "$TMP/batch_masked"
 # ---- 1. injected stalls + torn journal; answer still bit-identical --
 
 SOCK="$TMP/chaos1.sock"
-REPRO_CHAOS='fleet.worker.stall=always:5;atpg.journal.torn_write=3:9' \
+REPRO_CHAOS='serve.worker.stall=always:5;atpg.journal.torn_write=3:9' \
   "$SERVE" --unix "$SOCK" --spool "$TMP/spool1" --workers 1 \
   > "$TMP/daemon1.log" 2>&1 &
 DAEMON_PID=$!
@@ -162,7 +162,7 @@ DAEMON_PID=""
 # ---- 3. malformed REPRO_CHAOS complains and disarms -----------------
 
 SOCK4="$TMP/chaos4.sock"
-REPRO_CHAOS='fleet.worker.stall=wat' \
+REPRO_CHAOS='serve.worker.stall=wat' \
   "$SERVE" --unix "$SOCK4" --spool "$TMP/spool4" --workers 1 \
   > "$TMP/daemon4.log" 2>&1 &
 DAEMON_PID=$!

@@ -91,9 +91,10 @@ struct AtpgOptions {
   /// it turns true mid-run the engine preempts exactly like a
   /// wall-clock budget expiry: in-flight searches abort, unfinished
   /// faults commit as kUntried (journal-resumable), and the result
-  /// reports preempted.  The fleet wires JobContext::stop in here so a
-  /// per-job Cancel interrupts a running ATPG job; the watchdog
-  /// monitor latches it into the per-worker stop flags within ~10 ms.
+  /// reports preempted.  The daemon's Service wires each job's stop
+  /// flag in here so a per-job Cancel interrupts a running ATPG job;
+  /// the watchdog monitor latches it into the per-worker stop flags
+  /// within ~10 ms.
   /// Not part of the journal fingerprint: a resumed run may pass a
   /// different pointer and still land on the bit-identical result.
   const std::atomic<bool>* stop = nullptr;

@@ -29,7 +29,7 @@ void FsyncParentDir(const std::string& path) {
   const std::size_t slash = path.find_last_of('/');
   std::string dir =
       slash == std::string::npos ? std::string(".") : path.substr(0, slash);
-  if (dir.empty()) dir = "/";
+  if (dir.empty()) dir.assign(1, '/');  // Not `= "/"`: GCC 12 -Wrestrict.
   const int fd = ::open(dir.c_str(), O_RDONLY);
   if (fd >= 0) {
     ::fsync(fd);

@@ -1,7 +1,7 @@
 // Deterministic fault injection ("chaos") — the failure-mode driver
 // behind docs/CHAOS.md.
 //
-// The serving stack (spool, journal, fleet, wire protocol) claims to
+// The serving stack (spool, journal, workers, wire protocol) claims to
 // survive torn writes, I/O errors, stalls and overload.  This layer
 // makes those failures reproducible on demand: code under test
 // declares *injection sites* (`RETEST_CHAOS_FIRE("atpg.journal."
@@ -32,7 +32,7 @@
 //   arg     := integer payload, site-specific (bytes to keep for torn
 //              writes, ms for stalls, byte index for bit flips)
 //
-//   REPRO_CHAOS='seed=7;atpg.journal.torn_write=3:5;fleet.worker.stall=p25:10'
+//   REPRO_CHAOS='seed=7;atpg.journal.torn_write=3:5;serve.worker.stall=p25:10'
 //
 // Build gating: `REPRO_CHAOS_BUILD=OFF` (CMake) sets RETEST_CHAOS=0
 // and the RETEST_CHAOS_* macros expand to inert constants — the sites

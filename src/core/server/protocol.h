@@ -48,7 +48,7 @@ struct JobSpec {
   std::string name;  ///< Client label; defaults to "job".
   JobKind kind = JobKind::kAtpg;
   int priority = 0;
-  int threads = 1;        ///< Fleet thread budget for this job.
+  int threads = 1;        ///< Engine thread budget for this job.
   long deadline_ms = 0;   ///< Engine watchdog deadline; 0 = none.
   atpg::AtpgOptions atpg; ///< Seed/style/budgets for kAtpg/kPreserve.
   std::string netlist;    ///< `--- netlist` section (.bench text).

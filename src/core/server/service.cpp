@@ -18,6 +18,7 @@
 #include "core/flow.h"
 #include "core/metrics.h"
 #include "core/testset.h"
+#include "core/thread_pool.h"
 #include "core/trace.h"
 #include "fault/collapse.h"
 #include "faultsim/proofs.h"
@@ -41,7 +42,7 @@ void FsyncParentDir(const std::string& path) {
   const std::size_t slash = path.find_last_of('/');
   std::string dir =
       slash == std::string::npos ? std::string(".") : path.substr(0, slash);
-  if (dir.empty()) dir = "/";
+  if (dir.empty()) dir.assign(1, '/');  // Not `= "/"`: GCC 12 -Wrestrict.
   const int fd = ::open(dir.c_str(), O_RDONLY);
   if (fd >= 0) {
     ::fsync(fd);
@@ -206,19 +207,31 @@ struct Service::JobRec {
   JobState state = JobState::kQueued;
   bool cancel_requested = false;
   bool resumed = false;
+  int threads_used = 0;
+  /// Raised by Cancel on a running job; AtpgOptions::stop reads it.
+  std::atomic<bool> stop{false};
   Clock::time_point submitted;
   Clock::time_point started;
   Clock::time_point finished;
   std::string result_json;
-  std::size_t fleet_id = 0;
 };
 
+bool Service::RunsLater::operator()(const JobRec* a, const JobRec* b) const {
+  if (a->spec.priority != b->spec.priority) {
+    return a->spec.priority < b->spec.priority;
+  }
+  return a->id > b->id;
+}
+
 Service::Service(const ServiceOptions& options)
-    : options_(options), fleet_([&options] {
-        core::FleetOptions fleet_options;
-        fleet_options.num_workers = options.num_workers;
-        return fleet_options;
-      }()) {
+    : options_(options),
+      num_workers_(std::max(1, options.num_workers > 0
+                                   ? options.num_workers
+                                   : core::ResolveThreadCount(0))) {
+  workers_.reserve(static_cast<std::size_t>(num_workers_));
+  for (int w = 0; w < num_workers_; ++w) {
+    workers_.emplace_back([this] { WorkerLoop(); });
+  }
   if (!options_.spool_dir.empty()) {
     std::error_code ec;
     fs::create_directories(options_.spool_dir, ec);
@@ -226,7 +239,15 @@ Service::Service(const ServiceOptions& options)
   }
 }
 
-Service::~Service() { Drain(); }
+Service::~Service() {
+  Drain();
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    stopping_ = true;
+  }
+  work_cv_.notify_all();
+  for (std::thread& worker : workers_) worker.join();
+}
 
 void Service::SetCompletionCallback(
     std::function<void(const JobRecord&)> callback) {
@@ -250,6 +271,7 @@ Service::Submission Service::SubmitInternal(const JobSpec& spec,
   // diagnostic list whatever the queue looks like.
   auto rec = std::make_unique<JobRec>();
   rec->spec = spec;
+  rec->spec.threads = std::clamp(spec.threads, 1, num_workers_);
   {
     auto parsed = netlist::ParseBenchString(
         spec.netlist, spec.name.empty() ? "job" : spec.name, "netlist");
@@ -326,23 +348,37 @@ Service::Submission Service::SubmitInternal(const JobSpec& spec,
     }
   }
 
-  core::JobOptions job_options;
-  job_options.name = spec.name;
-  job_options.priority = spec.priority;
-  job_options.thread_budget = spec.threads;
-  job_options.deadline_ms = spec.deadline_ms;
-  if (!options_.spool_dir.empty() &&
-      (spec.kind == JobKind::kAtpg || spec.kind == JobKind::kPreserve)) {
-    job_options.checkpoint_path = JournalPath(raw->id);
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    run_queue_.push(raw);
   }
-  raw->fleet_id = fleet_.Submit(std::move(job_options),
-                                [this, raw](const core::JobContext& ctx) {
-                                  RunJob(*raw, ctx);
-                                });
+  work_cv_.notify_one();
   return submission;
 }
 
-void Service::RunJob(JobRec& rec, const core::JobContext& ctx) {
+void Service::WorkerLoop() {
+  for (;;) {
+    JobRec* rec = nullptr;
+    {
+      std::unique_lock<std::mutex> lock(mutex_);
+      work_cv_.wait(lock,
+                    [this] { return stopping_ || !run_queue_.empty(); });
+      if (run_queue_.empty()) return;
+      rec = run_queue_.top();
+      run_queue_.pop();
+    }
+    // Chaos: an armed serve.worker.stall spec delays the claim-to-run
+    // window, widening races with Cancel and Drain (docs/CHAOS.md).
+    RETEST_CHAOS_STALL("serve.worker.stall", 25);
+    [[maybe_unused]] const Clock::time_point start = Clock::now();
+    RunJob(*rec);
+    RETEST_DIST_RECORD("fleet.job_ms", "ms", "serve",
+                       "wall time of one job body on a Service worker",
+                       MsBetween(start, Clock::now()));
+  }
+}
+
+void Service::RunJob(JobRec& rec) {
   RETEST_TRACE_SPAN(span, "serve.job");
   bool cancel_at_start = false;
   bool shed = false;
@@ -390,14 +426,14 @@ void Service::RunJob(JobRec& rec, const core::JobContext& ctx) {
   }
 
   atpg::AtpgOptions atpg_options = rec.spec.atpg;
-  atpg_options.num_threads = ctx.thread_budget;
-  atpg_options.deadline_ms = ctx.deadline_ms;
-  // Per-job preemptive cancel: Service::Cancel raises this flag via
-  // Fleet::Cancel(id); the engine's watchdog mirrors it into in-flight
-  // searches, which then commit kUntried (journal-resumable).
-  atpg_options.stop = ctx.stop;
-  if (ctx.checkpoint_path != nullptr) {
-    atpg_options.checkpoint_path = *ctx.checkpoint_path;
+  atpg_options.num_threads = rec.spec.threads;
+  atpg_options.deadline_ms = rec.spec.deadline_ms;
+  // Per-job preemptive cancel: Service::Cancel raises this flag; the
+  // engine's watchdog mirrors it into in-flight searches, which then
+  // commit kUntried (journal-resumable).
+  atpg_options.stop = &rec.stop;
+  if (!options_.spool_dir.empty() && rec.spec.kind != JobKind::kFaultSim) {
+    atpg_options.checkpoint_path = JournalPath(rec.id);
   }
 
   // A preempted run whose preemption was a cancel (not a budget or
@@ -428,12 +464,14 @@ void Service::RunJob(JobRec& rec, const core::JobContext& ctx) {
       << JsonEscape(rec.spec.name) << "\", \"kind\": \""
       << ToString(rec.spec.kind) << "\", ";
   bool resumed = false;
+  int threads_used = 0;
   try {
     switch (rec.spec.kind) {
       case JobKind::kAtpg: {
         const atpg::AtpgResult result = atpg::RunAtpg(rec.circuit,
                                                       atpg_options);
         resumed = result.resumed;
+        threads_used = result.threads_used;
         if (result.preempted && cancel_requested()) {
           finish_cancelled(resumed);
           return;
@@ -447,11 +485,12 @@ void Service::RunJob(JobRec& rec, const core::JobContext& ctx) {
       }
       case JobKind::kFaultSim: {
         faultsim::ProofsOptions proofs_options;
-        proofs_options.num_threads = ctx.thread_budget;
+        proofs_options.num_threads = rec.spec.threads;
         const fault::CollapsedFaults faults = fault::Collapse(rec.circuit);
         const faultsim::ProofsResult result = faultsim::SimulateProofs(
             rec.circuit, faults.representatives, rec.tests.Concatenated(),
             proofs_options);
+        threads_used = result.threads_used;
         // Whole milliseconds, like AtpgResult::elapsed_ms: collapse
         // plus simulation.
         const long elapsed_ms =
@@ -477,6 +516,7 @@ void Service::RunJob(JobRec& rec, const core::JobContext& ctx) {
           return;
         }
         resumed = report.atpg.resumed;
+        threads_used = report.atpg.threads_used;
         if (report.atpg.preempted && cancel_requested()) {
           finish_cancelled(resumed);
           return;
@@ -509,17 +549,18 @@ void Service::RunJob(JobRec& rec, const core::JobContext& ctx) {
   RETEST_DIST_RECORD("serve.job_ms", "ms", "serve",
                      "wall time of one executed job",
                      MsBetween(run_start, Clock::now()));
-  FinishJob(rec, JobState::kDone, out.str(), resumed);
+  FinishJob(rec, JobState::kDone, out.str(), resumed, threads_used);
 }
 
 void Service::FinishJob(JobRec& rec, JobState state, std::string result_json,
-                        bool resumed) {
+                        bool resumed, int threads_used) {
   JobRecord record;
   std::function<void(const JobRecord&)> callback;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     rec.state = state;
     rec.resumed = resumed;
+    rec.threads_used = threads_used;
     rec.finished = Clock::now();
     rec.result_json = std::move(result_json);
     record = SnapshotLocked(rec);
@@ -583,6 +624,7 @@ JobRecord Service::SnapshotLocked(const JobRec& rec) const {
   record.kind = rec.spec.kind;
   record.state = rec.state;
   record.resumed = rec.resumed;
+  record.threads_used = rec.threads_used;
   record.result_json = rec.result_json;
   const Clock::time_point now = Clock::now();
   if (rec.state == JobState::kQueued) {
@@ -659,9 +701,7 @@ bool Service::Cancel(std::uint64_t id) {
     // be preempted.
     if (rec.spec.kind == JobKind::kFaultSim) return rec.cancel_requested;
     rec.cancel_requested = true;
-    // Fleet's jobs_mutex_ is a leaf (the fleet never calls back into
-    // the service), so raising the stop flag under mutex_ is safe.
-    fleet_.Cancel(rec.fleet_id);
+    rec.stop.store(true, std::memory_order_release);
     RETEST_COUNTER_ADD("serve.jobs.cancel_running", "jobs", "serve",
                        "CANCEL requests that targeted a running job", 1);
     return true;

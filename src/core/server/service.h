@@ -2,9 +2,9 @@
 //
 // Service owns everything between a parsed request and a result frame:
 // admission control, validation, the job registry, spool persistence,
-// and execution on a core::Fleet.  It is transport-free — the socket /
-// stdio layer (core/server/server.h), the batch mode and the tests all
-// drive the same class, which is what makes "daemon result ==
+// and execution on its own worker threads.  It is transport-free — the
+// socket / stdio layer (core/server/server.h), the batch mode and the
+// tests all drive the same class, which is what makes "daemon result ==
 // batch-tool result" a bit-identity claim rather than a convention.
 //
 // Lifecycle of one job:
@@ -17,8 +17,12 @@
 //                    written to <spool>/<id>.job (tmp+rename) before
 //                    the job is enqueued, and the job's checkpoint
 //                    journal goes to <spool>/<id>.journal
-//                 -> fleet job with the spec's priority and thread
-//                    budget; deadline_ms flows into the ATPG watchdog
+//                 -> the run queue, ordered by the spec's priority
+//                    (higher first), FIFO within a priority; `threads`
+//                    is clamped to [1, num_workers] and deadline_ms
+//                    flows into the ATPG watchdog
+//   worker        -> an idle worker pops the queue's head, so the
+//                    highest-priority queued job always runs next
 //   completion    -> the result JSON is built on the worker, stored in
 //                    the registry, written to <spool>/<id>.result.json,
 //                    the .job/.journal files are removed, and the
@@ -35,11 +39,12 @@
 // visible semantics; tests/serve_e2e_test.cpp proves kill -9 resume.
 //
 // Thread-safety: every public method may be called from any thread
-// (transport connection threads, the progress ticker, fleet workers
-// via the completion callback).  The registry mutex is never held
-// while a job body runs.
+// (transport connection threads, the progress ticker, the workers via
+// the completion callback).  The registry mutex, which also guards the
+// run queue, is never held while a job body runs.
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -47,10 +52,11 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <queue>
 #include <string>
+#include <thread>
 #include <vector>
 
-#include "core/fleet.h"
 #include "core/server/protocol.h"
 #include "core/status.h"
 #include "netlist/circuit.h"
@@ -58,7 +64,7 @@
 namespace retest::core::server {
 
 struct ServiceOptions {
-  /// Fleet workers; <= 0 = core::ResolveThreadCount default.
+  /// Worker threads; <= 0 = core::ResolveThreadCount default.
   int num_workers = 0;
   /// Admission bound on *queued* (not yet running) jobs.
   std::size_t max_queue = 64;
@@ -79,6 +85,10 @@ struct JobRecord {
   double queued_ms = 0;  ///< Submit -> start (or now, while queued).
   double run_ms = 0;     ///< Start -> finish (or now, while running).
   bool resumed = false;  ///< A checkpoint journal was replayed.
+  /// Threads the engine actually used (ATPG deterministic phase or
+  /// PROOFS batches), at most the job's granted `threads`; 0 until the
+  /// job ran to a result.
+  int threads_used = 0;
   /// The complete `result` frame payload; engaged once the job
   /// reached kDone/kFailed/kCancelled.
   std::string result_json;
@@ -87,7 +97,7 @@ struct JobRecord {
 class Service {
  public:
   explicit Service(const ServiceOptions& options = {});
-  /// Drains (waits for running jobs) and joins the fleet.
+  /// Drains (waits for every accepted job) and joins the workers.
   ~Service();
 
   Service(const Service&) = delete;
@@ -107,7 +117,7 @@ class Service {
   /// as `accepted == false` with a reason and diagnostics.
   Submission Submit(const JobSpec& spec);
 
-  /// Fires on a fleet worker after a job's record is finalized.  Set
+  /// Fires on a worker after a job's record is finalized.  Set
   /// before the first Submit (the transport does so at startup).
   void SetCompletionCallback(std::function<void(const JobRecord&)> callback);
 
@@ -120,7 +130,7 @@ class Service {
   std::optional<std::string> Result(std::uint64_t id) const;
 
   /// Cancels a job.  Queued: the job reports kCancelled without
-  /// running.  Running atpg/preserve: *preemptive* — the fleet raises
+  /// running.  Running atpg/preserve: *preemptive* — Cancel raises
   /// the job's stop flag, the ATPG watchdog latches it into in-flight
   /// searches within ~10 ms, unfinished faults commit kUntried and
   /// the job reports kCancelled with its journal left in the spool
@@ -158,24 +168,33 @@ class Service {
 
  private:
   struct JobRec;
+  /// Run-queue order: higher priority first, then lower id (ids grow
+  /// in admission order, and spool recovery resubmits in id order).
+  struct RunsLater {
+    bool operator()(const JobRec* a, const JobRec* b) const;
+  };
 
   Submission SubmitInternal(const JobSpec& spec, std::uint64_t forced_id);
-  void RunJob(JobRec& rec, const core::JobContext& ctx);
+  void WorkerLoop();
+  void RunJob(JobRec& rec);
   void FinishJob(JobRec& rec, JobState state, std::string result_json,
-                 bool resumed);
+                 bool resumed, int threads_used = 0);
   JobRecord SnapshotLocked(const JobRec& rec) const;
   std::string JournalPath(std::uint64_t id) const;
 
   const ServiceOptions options_;
-  core::Fleet fleet_;
+  const int num_workers_;
 
   mutable std::mutex mutex_;
   std::condition_variable done_cv_;
+  std::condition_variable work_cv_;
   std::map<std::uint64_t, std::unique_ptr<JobRec>> jobs_;
+  std::priority_queue<JobRec*, std::vector<JobRec*>, RunsLater> run_queue_;
   std::uint64_t next_id_ = 1;
   std::size_t queued_ = 0;
   std::size_t outstanding_ = 0;
   bool draining_ = false;
+  bool stopping_ = false;  ///< Set by ~Service once drained.
   std::function<void(const JobRecord&)> callback_;
 
   std::atomic<std::uint64_t> accepted_{0};
@@ -183,6 +202,8 @@ class Service {
   std::atomic<std::uint64_t> completed_{0};
   std::atomic<std::uint64_t> shed_{0};
   std::atomic<std::uint64_t> cancelled_{0};
+
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace retest::core::server

@@ -61,8 +61,8 @@ class Watchdog {
   /// preemption flag (not owned): the monitor mirrors it into every
   /// per-worker flag, and sets it itself when the deadline passes.
   /// `external_stop` (optional, not owned) is an outside cancellation
-  /// request — e.g. Fleet's per-job JobContext::stop — that the
-  /// monitor latches into `global_stop` within one poll interval
+  /// request — e.g. a served job's stop flag (Service::Cancel) — that
+  /// the monitor latches into `global_stop` within one poll interval
   /// (<= 10 ms), so a preemptive cancel reaches in-flight PODEM
   /// searches with bounded latency even when no limit is configured.
   Watchdog(const WatchdogLimits& limits, int num_workers,

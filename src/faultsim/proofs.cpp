@@ -170,9 +170,6 @@ void RunBatches(const netlist::Circuit& circuit,
     RETEST_COUNTER_ADD("faultsim.faults_detected", "faults", "faultsim",
                        "faults detected by PROOFS",
                        (lane_mask & ~undetected).count());
-    RETEST_DIST_RECORD("faultsim.dropped_per_batch", "faults", "faultsim",
-                       "faults dropped (detected) per batch",
-                       (lane_mask & ~undetected).count());
   });
 
   for (const WorkerScratch<W>& ws : scratch) {

@@ -82,9 +82,13 @@ ApplyResult ApplyRetiming(const Circuit& original, const BuildResult& build,
       return cached;
     }
 
+    // Appending rather than `"r" + std::to_string(e)`: GCC 12 at -O3
+    // reports a false -Wrestrict on the inlined concatenation.
+    std::string dff_base = "r";
+    dff_base += std::to_string(e);
     for (int k = 1; k <= weight; ++k) {
-      const NodeId dff = out.Add(
-          NodeKind::kDff, out.FreshName("r" + std::to_string(e)), {net});
+      const NodeId dff =
+          out.Add(NodeKind::kDff, out.FreshName(dff_base), {net});
       if (k == 1 && from_stem) {
         segs[0].push_back({dff, 0});  // branch read by the first DFF
       }

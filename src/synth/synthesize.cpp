@@ -146,8 +146,11 @@ Circuit Synthesize(const fsm::Fsm& fsm, const SynthesisOptions& options) {
   std::vector<NodeId> dffs(static_cast<size_t>(bits));
   std::vector<NodeId> state_vars(static_cast<size_t>(bits));
   for (int b = 0; b < bits; ++b) {
-    dffs[static_cast<size_t>(b)] =
-        circuit.Add(NodeKind::kDff, "q" + std::to_string(b));
+    // Appending rather than `"q" + std::to_string(b)`: GCC 12 at -O3
+    // reports a false -Wrestrict on the inlined concatenation.
+    std::string name = "q";
+    name += std::to_string(b);
+    dffs[static_cast<size_t>(b)] = circuit.Add(NodeKind::kDff, name);
     state_vars[static_cast<size_t>(b)] = dffs[static_cast<size_t>(b)];
   }
 

@@ -142,7 +142,7 @@ TEST(Proofs, HandlesMoreThan64Faults) {
   builder.Input("a");
   std::string prev = "a";
   for (int i = 0; i < 40; ++i) {
-    const std::string name = "g" + std::to_string(i);
+    const std::string name = retest::testing::IndexedName("g", i);
     builder.Buf(name, prev);
     prev = name;
   }

@@ -28,6 +28,14 @@ struct TestRng {
   bool Bit() { return Next() & 1; }
 };
 
+/// `prefix` followed by `index`.  Built by appending: GCC 12 reports a
+/// false -Wrestrict on the inlined `"x" + std::to_string(i)` at -O2+.
+inline std::string IndexedName(const char* prefix, int index) {
+  std::string name = prefix;
+  name += std::to_string(index);
+  return name;
+}
+
 struct RandomCircuitOptions {
   int num_inputs = 3;
   int num_dffs = 3;
@@ -41,20 +49,20 @@ inline netlist::Circuit MakeRandomCircuit(std::uint64_t seed,
   netlist::Builder builder("rand" + std::to_string(seed));
   std::vector<std::string> nets;
   for (int i = 0; i < options.num_inputs; ++i) {
-    const std::string name = "x" + std::to_string(i);
+    const std::string name = IndexedName("x", i);
     builder.Input(name);
     nets.push_back(name);
   }
   std::vector<std::string> dffs;
   for (int i = 0; i < options.num_dffs; ++i) {
-    const std::string name = "q" + std::to_string(i);
+    const std::string name = IndexedName("q", i);
     builder.Dff(name);
     nets.push_back(name);
     dffs.push_back(name);
   }
   std::vector<std::string> gate_nets;
   for (int i = 0; i < options.num_gates; ++i) {
-    const std::string name = "g" + std::to_string(i);
+    const std::string name = IndexedName("g", i);
     auto pick = [&] { return nets[static_cast<size_t>(rng.Below(
                           static_cast<int>(nets.size())))]; };
     // The first num_dffs gates each consume one DFF output so no
@@ -86,7 +94,7 @@ inline netlist::Circuit MakeRandomCircuit(std::uint64_t seed,
   for (netlist::NodeId id = 0; id < circuit.size(); ++id) {
     if (netlist::IsGate(circuit.node(id).kind) &&
         circuit.node(id).fanout.empty()) {
-      circuit.Add(netlist::NodeKind::kOutput, "z" + std::to_string(extra++),
+      circuit.Add(netlist::NodeKind::kOutput, IndexedName("z", extra++),
                   {id});
     }
   }

@@ -4,14 +4,22 @@
 // problem reported, unknown keys/verbs refused, canonical payload
 // round-trip), response builder shapes, and the transport-free
 // Service: validation rejects, admission control, drain semantics,
-// cancel, deadline preemption and spool crash-recovery bit-identity.
+// scheduling (priority then FIFO across all workers, the `threads`
+// clamp, no lost wakeups), cancel, deadline preemption and spool
+// crash-recovery bit-identity.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <chrono>
+#include <condition_variable>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "atpg/engine.h"
@@ -46,9 +54,9 @@ constexpr char kTinyBench[] =
     "d = DFF(a)\n"
     "y = AND(d, b)\n";
 
-/// A deterministic sub-second ATPG configuration (mirrors the fleet
-/// bench's quick options): bounded backtracking, no random phase, no
-/// wall-clock budget in play, so results are run-to-run identical.
+/// A deterministic sub-second ATPG configuration: bounded backtracking,
+/// no random phase, no wall-clock budget in play, so results are
+/// run-to-run identical.
 atpg::AtpgOptions QuickAtpg() {
   atpg::AtpgOptions options;
   options.style = atpg::AtpgStyle::kForwardIla;
@@ -66,6 +74,51 @@ netlist::Circuit QuickCircuit(std::uint64_t seed) {
   options.num_dffs = 4;
   options.num_gates = 30;
   return retest::testing::MakeRandomCircuit(seed, options);
+}
+
+JobSpec QuickSpec(const std::string& name, int priority = 0) {
+  JobSpec spec;
+  spec.name = name;
+  spec.priority = priority;
+  spec.netlist = kTinyBench;
+  spec.atpg = QuickAtpg();
+  return spec;
+}
+
+/// A job that keeps its worker busy until it is cancelled: ATPG on dk16
+/// with a backtrack limit far beyond what any test waits for.  Cancel
+/// preempts it within one watchdog poll.
+JobSpec BlockerSpec(const std::string& name, int priority = 0) {
+  static const std::string netlist = netlist::WriteBenchString(
+      synth::Synthesize(fsm::MakeBenchmarkFsm("dk16"), {}));
+  JobSpec spec;
+  spec.name = name;
+  spec.priority = priority;
+  spec.netlist = netlist;
+  spec.atpg.random_rounds = 0;
+  spec.atpg.backtracks_per_fault = 1'000'000'000;
+  spec.atpg.time_budget_ms = 600'000;
+  return spec;
+}
+
+ServiceOptions Workers(int num_workers) {
+  ServiceOptions options;
+  options.num_workers = num_workers;
+  return options;
+}
+
+/// Polls `done` every millisecond for up to 20 s.
+template <typename Predicate>
+bool WaitUntil(Predicate done) {
+  for (int i = 0; i < 20'000; ++i) {
+    if (done()) return true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return done();
+}
+
+JobState StateOf(const Service& service, std::uint64_t id) {
+  return service.Query(id).value().state;
 }
 
 std::string Field(const std::string& json, const std::string& key) {
@@ -425,9 +478,9 @@ TEST(Service, CancelTargetsOnlyQueuedJobs) {
 }
 
 TEST(Service, DeadlinePreemptsALongJob) {
-  // dk16 against a 30 ms deadline (the fleet test's preemption
-  // recipe): the engine's watchdog must hand back a clean preempted
-  // result (kUntried faults, status ok) rather than overrun.
+  // dk16 against a 30 ms deadline: the engine's watchdog must hand back
+  // a clean preempted result (kUntried faults, status ok) rather than
+  // overrun.
   const netlist::Circuit circuit =
       synth::Synthesize(fsm::MakeBenchmarkFsm("dk16"), {});
   JobSpec spec;
@@ -445,6 +498,153 @@ TEST(Service, DeadlinePreemptsALongJob) {
   ASSERT_TRUE(record.has_value());
   EXPECT_EQ(record->state, JobState::kDone);
   EXPECT_EQ(Field(record->result_json, "preempted"), "true");
+}
+
+TEST(Service, PriorityOrdersTheQueueOnOneWorker) {
+  Service service(Workers(1));
+  std::mutex mutex;
+  std::vector<std::uint64_t> finished;
+  service.SetCompletionCallback([&](const JobRecord& record) {
+    std::lock_guard<std::mutex> lock(mutex);
+    finished.push_back(record.id);
+  });
+  // Occupy the only worker so the later submissions queue up and the
+  // priority order, not submission order, decides execution.
+  const auto blocker = service.Submit(BlockerSpec("blocker"));
+  ASSERT_TRUE(blocker.accepted) << blocker.diagnostics.ToString();
+  ASSERT_TRUE(WaitUntil(
+      [&] { return StateOf(service, blocker.id) == JobState::kRunning; }));
+  const auto low_first = service.Submit(QuickSpec("low-first", -1));
+  const auto high = service.Submit(QuickSpec("high", 5));
+  const auto low_second = service.Submit(QuickSpec("low-second", -1));
+  ASSERT_TRUE(low_first.accepted && high.accepted && low_second.accepted);
+  ASSERT_TRUE(service.Cancel(blocker.id));
+  service.Drain();
+  // One worker: completion order is start order.
+  std::lock_guard<std::mutex> lock(mutex);
+  EXPECT_EQ(finished, (std::vector<std::uint64_t>{blocker.id, high.id,
+                                                  low_first.id,
+                                                  low_second.id}));
+}
+
+TEST(Service, AnIdleWorkerTakesTheHighestPriorityQueuedJob) {
+  // Priority is global: whichever worker frees up first must start the
+  // high-priority job, never the older low-priority one.  Both workers
+  // are tried as the first one freed.
+  for (const int freed_first : {0, 1}) {
+    SCOPED_TRACE("freed_first=" + std::to_string(freed_first));
+    Service service(Workers(2));
+    const std::uint64_t blockers[2] = {
+        service.Submit(BlockerSpec("blocker-0")).id,
+        service.Submit(BlockerSpec("blocker-1")).id};
+    ASSERT_TRUE(WaitUntil([&] {
+      return StateOf(service, blockers[0]) == JobState::kRunning &&
+             StateOf(service, blockers[1]) == JobState::kRunning;
+    }));
+    const auto low = service.Submit(BlockerSpec("low", -1));
+    const auto high = service.Submit(BlockerSpec("high", 5));
+    ASSERT_TRUE(low.accepted && high.accepted);
+
+    ASSERT_TRUE(service.Cancel(blockers[freed_first]));
+    ASSERT_TRUE(WaitUntil([&] {
+      return StateOf(service, low.id) != JobState::kQueued ||
+             StateOf(service, high.id) != JobState::kQueued;
+    }));
+    EXPECT_EQ(ToString(StateOf(service, high.id)), "running");
+    EXPECT_EQ(ToString(StateOf(service, low.id)), "queued");
+
+    // Freeing the other worker starts the low-priority job.
+    ASSERT_TRUE(service.Cancel(blockers[1 - freed_first]));
+    EXPECT_TRUE(WaitUntil(
+        [&] { return StateOf(service, low.id) != JobState::kQueued; }));
+    service.Cancel(high.id);
+    service.Cancel(low.id);
+    service.Drain();
+  }
+}
+
+TEST(Service, ThreadsAreClampedToTheWorkers) {
+  Service service(Workers(2));
+  JobSpec spec = QuickSpec("threads");
+  spec.netlist = netlist::WriteBenchString(QuickCircuit(7));
+  std::string crc;
+  for (const int threads : {1, 2, 99}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    spec.threads = threads;
+    const auto submission = service.Submit(spec);
+    ASSERT_TRUE(submission.accepted) << submission.diagnostics.ToString();
+    const auto record = service.Wait(submission.id);
+    ASSERT_TRUE(record.has_value());
+    ASSERT_EQ(record->state, JobState::kDone) << record->result_json;
+    // 99 is granted as the 2 workers; the engine stays inside the grant.
+    EXPECT_GE(record->threads_used, 1);
+    EXPECT_LE(record->threads_used, std::min(threads, 2));
+    // The engines are thread-count deterministic.
+    if (crc.empty()) crc = Field(record->result_json, "tests_crc32");
+    EXPECT_EQ(Field(record->result_json, "tests_crc32"), crc);
+  }
+}
+
+TEST(Service, CancelSkipsOnlyItsQueuedTarget) {
+  Service service(Workers(1));
+  const auto blocker = service.Submit(BlockerSpec("blocker"));
+  ASSERT_TRUE(blocker.accepted) << blocker.diagnostics.ToString();
+  ASSERT_TRUE(WaitUntil(
+      [&] { return StateOf(service, blocker.id) == JobState::kRunning; }));
+  std::vector<std::uint64_t> queued;
+  for (int i = 0; i < 3; ++i) {
+    queued.push_back(service.Submit(QuickSpec("queued")).id);
+  }
+  EXPECT_TRUE(service.Cancel(queued[1]));  // The middle queued job.
+  ASSERT_TRUE(service.Cancel(blocker.id));
+  service.Drain();
+  EXPECT_EQ(StateOf(service, queued[0]), JobState::kDone);
+  EXPECT_EQ(StateOf(service, queued[1]), JobState::kCancelled);
+  EXPECT_EQ(StateOf(service, queued[2]), JobState::kDone);
+  EXPECT_EQ(Field(service.Result(queued[1]).value(), "status"), "cancelled");
+  EXPECT_FALSE(service.Cancel(queued[0]));  // Finished: not cancellable.
+  EXPECT_EQ(service.cancelled(), 2u);       // The target and the blocker.
+}
+
+TEST(Service, SubmitWakesAWorkerThatIsAboutToSleep) {
+  // A fresh worker checks "anything queued?" and then sleeps.  A Submit
+  // whose notify could land between the two would leave its job
+  // unclaimed.  Each round starts a one-worker service and submits
+  // after a jittered spin, so some submissions hit that window, then
+  // waits a bounded time for the job to finish.  On a timeout the test
+  // fails and submits once more: the worker, asleep by then, wakes for
+  // that notify, so the service drains.
+  JobSpec spec;
+  spec.kind = JobKind::kFaultSim;
+  spec.netlist = kTinyBench;
+  spec.tests = "11\n";
+  std::mutex mutex;
+  std::condition_variable finished_cv;
+  int finished = 0;
+  std::uint64_t jitter = 88172645463325252ull;
+  for (int round = 0; round < 20'000; ++round) {
+    Service service(Workers(1));
+    service.SetCompletionCallback([&](const JobRecord&) {
+      std::lock_guard<std::mutex> lock(mutex);
+      ++finished;
+      finished_cv.notify_all();
+    });
+    jitter ^= jitter << 13;
+    jitter ^= jitter >> 7;
+    jitter ^= jitter << 17;
+    const auto spin_until = std::chrono::steady_clock::now() +
+                            std::chrono::nanoseconds(jitter % 40'000);
+    while (std::chrono::steady_clock::now() < spin_until) {
+    }
+    ASSERT_TRUE(service.Submit(spec).accepted);
+    std::unique_lock<std::mutex> lock(mutex);
+    if (!finished_cv.wait_for(lock, std::chrono::seconds(5),
+                              [&] { return finished == round + 1; })) {
+      lock.unlock();
+      service.Submit(spec);
+      FAIL() << "job of round " << round << " was never picked up";
+    }
+  }
 }
 
 TEST(Service, CompletionCallbackDeliversTheResultFrame) {

@@ -55,7 +55,8 @@ TEST(Extract, GuardsAgainstLargeCircuits) {
   Builder builder("wide");
   std::vector<std::string> names;
   for (int i = 0; i < 12; ++i) {
-    names.push_back("i" + std::to_string(i));
+    names.emplace_back("i");
+    names.back() += std::to_string(i);  // Not `"i" + ...`: GCC 12 -Wrestrict.
     builder.Input(names.back());
   }
   builder.Gate(netlist::NodeKind::kOr, "g", names);
