@@ -152,12 +152,17 @@ bool EmitJson(const std::vector<CircuitReport>& reports,
                std::max(1u, std::thread::hardware_concurrency()),
                bench::HostIsa().c_str());
   std::fprintf(f, "  \"mt_threads\": %d,\n", mt_threads);
+  const auto style = [](const atpg::AtpgOptions& options) {
+    return options.style == atpg::AtpgStyle::kJustification ? "justification"
+                                                            : "forward_ila";
+  };
   std::fprintf(f,
-               "  \"config\": {\"style\": \"justification\", "
-               "\"quick_backtracks\": %ld, \"table2_backtracks\": %ld, "
+               "  \"config\": {\"quick_style\": \"%s\", "
+               "\"quick_backtracks\": %ld, \"table2_style\": \"%s\", "
+               "\"table2_backtracks\": %ld, "
                "\"table2_justify_backtracks\": %ld},\n",
-               quick.backtracks_per_fault, paper.backtracks_per_fault,
-               paper.justify_backtracks);
+               style(quick), quick.backtracks_per_fault, style(paper),
+               paper.backtracks_per_fault, paper.justify_backtracks);
   std::fprintf(f, "  \"circuits\": [\n");
   for (size_t i = 0; i < reports.size(); ++i) {
     const CircuitReport& r = reports[i];

@@ -99,8 +99,8 @@ class Server {
   std::thread ticker_;
 };
 
-/// Client-side connect helpers (tools/repro_serve --client, tests,
-/// bench_serve_perf).  Return the connected fd or -1 with `error` set.
+/// Client-side connect helpers (tools/repro_serve --client and the
+/// tests).  Return the connected fd or -1 with `error` set.
 int ConnectUnix(const std::string& path, std::string& error);
 int ConnectTcp(int port, std::string& error);
 

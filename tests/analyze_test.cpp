@@ -38,6 +38,22 @@ int FindingsOf(const analyze::LintResult& result, const std::string& pass) {
   return -1;
 }
 
+/// The nodes that `pass` alone reports (the first quoted name of each
+/// finding), sorted.
+std::vector<std::string> NamesFoundBy(const Circuit& circuit,
+                                      const std::string& pass) {
+  analyze::LintOptions options;
+  options.passes = {pass};
+  std::vector<std::string> names;
+  for (const auto& finding : analyze::RunLint(circuit, options).diagnostics) {
+    const std::size_t open = finding.message.find('\'');
+    const std::size_t close = finding.message.find('\'', open + 1);
+    names.push_back(finding.message.substr(open + 1, close - open - 1));
+  }
+  std::sort(names.begin(), names.end());
+  return names;
+}
+
 // ---------------------------------------------------------------------------
 // Lint passes.
 
@@ -96,6 +112,51 @@ TEST(LintTest, ConstantDeadGates) {
   const auto result = analyze::RunLint(*parsed.circuit);
   // g, h and z2 evaluate to constants; z depends on a.
   EXPECT_EQ(FindingsOf(result, "const-dead"), 3);
+}
+
+// The two Sweep cases keep the circuits and names of the structural
+// sweep's dead-logic and constant tests; lint's passes make those
+// findings now that the sweep is gone.
+
+TEST(Sweep, AllDeadConeIncludingRegisterLoop) {
+  // A register loop q -> g_inv -> g_mix(x) -> q beside the live path
+  // x -> g_live -> z: every loop node drives something, yet none
+  // reaches an output, so the whole loop is unobservable.
+  netlist::Builder builder("deadcone");
+  builder.Input("x");
+  builder.Dff("q");
+  builder.Not("g_inv", "q");
+  builder.And("g_mix", {"g_inv", "x"});
+  builder.SetDffInput("q", "g_mix");
+  builder.Buf("g_live", "x");
+  builder.Output("z", "g_live");
+  const Circuit loop = builder.Build();
+  EXPECT_EQ(NamesFoundBy(loop, "unobservable"),
+            (std::vector<std::string>{"g_inv", "g_mix", "q"}));
+  EXPECT_TRUE(NamesFoundBy(loop, "floating").empty());
+}
+
+TEST(Sweep, ConstantsAtPrimaryOutputs) {
+  // AND with a tied 0 and OR with a tied 1 are constant; AND(x, 1)
+  // and XOR(x, 1) still follow x.
+  Circuit po("const_po");
+  const NodeId x = po.Add(NodeKind::kInput, "x");
+  const NodeId one = po.Add(NodeKind::kConst1, "one");
+  const NodeId zero = po.Add(NodeKind::kConst0, "zero");
+  const NodeId and0 = po.Add(NodeKind::kAnd, "g_and0", {x, zero});
+  const NodeId or1 = po.Add(NodeKind::kOr, "g_or1", {x, one});
+  const NodeId keep = po.Add(NodeKind::kAnd, "g_keep", {x, one});
+  const NodeId xor1 = po.Add(NodeKind::kXor, "g_x1", {x, one});
+  po.Add(NodeKind::kOutput, "z_const0", {and0});
+  po.Add(NodeKind::kOutput, "z_const1", {or1});
+  po.Add(NodeKind::kOutput, "z_live", {keep});
+  po.Add(NodeKind::kOutput, "z_inv", {xor1});
+  po.Add(NodeKind::kOutput, "z_tied", {one});
+  EXPECT_EQ(NamesFoundBy(po, "const-dead"),
+            (std::vector<std::string>{"g_and0", "g_or1"}));
+  const std::string report = analyze::RunLint(po).diagnostics.ToString();
+  EXPECT_NE(report.find("'g_and0' always evaluates to 0"), std::string::npos);
+  EXPECT_NE(report.find("'g_or1' always evaluates to 1"), std::string::npos);
 }
 
 TEST(LintTest, CombinationalCycleReported) {

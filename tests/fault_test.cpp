@@ -231,6 +231,24 @@ TEST(Collapse, MatchesMapIndexedReferenceOnRandomCircuits) {
   }
 }
 
+TEST(CollapseDeterminism, RepresentativesSortedByFaultOrder) {
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    const Circuit circuit = retest::testing::MakeRandomCircuit(seed);
+    const auto collapsed = fault::Collapse(circuit);
+    EXPECT_TRUE(std::is_sorted(collapsed.representatives.begin(),
+                               collapsed.representatives.end()))
+        << "seed " << seed;
+    // Every representative is its own class root in `all`.
+    for (const auto& rep : collapsed.representatives) {
+      const auto it = std::find(collapsed.all.begin(), collapsed.all.end(), rep);
+      ASSERT_NE(it, collapsed.all.end());
+      const auto index =
+          static_cast<size_t>(std::distance(collapsed.all.begin(), it));
+      EXPECT_EQ(collapsed.class_of[index], static_cast<int>(index));
+    }
+  }
+}
+
 TEST(Correspondence, IdentityRetimingIsIdentity) {
   const auto circuit = retest::testing::MakeFig5N1();
   retime::BuildResult build = retime::BuildGraph(circuit);

@@ -3,7 +3,8 @@
 // frames, QUERY/RESULT/CANCEL/PING/STATS answers, the periodic
 // progress stream, malformed- and oversized-frame rejection followed
 // by hangup, concurrent clients receiving bit-identical results for
-// identical jobs, and goodbye-on-shutdown.  The crash-recovery
+// identical jobs, result frames that do not depend on how many TCP
+// clients share the jobs, and goodbye-on-shutdown.  The crash-recovery
 // (kill -9) path is covered twice elsewhere: in-process in
 // serve_test.cpp (fabricated crash scene) and against the real daemon
 // binary in scripts/serve_smoke.sh.
@@ -13,6 +14,8 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <map>
+#include <regex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -23,6 +26,7 @@
 #include "core/server/protocol.h"
 #include "core/server/server.h"
 #include "core/testset.h"
+#include "experiments.h"
 #include "netlist/bench_io.h"
 #include "tests/random_circuits.h"
 
@@ -313,6 +317,90 @@ TEST(ServeE2e, ConcurrentClientsGetBitIdenticalResultsForIdenticalJobs) {
   ASSERT_NE(crcs[0], "");
   for (int i = 1; i < kClients; ++i) {
     EXPECT_EQ(crcs[i], crcs[0]) << "client " << i << " diverged";
+  }
+}
+
+/// A result frame with its run-dependent fields blanked: the job id
+/// (admission order) and the wall-clock elapsed_ms.
+std::string MaskIdAndElapsed(const std::string& frame) {
+  static const std::regex kVolatile(R"re("(id|elapsed_ms)": [0-9]+)re");
+  return std::regex_replace(frame, kVolatile, "\"$1\": _");
+}
+
+/// One TCP client submits `payloads` in order, each awaiting its
+/// accepted frame, then collects a result frame per job.  Returns the
+/// masked result frames by job name; a missing entry is a lost result.
+std::map<std::string, std::string> SubmitAndCollect(
+    int port, const std::vector<std::string>& payloads) {
+  std::map<std::string, std::string> results;
+  Client client(port);
+  if (Field(client.Read(), "type") != "hello") return results;
+  std::size_t accepted = 0;
+  const auto take = [&](const std::string& frame) {
+    const std::string type = Field(frame, "type");
+    if (type == "accepted") ++accepted;
+    if (type == "result") {
+      results[Field(frame, "name")] = MaskIdAndElapsed(frame);
+    }
+    return !frame.empty() && type != "rejected" && type != "error";
+  };
+  for (std::size_t i = 0; i < payloads.size(); ++i) {
+    if (!client.Send(payloads[i])) return results;
+    while (accepted <= i) {
+      if (!take(client.Read())) return results;
+    }
+  }
+  while (results.size() < payloads.size()) {
+    if (!take(client.Read())) return results;
+  }
+  return results;
+}
+
+TEST(ServeE2e, ResultFramesDoNotDependOnTheNumberOfClients) {
+  // Six named quick ATPG jobs over the first two Table II circuits,
+  // split round-robin over 1 and then 2 TCP clients of one daemon.
+  std::vector<std::string> netlists;
+  for (std::size_t v = 0; v < 2; ++v) {
+    netlists.push_back(netlist::WriteBenchString(
+        bench::PrepareVariant(bench::Table2Variants()[v]).original));
+  }
+  std::vector<std::string> payloads;
+  for (std::size_t j = 0; j < 6; ++j) {
+    JobSpec spec;
+    spec.name = "job" + std::to_string(j);
+    spec.threads = 1;
+    spec.atpg = QuickAtpg();
+    spec.netlist = netlists[j % netlists.size()];
+    payloads.push_back(BuildSubmitPayload(spec));
+  }
+
+  ServerOptions options;
+  options.tcp_port = 0;  // Pick any free port.
+  options.service.num_workers = 4;
+  ServerFixture fixture(options, "clients");
+  const int port = fixture.server().port();
+  ASSERT_GT(port, 0);
+
+  std::vector<std::map<std::string, std::string>> by_point;
+  for (const int clients : {1, 2}) {
+    std::vector<std::vector<std::string>> shares(clients);
+    for (std::size_t j = 0; j < payloads.size(); ++j) {
+      shares[j % clients].push_back(payloads[j]);
+    }
+    std::vector<std::map<std::string, std::string>> results(clients);
+    std::vector<std::thread> threads;
+    for (int c = 0; c < clients; ++c) {
+      threads.emplace_back(
+          [&, c] { results[c] = SubmitAndCollect(port, shares[c]); });
+    }
+    for (std::thread& thread : threads) thread.join();
+    std::map<std::string, std::string>& merged = by_point.emplace_back();
+    for (const auto& share : results) merged.insert(share.begin(), share.end());
+    ASSERT_EQ(merged.size(), payloads.size()) << clients << " client(s)";
+  }
+  for (const auto& [name, frame] : by_point[0]) {
+    EXPECT_EQ(Field(frame, "status"), "ok") << frame;
+    EXPECT_EQ(by_point[1].at(name), frame) << name << " differs at 2 clients";
   }
 }
 

@@ -1,20 +1,16 @@
 // repro_lint: static netlist analyzer CLI over src/analyze.
 //
-//   repro_lint [--passes a,b,...] [--scoap] [--sweep] [--certify RETIMED] FILE
+//   repro_lint [--passes a,b,...] [--scoap] [--certify RETIMED] FILE
 //   repro_lint --list
 //
 // Parses FILE as .bench, runs the lint pass registry with findings
 // anchored to source lines, optionally prints the SCOAP testability
-// summary, optionally reports the structural sweep (analyze/sweep.h:
-// equivalence classes, constants, dead logic — with a built-in
-// simulation cross-check), and optionally certifies RETIMED as a
-// retiming of FILE.
+// summary, and optionally certifies RETIMED as a retiming of FILE.
 //
 // Exit codes:
 //   0  clean (parsed, no lint findings, certification accepted if asked)
-//   1  lint findings (including dead logic found by --sweep)
-//   2  parse or structural errors (FILE or RETIMED malformed, or the
-//      sweep self-check disagreed with simulation)
+//   1  lint findings
+//   2  parse or structural errors (FILE or RETIMED malformed)
 //   3  certification refused
 //   4  usage error
 //
@@ -32,7 +28,6 @@
 #include "analyze/certify.h"
 #include "analyze/lint.h"
 #include "analyze/scoap.h"
-#include "analyze/sweep.h"
 #include "netlist/bench_io.h"
 #include "netlist/check.h"
 
@@ -52,8 +47,6 @@ void PrintUsage(std::ostream& out) {
          "  --list             list registered lint passes and exit\n"
          "  --passes A,B,...   run only the named passes\n"
          "  --scoap            print the SCOAP testability summary (JSON)\n"
-         "  --sweep            print the structural sweep report (JSON);\n"
-         "                     dead logic is a lint finding (exit 1)\n"
          "  --certify RETIMED  certify RETIMED.bench as a retiming of FILE\n"
          "  --help             show this message\n";
 }
@@ -91,7 +84,6 @@ int main(int argc, char** argv) {
   std::string certify_file;
   std::vector<std::string> passes;
   bool want_scoap = false;
-  bool want_sweep = false;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -106,8 +98,6 @@ int main(int argc, char** argv) {
       return kExitClean;
     } else if (arg == "--scoap") {
       want_scoap = true;
-    } else if (arg == "--sweep") {
-      want_sweep = true;
     } else if (arg == "--passes") {
       if (++i >= argc) {
         std::cerr << "repro_lint: --passes needs an argument\n";
@@ -168,60 +158,6 @@ int main(int argc, char** argv) {
     std::cout << retest::analyze::Summarize(scoap).ToJson() << '\n';
   }
 
-  bool sweep_dead_found = false;
-  if (want_sweep) {
-    const auto check = retest::netlist::Check(circuit);
-    if (!check.ok()) {
-      std::cerr << check.diagnostics.ToString() << '\n';
-      return kExitParseError;
-    }
-    const auto swept = retest::analyze::BuildSweptNetlist(circuit);
-    const auto verdict = retest::analyze::VerifySweep(circuit, swept);
-    const auto& report = swept.report;
-    std::cout << "{\"nodes\": " << circuit.size()
-              << ", \"swept_nodes\": " << swept.circuit.size()
-              << ", \"classes\": " << report.num_classes
-              << ", \"merged_gates\": " << report.merged_gates
-              << ", \"constant_gates\": " << report.constant_gates
-              << ", \"dead_nodes\": " << report.dead_nodes
-              << ", \"rule_strash\": " << report.rule_strash
-              << ", \"rule_alias\": " << report.rule_alias
-              << ", \"rule_const\": " << report.rule_const
-              << ", \"rule_dff\": " << report.rule_dff
-              << ", \"iterations\": " << report.iterations
-              << ", \"verified\": " << (verdict.ok ? "true" : "false")
-              << "}\n";
-    if (!verdict.ok) {
-      std::cerr << "repro_lint: sweep self-check FAILED: " << verdict.detail
-                << '\n';
-      return kExitParseError;
-    }
-    // Dead logic is a finding.  Distinguish gates feeding only dead
-    // logic (their value is computed and then thrown away downstream)
-    // from dangling ones (no consumers at all).
-    int dead = 0;
-    for (retest::netlist::NodeId id = 0; id < circuit.size(); ++id) {
-      if (!report.IsDead(id)) continue;
-      const auto& node = circuit.node(id);
-      if (node.kind == retest::netlist::NodeKind::kInput ||
-          node.kind == retest::netlist::NodeKind::kOutput) {
-        continue;  // interface nodes are preserved, not findings
-      }
-      ++dead;
-      const bool feeds_only_dead = !node.fanout.empty();
-      std::cerr << "sweep: " << (feeds_only_dead
-                                     ? "gate feeds only dead logic: "
-                                     : "dead (dangling) node: ")
-                << node.name << '\n';
-    }
-    if (dead > 0) {
-      sweep_dead_found = true;
-      std::cerr << "repro_lint: sweep found " << dead << " dead node"
-                << (dead == 1 ? "" : "s") << " (exit " << kExitFindings
-                << ")\n";
-    }
-  }
-
   if (!certify_file.empty()) {
     auto retimed = ParseFile(certify_file);
     if (!retimed) return kExitParseError;
@@ -238,5 +174,5 @@ int main(int argc, char** argv) {
     }
   }
 
-  return lint.clean() && !sweep_dead_found ? kExitClean : kExitFindings;
+  return lint.clean() ? kExitClean : kExitFindings;
 }
