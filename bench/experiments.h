@@ -99,7 +99,12 @@ long BudgetMs(long base_ms);
 
 /// The ATPG configuration used for Table II: deterministic
 /// HITEC-style justification search (no random phase, no learned
-/// cache), which is the architecture whose cost the paper measures.
+/// state), which is the architecture whose cost the paper measures.
+/// Each run keeps an exact justification memo: a repeated (fault,
+/// state cube) request, or a cube that a register-blind fault asks
+/// for again, reuses the recorded result and charges its recorded
+/// evaluations, so results and evaluations are those of the searches
+/// it stands in for, at any thread count (atpg/parallel_driver.h).
 atpg::AtpgOptions Table2AtpgOptions(long budget_ms);
 
 /// Fast high-coverage configuration used to *generate* test sets for

@@ -407,11 +407,7 @@ JustifyResult JustifyState(const sim::CompiledNetlist& net,
   RETEST_SCOPED_TIMER(justify_timer, "atpg.justify_ms", "atpg",
                       "wall time of one JustifyState call");
   Justifier justifier(net, options, fault);
-  const JustifyResult result = justifier.Run(target);
-  RETEST_COUNTER_ADD("atpg.justify.evaluations", "node-evals", "atpg",
-                     "node evaluations charged by backward justification",
-                     result.evaluations);
-  return result;
+  return justifier.Run(target);
 }
 
 }  // namespace retest::atpg

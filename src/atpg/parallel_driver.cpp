@@ -8,6 +8,7 @@
 #include <mutex>
 #include <optional>
 #include <span>
+#include <unordered_map>
 #include <utility>
 
 #include "atpg/journal.h"
@@ -49,6 +50,51 @@ struct FaultOutcome {
 struct Slot {
   std::atomic<bool> ready{false};
   FaultOutcome outcome;
+};
+
+/// Run-wide memo of JustifyState results, shared by the workers.
+/// JustifyState is a pure function of (circuit, cube, limits, fault),
+/// and the limits are fixed for the run, so an entry is exactly what a
+/// fresh call would return: status, sequence, backtracks and
+/// evaluations.  Register-blind faults key as kNoFault
+/// (Driver::MemoFault).
+class JustifyMemo {
+ public:
+  static constexpr std::size_t kNoFault = SIZE_MAX;
+
+  struct Key {
+    std::size_t fault = kNoFault;  ///< Index into AtpgResult::faults.
+    std::vector<V3> cube;
+    friend bool operator==(const Key&, const Key&) = default;
+  };
+
+  std::optional<JustifyResult> Find(const Key& key) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    const auto it = entries_.find(key);
+    if (it == entries_.end()) return std::nullopt;
+    return it->second;
+  }
+
+  /// Stores a result; the caller guarantees no stop cut it short.  Two
+  /// workers racing on one key store the same value.
+  void Store(Key key, const JustifyResult& result) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    entries_.try_emplace(std::move(key), result);
+  }
+
+ private:
+  struct KeyHash {
+    std::size_t operator()(const Key& key) const {
+      std::uint64_t hash = 0xcbf29ce484222325ull ^ key.fault;  // FNV-1a
+      for (V3 v : key.cube) {
+        hash = (hash ^ static_cast<std::uint64_t>(v)) * 0x100000001b3ull;
+      }
+      return static_cast<std::size_t>(hash);
+    }
+  };
+
+  std::mutex mutex_;
+  std::unordered_map<Key, JustifyResult, KeyHash> entries_;
 };
 
 /// Per-worker reusable models over the run's shared compiled image;
@@ -143,8 +189,7 @@ class Driver {
           watchdog->BeginItem(worker);
           stop_flag = watchdog->StopFlag(worker);
         }
-        outcome = Search(result_.faults[queue_[item]],
-                         FaultSeed(options_.seed, queue_[item]),
+        outcome = Search(queue_[item], FaultSeed(options_.seed, queue_[item]),
                          models[static_cast<std::size_t>(worker)], stop_flag);
         if (watchdog && watchdog->EndItem(worker)) {
           // Per-fault timeout: discard the partial search entirely so
@@ -195,14 +240,31 @@ class Driver {
     return false;
   }
 
+  /// The memo key's fault for `fault_index`: kNoFault when the fault is
+  /// register-blind -- its site is not a DFF and its combinational
+  /// fanout cone holds no DFF data driver.  Then JustifyState with the
+  /// fault equals JustifyState without it: values outside the cone are
+  /// the same in both machines, the targets latch outside it, a
+  /// backtrace from a DFF data driver never enters it, and every solver
+  /// step charges a full frame whatever it re-evaluates.
+  std::size_t MemoFault(std::size_t fault_index) const {
+    const auto site =
+        static_cast<std::uint32_t>(result_.faults[fault_index].site.node);
+    const bool blind = net_->kind(site) != netlist::NodeKind::kDff &&
+                       !net_->register_reachable(site);
+    return blind ? JustifyMemo::kNoFault : fault_index;
+  }
+
   /// Pure per-fault search: depends only on (circuit, fault, seed) and
   /// the option limits.  Budget preemption reports kUntried so a
   /// half-searched fault is never committed as a genuine abort.
   /// `stop` is this worker's cooperative-preemption flag: the shared
   /// budget flag, or a watchdog per-worker flag that additionally
-  /// fires on the per-fault timeout.
-  FaultOutcome Search(const fault::Fault& fault, std::uint64_t seed,
+  /// fires on the per-fault timeout.  The flag only ever rises within
+  /// one search, so a result read while it is down was not cut short.
+  FaultOutcome Search(std::size_t fault_index, std::uint64_t seed,
                       WorkerModels& models, const std::atomic<bool>* stop) {
+    const fault::Fault& fault = result_.faults[fault_index];
     FaultOutcome out;
     Rng rng{seed};
     out.status = FaultStatus::kAborted;
@@ -263,15 +325,36 @@ class Driver {
       // HITEC-style: backward-justify the state the combinational test
       // requires, then verify by fault simulation.
       if (search.status != PodemStatus::kFound) continue;
-      JustifyOptions justify_options;
-      justify_options.max_depth = options_.justify_max_depth;
-      justify_options.max_backtracks = options_.justify_backtracks;
-      justify_options.stop = stop;
-      const JustifyResult justified = JustifyState(
-          *net_, model.StateAssignments(), justify_options, fault);
+      // A stop raised during justification or verification commits
+      // kUntried (re-searched on resume), never a cut-short kAborted.
+      JustifyMemo::Key key{MemoFault(fault_index), model.StateAssignments()};
+      JustifyResult justified;
+      if (std::optional<JustifyResult> hit = memo_.Find(key)) {
+        justified = std::move(*hit);
+        RETEST_COUNTER_ADD("atpg.justify.memo_hits", "calls", "atpg",
+                           "justification attempts answered by the run's "
+                           "memo instead of a search",
+                           1);
+      } else {
+        JustifyOptions justify_options;
+        justify_options.max_depth = options_.justify_max_depth;
+        justify_options.max_backtracks = options_.justify_backtracks;
+        justify_options.stop = stop;
+        justified = JustifyState(*net_, key.cube, justify_options, fault);
+        if (!stop->load(std::memory_order_relaxed)) {
+          memo_.Store(std::move(key), justified);
+        }
+      }
       out.evaluations += justified.evaluations;
       RETEST_COUNTER_ADD("atpg.justify.calls", "calls", "atpg",
                          "backward state-justification attempts", 1);
+      RETEST_COUNTER_ADD("atpg.justify.evaluations", "node-evals", "atpg",
+                         "node evaluations charged by backward justification",
+                         justified.evaluations);
+      if (stop->load(std::memory_order_relaxed)) {
+        out.status = FaultStatus::kUntried;
+        return out;
+      }
       if (justified.status == JustifyStatus::kJustified) {
         RETEST_COUNTER_ADD("atpg.justify.justified", "calls", "atpg",
                            "justification attempts that found a state "
@@ -280,7 +363,7 @@ class Driver {
       }
       if (justified.status != JustifyStatus::kJustified) continue;
 
-      InputSequence candidate = justified.sequence;
+      InputSequence candidate = std::move(justified.sequence);
       for (const auto& vector : model.InputSequence()) {
         candidate.push_back(vector);
       }
@@ -294,6 +377,10 @@ class Driver {
                                    proofs);
       out.evaluations += verdict.frames_evaluated *
                          static_cast<long>(circuit_.size());
+      if (stop->load(std::memory_order_relaxed)) {
+        out.status = FaultStatus::kUntried;
+        return out;
+      }
       if (!verdict.detections[0].detected) continue;
       out.status = FaultStatus::kDetected;
       out.test = std::move(candidate);
@@ -472,6 +559,8 @@ class Driver {
   /// searching.  frontier_ is only touched with it held.
   std::mutex commit_mutex_;
   std::size_t frontier_ = 0;
+  /// Dies with the run; every worker reads and fills it.
+  JustifyMemo memo_;
 };
 
 }  // namespace

@@ -11,6 +11,15 @@
 // Determinism at any thread count: each fault's search is a pure
 // function of (circuit, fault, seed) -- per-fault RNG streams, no
 // shared learned state -- and results commit strictly in fault order.
+// The one structure the workers share is an exact justification memo:
+// a map from (fault, state cube) to the JustifyState result, built per
+// run under a mutex.  JustifyState is itself a pure function of those
+// keys, so a hit returns what a fresh call would -- the same status,
+// sequence and charged evaluations -- whichever worker stored it.  A
+// register-blind fault (site not a DFF, no DFF data driver in its
+// combinational fanout cone) justifies exactly like the good machine,
+// so its key carries no fault and such faults share entries.  A result
+// computed while the search's stop flag was up is never stored.
 // A committed test is fault-simulated (cone-restricted PROOFS) against
 // the faults beyond the commit frontier; the retired ones are marked
 // detected, and a speculative search result for a retired fault is

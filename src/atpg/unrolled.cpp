@@ -307,16 +307,23 @@ void UnrolledModel::Touch(int t, NodeId id) {
 void UnrolledModel::Propagate() {
   const sim::CompiledNetlist& net = *net_;
   const size_t keys_per_frame = static_cast<size_t>(net.depth() + 2);
+  // The cursor only moves forward here (a node schedules larger keys
+  // only), so the frame is re-derived only when the cursor leaves it.
+  int t = static_cast<int>(queue_cursor_ / keys_per_frame);
+  size_t next_frame_key = static_cast<size_t>(t + 1) * keys_per_frame;
   while (queue_pending_ > 0) {
     auto& bucket = buckets_[queue_cursor_];
     if (bucket.empty()) {
       ++queue_cursor_;
       continue;
     }
+    if (queue_cursor_ >= next_frame_key) {
+      t = static_cast<int>(queue_cursor_ / keys_per_frame);
+      next_frame_key = static_cast<size_t>(t + 1) * keys_per_frame;
+    }
     const NodeId id = bucket.back();
     bucket.pop_back();
     --queue_pending_;
-    const int t = static_cast<int>(queue_cursor_ / keys_per_frame);
     queued_[index(t, id)] = 0;
     ++evaluations_;
     const V5 value = Compute(t, id);

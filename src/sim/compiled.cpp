@@ -118,6 +118,27 @@ CompiledNetlist::CompiledNetlist(const netlist::Circuit& circuit)
       pi_reachable_[id] |= pi_reachable_[driver];
     }
   }
+
+  // Register reachability in reverse schedule order: every same-frame
+  // consumer of a scheduled node sits at a higher level.  Sources come
+  // last; their consumers are all scheduled.
+  register_reachable_.assign(n, 0);
+  for (std::uint32_t data : dff_data_) register_reachable_[data] = 1;
+  auto mark = [&](std::uint32_t id) {
+    for (std::uint32_t sink : fanouts(id)) {
+      if (kind_[sink] != NodeKind::kDff) {
+        register_reachable_[id] |= register_reachable_[sink];
+      }
+    }
+  };
+  for (auto it = schedule_.rbegin(); it != schedule_.rend(); ++it) mark(*it);
+  for (NodeId id = 0; id < num_nodes_; ++id) {
+    const NodeKind kind = kind_[static_cast<size_t>(id)];
+    if (kind == NodeKind::kInput || kind == NodeKind::kDff ||
+        kind == NodeKind::kConst0 || kind == NodeKind::kConst1) {
+      mark(static_cast<std::uint32_t>(id));
+    }
+  }
 }
 
 std::shared_ptr<const CompiledNetlist> Compile(

@@ -18,7 +18,11 @@
 //     consult the Circuit at all inside the clock loop;
 //   * `pi_reachable`: whether a primary input lies in a node's
 //     combinational fanin cone (the backtrace preference of the ATPG
-//     searches).
+//     searches);
+//   * `register_reachable`: whether a DFF's data driver lies in a
+//     node's combinational fanout cone (a fault elsewhere cannot change
+//     what the registers latch within one frame, which the ATPG's
+//     justification memo relies on).
 //
 // A CompiledNetlist is immutable after construction and safe to share
 // read-only across threads; the PROOFS batch workers all evaluate
@@ -90,6 +94,11 @@ class CompiledNetlist {
   /// True when a primary input lies in the node's combinational fanin
   /// cone; DFF outputs end the cone (a PI is reachable from itself).
   bool pi_reachable(std::uint32_t id) const { return pi_reachable_[id] != 0; }
+  /// True when some DFF's data driver lies in the node's combinational
+  /// fanout cone; DFFs end the cone (a data driver reaches itself).
+  bool register_reachable(std::uint32_t id) const {
+    return register_reachable_[id] != 0;
+  }
 
  private:
   const netlist::Circuit* circuit_;
@@ -111,6 +120,7 @@ class CompiledNetlist {
   std::vector<std::int32_t> pi_index_;
   std::vector<std::int32_t> dff_index_;
   std::vector<char> pi_reachable_;
+  std::vector<char> register_reachable_;
 };
 
 /// Builds a shareable CompiledNetlist (the form the PROOFS dispatcher

@@ -337,6 +337,82 @@ TEST(Checkpoint, PreemptedRunResumesToTheUninterruptedResult) {
   ExpectIdenticalResults(reference, resumed);
 }
 
+// The justification twin of the test above, swept over tiny budgets
+// at 2 threads with the small per-fault limits of a quick HITEC-style
+// run (two frame depths, shallow justification).  A stop can land in
+// the last depth's justification or in its verification; the fault
+// must then commit kUntried, not a cut-short kAborted, or the resumed
+// run differs from the uninterrupted one.  Per-fault timeouts then
+// check that no result a stop cut short enters the run's
+// justification memo.
+TEST(Checkpoint, PreemptedJustificationRunResumesToTheUninterruptedResult) {
+  const auto machine = fsm::MakeBenchmarkFsm("dk16");
+  const Circuit circuit = Synthesize(machine, synth::SynthesisOptions{});
+  AtpgOptions options = BaseOptions();
+  options.style = AtpgStyle::kJustification;
+  options.random_rounds = 0;
+  options.num_threads = 2;
+  options.max_frames = 2;
+  options.backtracks_per_fault = 10;
+  options.evaluations_per_fault = 2000;
+  options.justify_max_depth = 4;
+  options.justify_backtracks = 20;
+  const AtpgResult reference = RunAtpg(circuit, options);
+  ASSERT_FALSE(reference.preempted);
+
+  for (long budget_ms = 1; budget_ms <= 28; budget_ms += 3) {
+    AtpgOptions tiny = options;
+    tiny.checkpoint_path = TempPath("preempted_justification.journal");
+    tiny.time_budget_ms = budget_ms;
+    (void)RunAtpg(circuit, tiny);
+
+    AtpgOptions resume = options;
+    resume.checkpoint_path = tiny.checkpoint_path;
+    SCOPED_TRACE("budget_ms " + std::to_string(budget_ms));
+    ExpectIdenticalResults(reference, RunAtpg(circuit, resume));
+  }
+
+  // A per-fault timeout stops one search while the others go on and
+  // read the memo; deeper justification makes searches outlast it.
+  // Each search is a pure function of its fault, so every search the
+  // watchdog did not cut commits what it commits in the uninterrupted
+  // run: the same status, the same test, and for a fault that keeps no
+  // test the same evaluations.  A cut-short justification kept in the
+  // memo would hand a later search its partial answer.
+  core::DiagnosticList diags;
+  AtpgOptions journaled = options;
+  journaled.justify_max_depth = 24;
+  journaled.justify_backtracks = 200;
+  journaled.checkpoint_path = TempPath("uninterrupted_justification.journal");
+  (void)RunAtpg(circuit, journaled);
+  const auto uninterrupted = LoadJournal(journaled.checkpoint_path, diags);
+  ASSERT_TRUE(uninterrupted.has_value()) << diags.ToString();
+  for (long timeout_ms = 1; timeout_ms <= 2; ++timeout_ms) {
+    AtpgOptions cut = journaled;
+    cut.checkpoint_path = TempPath("timed_out_justification.journal");
+    cut.fault_timeout_ms = timeout_ms;
+    (void)RunAtpg(circuit, cut);
+    const auto journal = LoadJournal(cut.checkpoint_path, diags);
+    ASSERT_TRUE(journal.has_value()) << diags.ToString();
+    ASSERT_EQ(journal->commits.size(), uninterrupted->commits.size());
+    for (const JournalCommit& commit : journal->commits) {
+      ASSERT_LT(commit.pos, uninterrupted->commits.size());
+      const JournalCommit& expected = uninterrupted->commits[commit.pos];
+      if (commit.status == 'U' || commit.status == 'S' ||
+          expected.status == 'S') {
+        continue;  // cut by the watchdog, or retired by an earlier test
+      }
+      SCOPED_TRACE("fault_timeout_ms " + std::to_string(timeout_ms) +
+                   " pos " + std::to_string(commit.pos));
+      EXPECT_EQ(commit.status, expected.status);
+      EXPECT_EQ(commit.test, expected.test);
+      if (commit.status != 'D') {
+        EXPECT_EQ(commit.evaluations, expected.evaluations);
+      }
+    }
+  }
+}
+
 TEST(Watchdog, DeadlineCapsTheRunCleanly) {
   const auto machine = fsm::MakeBenchmarkFsm("dk16");
   synth::SynthesisOptions synthesis;

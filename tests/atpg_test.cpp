@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <optional>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -11,6 +12,7 @@
 #include "atpg/justify.h"
 #include "atpg/podem.h"
 #include "atpg/unrolled.h"
+#include "atpg/val5.h"
 #include "core/crc32.h"
 #include "core/trace.h"
 #include "fault/collapse.h"
@@ -41,6 +43,88 @@ TEST(V5Values, Predicates) {
   EXPECT_FALSE(V5::X().IsBinary());
   EXPECT_TRUE(V5::X().HasUnknown());
   EXPECT_FALSE(V5::D().HasUnknown());
+}
+
+/// The componentwise fold EvalNode5 replaced: each machine folds its
+/// 3-valued inputs through sim::And3 / Or3 / Xor3 and inverts with
+/// sim::Not3.
+V5 ComponentwiseEvalNode5(netlist::NodeKind kind,
+                          std::span<const std::uint32_t> fanins,
+                          const V5* values, int fault_pin, V3 forced) {
+  using netlist::NodeKind;
+  auto fold = [&](V3 unit, V3 (*op)(V3, V3)) {
+    V5 out = Both(unit);
+    for (size_t pin = 0; pin < fanins.size(); ++pin) {
+      V5 in = values[fanins[pin]];
+      if (static_cast<int>(pin) == fault_pin) in.faulty = forced;
+      out.good = op(out.good, in.good);
+      out.faulty = op(out.faulty, in.faulty);
+    }
+    return out;
+  };
+  auto invert = [](V5 v) { return V5{sim::Not3(v.good), sim::Not3(v.faulty)}; };
+  switch (kind) {
+    case NodeKind::kConst0: return Both(V3::k0);
+    case NodeKind::kConst1: return Both(V3::k1);
+    case NodeKind::kOutput:
+    case NodeKind::kBuf:
+    case NodeKind::kNot: {
+      V5 out = values[fanins[0]];
+      if (fault_pin == 0) out.faulty = forced;
+      return kind == NodeKind::kNot ? invert(out) : out;
+    }
+    case NodeKind::kAnd: return fold(V3::k1, sim::And3);
+    case NodeKind::kNand: return invert(fold(V3::k1, sim::And3));
+    case NodeKind::kOr: return fold(V3::k0, sim::Or3);
+    case NodeKind::kNor: return invert(fold(V3::k0, sim::Or3));
+    case NodeKind::kXor: return fold(V3::k0, sim::Xor3);
+    case NodeKind::kXnor: return invert(fold(V3::k0, sim::Xor3));
+    default: return V5::X();
+  }
+}
+
+// Every kind, every (good, faulty) input combination on up to three
+// fanins, with no pin fault and with each pin stuck at 0 and at 1.
+TEST(Val5, TableEvaluatorMatchesComponentwiseAlgebra) {
+  using netlist::NodeKind;
+  const V3 v3[] = {V3::k0, V3::k1, V3::kX};
+  const std::vector<std::uint32_t> pins = {0, 1, 2};
+  struct Shape {
+    NodeKind kind;
+    int min_fanins;
+    int max_fanins;
+  };
+  const Shape shapes[] = {
+      {NodeKind::kConst0, 0, 0}, {NodeKind::kConst1, 0, 0},
+      {NodeKind::kOutput, 1, 1}, {NodeKind::kBuf, 1, 1},
+      {NodeKind::kNot, 1, 1},    {NodeKind::kAnd, 1, 3},
+      {NodeKind::kNand, 1, 3},   {NodeKind::kOr, 1, 3},
+      {NodeKind::kNor, 1, 3},    {NodeKind::kXor, 1, 3},
+      {NodeKind::kXnor, 1, 3}};
+  for (const Shape& shape : shapes) {
+    for (int n = shape.min_fanins; n <= shape.max_fanins; ++n) {
+      const std::span<const std::uint32_t> fanins(pins.data(),
+                                                  static_cast<size_t>(n));
+      int combos = 1;
+      for (int i = 0; i < n; ++i) combos *= 9;
+      for (int code = 0; code < combos; ++code) {
+        V5 values[3];
+        for (int i = 0, rest = code; i < n; ++i, rest /= 9) {
+          values[i] = {v3[rest % 9 / 3], v3[rest % 3]};
+        }
+        for (int fault_pin = -1; fault_pin < n; ++fault_pin) {
+          for (V3 forced : {V3::k0, V3::k1}) {
+            const V3 stuck = fault_pin < 0 ? V3::kX : forced;
+            ASSERT_EQ(EvalNode5(shape.kind, fanins, values, fault_pin, stuck),
+                      ComponentwiseEvalNode5(shape.kind, fanins, values,
+                                             fault_pin, stuck))
+                << "kind " << static_cast<int>(shape.kind) << " fanins " << n
+                << " code " << code << " pin " << fault_pin;
+          }
+        }
+      }
+    }
+  }
 }
 
 Circuit CombAnd() {
@@ -349,6 +433,105 @@ TEST(Justify, RandomTargetsArePinned) {
   EXPECT_EQ(justified, 6);
   EXPECT_EQ(evaluations, 624105);
   EXPECT_EQ(core::Crc32(digest), 0x47317d02u);
+}
+
+// A register-blind fault -- its site is not a DFF and its
+// combinational fanout cone holds no DFF data driver -- cannot change
+// what the registers latch within a frame.  So justifying a cube with
+// it injected gives what the good machine alone gives: the same
+// status, sequence, backtracks and evaluations.  The ATPG's
+// justification memo shares one entry across such faults on this
+// equality.  The compiled register-reachability table is first checked
+// against a walk of the Circuit's own fanout lists.
+TEST(Justify, RegisterBlindFaultsJustifyLikeTheGoodMachine) {
+  JustifyOptions options;
+  options.max_depth = 8;
+  options.max_backtracks = 200;
+  int blind_faults = 0;
+  int justified = 0;
+  for (std::uint64_t seed : {3, 5, 8}) {
+    const Circuit circuit = RetimedRandomCircuit(
+        seed, {.num_inputs = 4, .num_dffs = 4, .num_gates = 40}, 24);
+    const sim::CompiledNetlist net(circuit);
+    std::vector<char> data_driver(static_cast<size_t>(circuit.size()), 0);
+    for (netlist::NodeId q : circuit.dffs()) {
+      data_driver[static_cast<size_t>(circuit.node(q).fanin[0])] = 1;
+    }
+    for (netlist::NodeId start = 0; start < circuit.size(); ++start) {
+      std::vector<char> seen(static_cast<size_t>(circuit.size()), 0);
+      std::vector<netlist::NodeId> stack = {start};
+      bool reaches = false;
+      while (!stack.empty() && !reaches) {
+        const netlist::NodeId id = stack.back();
+        stack.pop_back();
+        reaches = data_driver[static_cast<size_t>(id)] != 0;
+        for (netlist::NodeId sink : circuit.node(id).fanout) {
+          if (circuit.node(sink).kind == netlist::NodeKind::kDff ||
+              seen[static_cast<size_t>(sink)]) {
+            continue;
+          }
+          seen[static_cast<size_t>(sink)] = 1;
+          stack.push_back(sink);
+        }
+      }
+      ASSERT_EQ(net.register_reachable(static_cast<std::uint32_t>(start)),
+                reaches)
+          << circuit.name() << " node " << start;
+    }
+
+    // Two reachable states with bits relaxed to X, two random cubes.
+    retest::testing::TestRng rng{seed};
+    std::vector<std::vector<V3>> cubes;
+    for (int k = 0; k < 4; ++k) {
+      std::vector<V3> cube(static_cast<size_t>(circuit.num_dffs()));
+      if (k < 2) {
+        sim::Simulator simulator(circuit);
+        simulator.Reset();
+        for (int step = 0; step < 4; ++step) {
+          std::vector<V3> inputs(static_cast<size_t>(circuit.num_inputs()));
+          for (V3& v : inputs) v = rng.Bit() ? V3::k1 : V3::k0;
+          simulator.Step(inputs);
+        }
+        cube = simulator.State();
+        for (V3& v : cube) {
+          if (rng.Bit()) v = V3::kX;
+        }
+      } else {
+        for (V3& v : cube) {
+          const int pick = rng.Below(4);
+          v = pick == 0 ? V3::k0 : pick == 1 ? V3::k1 : V3::kX;
+        }
+      }
+      cubes.push_back(std::move(cube));
+    }
+    std::vector<JustifyResult> good;
+    for (const auto& cube : cubes) {
+      good.push_back(JustifyState(net, cube, options));
+      justified += good.back().status == JustifyStatus::kJustified ? 1 : 0;
+    }
+
+    for (const fault::Fault& fault : fault::Collapse(circuit).representatives) {
+      const auto site = static_cast<std::uint32_t>(fault.site.node);
+      if (net.kind(site) == netlist::NodeKind::kDff ||
+          net.register_reachable(site)) {
+        continue;
+      }
+      ++blind_faults;
+      for (size_t k = 0; k < cubes.size(); ++k) {
+        const JustifyResult faulty =
+            JustifyState(net, cubes[k], options, fault);
+        const std::string where = circuit.name() + " " +
+                                  fault::ToString(circuit, fault) + " cube " +
+                                  sim::ToString(cubes[k]);
+        ASSERT_EQ(faulty.status, good[k].status) << where;
+        ASSERT_EQ(faulty.sequence, good[k].sequence) << where;
+        ASSERT_EQ(faulty.backtracks, good[k].backtracks) << where;
+        ASSERT_EQ(faulty.evaluations, good[k].evaluations) << where;
+      }
+    }
+  }
+  EXPECT_GT(blind_faults, 0);
+  EXPECT_GT(justified, 0);
 }
 
 TEST(Unrolled, IncrementalMatchesFullEvaluation) {
