@@ -143,7 +143,9 @@ bool EmitJson(const std::vector<CircuitReport>& reports,
   }
   const atpg::AtpgOptions quick = QuickOptions();
   const atpg::AtpgOptions paper = PaperOptions();
-  std::fprintf(f, "{\n  \"mode\": \"%s\",\n", smoke ? "smoke" : "full");
+  const char* mode =
+      smoke ? "smoke" : (bench::FullMode() ? "full" : "default");
+  std::fprintf(f, "{\n  \"mode\": \"%s\",\n", mode);
   if (!error.empty()) {
     std::fprintf(f, "  \"error\": \"%s\",\n",
                  bench::JsonEscape(error).c_str());

@@ -16,8 +16,9 @@
 // field and the exit code distinguishes fatal (2), partial (3) and
 // unwritable-output (4) outcomes.  REPRO_CHECKPOINT_DIR=<dir> turns on
 // per-circuit ATPG checkpoint journals so an interrupted sweep resumes
-// instead of restarting; REPRO_DEADLINE_MS / REPRO_FAULT_TIMEOUT_MS
-// bound each ATPG call via the engine's watchdog.
+// instead of restarting.  Each ATPG call is bounded by its one
+// wall-clock budget (AtpgOptions::time_budget_ms, REPRO_ATPG_BUDGET_MS
+// pins it).
 //
 // Scheduling: the sixteen pairs run as independent items of a
 // core::ThreadPool::ParallelFor -- one pool thread per hardware thread

@@ -11,6 +11,12 @@ External links (http/https/mailto) are deliberately not fetched -- CI
 must not depend on the network.  Fenced code blocks are skipped so
 example snippets cannot produce false positives.
 
+It also checks that README's "Configuration switches" table lists
+exactly the ``REPRO_*`` environment variables the code reads: every
+``env`` row must name a variable some ``getenv("REPRO_...")`` under
+``src/``, ``bench/`` or ``tools/`` reads, and every such variable must
+have a row.
+
 Usage: python3 scripts/check_docs.py   (from the repository root)
 Exits non-zero and lists every broken reference if any check fails.
 """
@@ -23,6 +29,10 @@ import sys
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)(?:\s+\"[^\"]*\")?\)")
 HEADING_RE = re.compile(r"^(#{1,6})\s+(.*)$")
 FENCE_RE = re.compile(r"^\s*(```|~~~)")
+GETENV_RE = re.compile(r'getenv\(\s*"(REPRO_[A-Z0-9_]+)"')
+ENV_ROW_RE = re.compile(r"^\|\s*`(REPRO_[A-Z0-9_]+)[^`]*`\s*\|\s*env\s*\|")
+SWITCH_DIRS = ("src", "bench", "tools")
+SWITCH_HEADING = "### Configuration switches"
 
 
 def doc_files(root: str) -> list[str]:
@@ -75,9 +85,50 @@ def anchors_of(path: str) -> set[str]:
     return anchors
 
 
+def env_vars_read(root: str) -> set[str]:
+    """REPRO_* names passed to getenv as literals in the C++ sources."""
+    names: set[str] = set()
+    for top in SWITCH_DIRS:
+        for dirpath, _, filenames in os.walk(os.path.join(root, top)):
+            for name in filenames:
+                if name.endswith((".h", ".cpp")):
+                    with open(os.path.join(dirpath, name),
+                              encoding="utf-8") as f:
+                        names.update(GETENV_RE.findall(f.read()))
+    return names
+
+
+def env_rows_documented(readme: str) -> set[str]:
+    """Variable names of the ``env`` rows in README's switch table."""
+    names: set[str] = set()
+    in_section = False
+    for line in visible_lines(readme):
+        if HEADING_RE.match(line):
+            in_section = line.strip() == SWITCH_HEADING
+            continue
+        m = ENV_ROW_RE.match(line)
+        if in_section and m:
+            names.add(m.group(1))
+    return names
+
+
+def switch_table_errors(root: str) -> list[str]:
+    readme = os.path.join(root, "README.md")
+    documented = env_rows_documented(readme)
+    if not documented:
+        return [f"README.md: no env rows under {SWITCH_HEADING!r}"]
+    read = env_vars_read(root)
+    errors = [f"README.md: switch table lists {name}, which no getenv "
+              f"under {'/, '.join(SWITCH_DIRS)}/ reads"
+              for name in sorted(documented - read)]
+    errors += [f"README.md: {name} is read by getenv but missing from the "
+               f"switch table" for name in sorted(read - documented)]
+    return errors
+
+
 def main() -> int:
     root = os.getcwd()
-    errors: list[str] = []
+    errors: list[str] = switch_table_errors(root)
     checked = 0
     for doc in doc_files(root):
         doc_dir = os.path.dirname(os.path.join(root, doc))
@@ -102,7 +153,7 @@ def main() -> int:
                             f"{doc}:{lineno}: missing anchor {target!r}")
     for error in errors:
         print(error, file=sys.stderr)
-    print(f"checked {checked} relative links "
+    print(f"checked {checked} relative links and the README switch table "
           f"({'OK' if not errors else f'{len(errors)} broken'})")
     return 1 if errors else 0
 

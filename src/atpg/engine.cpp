@@ -11,7 +11,6 @@
 #include "atpg/rng.h"
 #include "core/metrics.h"
 #include "core/trace.h"
-#include "core/watchdog.h"
 #include "faultsim/proofs.h"
 
 namespace retest::atpg {
@@ -29,18 +28,9 @@ InputSequence RandomSequence(Rng& rng, int num_inputs, int length) {
   return sequence;
 }
 
-class Clock {
- public:
-  Clock() : start_(std::chrono::steady_clock::now()) {}
-  long ElapsedMs() const {
-    return std::chrono::duration_cast<std::chrono::milliseconds>(
-               std::chrono::steady_clock::now() - start_)
-        .count();
-  }
-
- private:
-  std::chrono::steady_clock::time_point start_;
-};
+/// Caps the wall-clock budget so the run's deadline cannot overflow
+/// steady_clock.
+constexpr long kMaxBudgetMs = 365L * 24 * 3600 * 1000;
 
 }  // namespace
 
@@ -75,26 +65,18 @@ AtpgResult RunAtpg(const netlist::Circuit& circuit,
                    const AtpgOptions& options) {
   RETEST_TRACE_SPAN(run_span, "atpg.run");
   RETEST_COUNTER_ADD("atpg.runs", "runs", "atpg", "RunAtpg invocations", 1);
-  const Clock clock;
+  // The run's one deadline: the random phase and the deterministic
+  // driver both compare against it.
+  const auto start = std::chrono::steady_clock::now();
+  const auto deadline =
+      start + std::chrono::milliseconds(
+                  std::min(options.time_budget_ms, kMaxBudgetMs));
   Rng rng{options.seed};
 
   AtpgResult result;
   const fault::CollapsedFaults collapsed = fault::Collapse(circuit);
   result.faults = collapsed.representatives;
   result.status.assign(result.faults.size(), FaultStatus::kUntried);
-
-  // ---- Budgets: a watchdog deadline simply caps the option budget,
-  // so deadline preemption reuses the existing stop-flag machinery.
-  core::WatchdogLimits requested;
-  requested.deadline_ms = options.deadline_ms;
-  requested.fault_timeout_ms = options.fault_timeout_ms;
-  const core::WatchdogLimits limits = core::WatchdogLimits::Resolve(requested);
-  long budget_ms = options.time_budget_ms;
-  bool deadline_capped = false;
-  if (limits.deadline_ms > 0 && limits.deadline_ms < budget_ms) {
-    budget_ms = limits.deadline_ms;
-    deadline_capped = true;
-  }
 
   // ---- Checkpoint: load a prior journal if one matches this run.
   const bool checkpointing = !options.checkpoint_path.empty();
@@ -303,7 +285,7 @@ AtpgResult RunAtpg(const netlist::Circuit& circuit,
     bool stopped = false;
     for (int round = 0; round < options.random_rounds; ++round) {
       if (remaining.empty() || useless >= options.random_patience) break;
-      if (clock.ElapsedMs() > budget_ms ||
+      if (std::chrono::steady_clock::now() > deadline ||
           (options.stop != nullptr &&
            options.stop->load(std::memory_order_relaxed))) {
         stopped = true;
@@ -347,26 +329,9 @@ AtpgResult RunAtpg(const netlist::Circuit& circuit,
   control.resume_frontier = resume_frontier;
   control.resume_retired = std::move(resume_retired);
   control.journal = journal.get();
-  control.fault_timeout_ms = limits.fault_timeout_ms;
-  RunDeterministicPhase(circuit, options, remaining,
-                        budget_ms - clock.ElapsedMs(), result, &control);
+  RunDeterministicPhase(circuit, options, remaining, deadline, result,
+                        &control);
 
-  if (result.preempted && deadline_capped) {
-    result.diagnostics.AddNote(
-        core::StatusCode::kDeadlineExceeded,
-        "watchdog deadline preempted the run; unfinished faults were "
-        "committed kUntried" +
-            std::string(checkpointing ? " (resumable from the checkpoint)"
-                                      : ""),
-        "watchdog");
-  }
-  if (result.watchdog_preemptions > 0) {
-    result.diagnostics.AddNote(
-        core::StatusCode::kDeadlineExceeded,
-        std::to_string(result.watchdog_preemptions) +
-            " fault search(es) preempted by the per-fault timeout",
-        "watchdog");
-  }
   if (journal) {
     journal->WriteEnd(result.Count(FaultStatus::kDetected),
                       result.Count(FaultStatus::kRedundant),
@@ -375,7 +340,9 @@ AtpgResult RunAtpg(const netlist::Circuit& circuit,
     journal->Flush();
   }
 
-  result.elapsed_ms = clock.ElapsedMs();
+  result.elapsed_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+                          std::chrono::steady_clock::now() - start)
+                          .count();
   return result;
 }
 

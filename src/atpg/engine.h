@@ -18,6 +18,13 @@
 // detected/redundant/aborted sets, the test list and the evaluation
 // counters are identical for a given seed at any thread count (see
 // parallel_driver.h).
+//
+// Stopping: a run has one wall-clock deadline, time_budget_ms after it
+// starts, and one cancel flag, AtpgOptions::stop.  The random phase and
+// the deterministic driver compare against the deadline; every search
+// polls the driver's stop and the cancel flag at each decision.  Either
+// way the run ends at the commit frontier with the unfinished faults
+// kUntried, and no thread besides the ThreadPool workers watches it.
 #pragma once
 
 #include <atomic>
@@ -62,7 +69,9 @@ struct AtpgOptions {
   int max_frames = 0;
   long backtracks_per_fault = 2000;
   long evaluations_per_fault = 5'000'000;
-  /// Overall wall-clock budget in milliseconds (the paper's #CPU role).
+  /// Overall wall-clock budget in milliseconds (the paper's #CPU role):
+  /// the run's one deadline.  When it passes, queued faults commit as
+  /// kUntried and the result reports preempted.
   long time_budget_ms = 10'000;
   /// Attempt the combinational-redundancy proof per aborted fault.
   bool redundancy_check = true;
@@ -80,21 +89,13 @@ struct AtpgOptions {
   /// on the bit-identical result of an uninterrupted run, at any
   /// thread count.
   std::string checkpoint_path;
-  /// Watchdog budgets (core/watchdog): whole-run deadline and
-  /// per-fault search timeout, both in milliseconds, 0 = take the
-  /// REPRO_DEADLINE_MS / REPRO_FAULT_TIMEOUT_MS env vars (which are in
-  /// turn 0 = disabled).  Overruns convert cleanly to kUntried commits
-  /// (resumable); they never corrupt committed results.
-  long deadline_ms = 0;
-  long fault_timeout_ms = 0;
   /// External cooperative-cancel flag (not owned; may be null).  When
   /// it turns true mid-run the engine preempts exactly like a
-  /// wall-clock budget expiry: in-flight searches abort, unfinished
-  /// faults commit as kUntried (journal-resumable), and the result
-  /// reports preempted.  The daemon's Service wires each job's stop
-  /// flag in here so a per-job Cancel interrupts a running ATPG job;
-  /// the watchdog monitor latches it into the per-worker stop flags
-  /// within ~10 ms.
+  /// wall-clock budget expiry: in-flight searches abort at their next
+  /// decision, unfinished faults commit as kUntried (journal-resumable),
+  /// and the result reports preempted.  The daemon's Service wires each
+  /// job's stop flag in here so a per-job Cancel interrupts a running
+  /// ATPG job.  Every search reads this flag directly.
   /// Not part of the journal fingerprint: a resumed run may pass a
   /// different pointer and still land on the bit-identical result.
   const std::atomic<bool>* stop = nullptr;
@@ -119,15 +120,13 @@ struct AtpgResult {
   long evaluations = 0;  ///< Deterministic work measure.
   long elapsed_ms = 0;   ///< Wall clock (#CPU column analogue).
   int threads_used = 1;  ///< Deterministic-phase workers actually used.
-  /// True when the wall-clock budget / deadline cut the run short
+  /// True when the wall-clock budget or a cancel cut the run short
   /// (some faults committed kUntried without being searched).
   bool preempted = false;
   /// True when a checkpoint journal was replayed into this run.
   bool resumed = false;
-  /// Per-fault watchdog timeouts that converted searches to kUntried.
-  long watchdog_preemptions = 0;
   /// Non-fatal events of this run: checkpoint corruption/mismatch
-  /// notes, journal I/O errors, deadline notices.  Never contains
+  /// notes, journal I/O errors.  Never contains
   /// errors about the circuit itself (RunAtpg assumes a checked
   /// circuit).
   core::DiagnosticList diagnostics;

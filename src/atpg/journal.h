@@ -13,7 +13,7 @@
 // (circuit structure + seed + every search-relevant option) matches
 // the current run.  Replay applies the random-phase records, then the
 // longest prefix of commit records up to the first kUntried commit —
-// a kUntried commit marks budget/watchdog preemption, i.e. exactly
+// a kUntried commit marks a budget or cancel stop, i.e. exactly
 // where the interrupted run stopped doing real work.  Because each
 // fault's search is a pure function of (circuit, fault, seed), the
 // resumed run re-searches the remaining suffix and lands on the same

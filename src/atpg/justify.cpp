@@ -14,6 +14,11 @@ namespace {
 using netlist::NodeKind;
 using sim::V3;
 
+/// True when a cooperative-preemption flag is set and raised.
+bool Raised(const std::atomic<bool>* flag) {
+  return flag != nullptr && flag->load(std::memory_order_relaxed);
+}
+
 /// Shared search budget.
 struct Budget {
   long backtracks = 0;
@@ -22,8 +27,7 @@ struct Budget {
   bool Exhausted() const {
     return backtracks > options->max_backtracks ||
            evaluations > options->max_evaluations ||
-           (options->stop != nullptr &&
-            options->stop->load(std::memory_order_relaxed));
+           Raised(options->stop) || Raised(options->cancel);
   }
 };
 

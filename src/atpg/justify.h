@@ -31,9 +31,10 @@ struct JustifyOptions {
   int max_depth = 24;          ///< Frames of backward recursion.
   long max_backtracks = 4000;  ///< Total decision flips across the search.
   long max_evaluations = 20'000'000;
-  /// Cooperative preemption: when set and it becomes true, the search
-  /// aborts at the next budget check (watchdog / deadline stops).
+  /// Cooperative preemption, as PodemOptions: when either flag is set
+  /// and becomes true, the search aborts at the next budget check.
   const std::atomic<bool>* stop = nullptr;
+  const std::atomic<bool>* cancel = nullptr;
 };
 
 enum class JustifyStatus {

@@ -19,7 +19,6 @@
 #include "core/metrics.h"
 #include "core/thread_pool.h"
 #include "core/trace.h"
-#include "core/watchdog.h"
 #include "faultsim/proofs.h"
 
 namespace retest::atpg {
@@ -108,15 +107,15 @@ struct WorkerModels {
 class Driver {
  public:
   Driver(const netlist::Circuit& circuit, const AtpgOptions& options,
-         const std::vector<std::size_t>& remaining, long budget_ms,
-         AtpgResult& result, const DetPhaseControl* control)
+         const std::vector<std::size_t>& remaining,
+         std::chrono::steady_clock::time_point deadline, AtpgResult& result,
+         const DetPhaseControl* control)
       : circuit_(circuit),
         net_(sim::Compile(circuit)),
         options_(options),
         queue_(remaining),
-        budget_ms_(budget_ms),
+        deadline_(deadline),
         result_(result),
-        start_(std::chrono::steady_clock::now()),
         retired_(remaining.size()),
         slots_(remaining.size()) {
     max_frames_ = options.max_frames;
@@ -126,7 +125,6 @@ class Driver {
     for (auto& flag : retired_) flag.store(0, std::memory_order_relaxed);
     if (control != nullptr) {
       journal_ = control->journal;
-      fault_timeout_ms_ = control->fault_timeout_ms;
       frontier_ = std::min(control->resume_frontier, queue_.size());
       for (std::size_t pos = 0;
            pos < control->resume_retired.size() && pos < queue_.size();
@@ -149,16 +147,6 @@ class Driver {
                          static_cast<int>(queue_.size() - base)));
     result_.threads_used = threads;
     std::vector<WorkerModels> models(static_cast<std::size_t>(threads));
-    std::optional<core::Watchdog> watchdog;
-    if (fault_timeout_ms_ > 0 || options_.stop != nullptr) {
-      // Also constructed (with no limits) when an external cancel flag
-      // is wired in: the monitor latches AtpgOptions::stop into the
-      // per-worker flags, bounding cancel latency for in-flight
-      // searches to one poll interval.
-      core::WatchdogLimits limits;
-      limits.fault_timeout_ms = fault_timeout_ms_;
-      watchdog.emplace(limits, threads, &stop_, options_.stop);
-    }
     core::ThreadPool pool(threads);
     pool.ParallelFor(queue_.size() - base, [&](int worker, std::size_t i) {
       const std::size_t item = base + i;
@@ -184,18 +172,8 @@ class Driver {
         RETEST_TRACE_SPAN(search_span, "atpg.fault_search");
         RETEST_SCOPED_TIMER(search_timer, "atpg.fault_search_ms", "atpg",
                             "wall time of one fault's deterministic search");
-        const std::atomic<bool>* stop_flag = &stop_;
-        if (watchdog) {
-          watchdog->BeginItem(worker);
-          stop_flag = watchdog->StopFlag(worker);
-        }
         outcome = Search(queue_[item], FaultSeed(options_.seed, queue_[item]),
-                         models[static_cast<std::size_t>(worker)], stop_flag);
-        if (watchdog && watchdog->EndItem(worker)) {
-          // Per-fault timeout: discard the partial search entirely so
-          // the commit is a clean, re-searchable kUntried.
-          outcome = FaultOutcome{};
-        }
+                         models[static_cast<std::size_t>(worker)]);
       }
       Park(item, std::move(outcome));
     });
@@ -204,40 +182,39 @@ class Driver {
     // one blocking drain retires any such leftovers deterministically.
     DrainFrontier(/*blocking=*/true);
     if (stop_.load(std::memory_order_relaxed)) result_.preempted = true;
-    if (watchdog) result_.watchdog_preemptions += watchdog->preemptions();
   }
 
  private:
-  long ElapsedMs() const {
-    return std::chrono::duration_cast<std::chrono::milliseconds>(
-               std::chrono::steady_clock::now() - start_)
-        .count();
+  /// The one stop predicate every search site reads: the run's stop
+  /// flag, or the caller's cancel, which it latches into the stop flag
+  /// so the result reports preempted.  Both flags only ever rise.
+  bool Stopped() {
+    if (stop_.load(std::memory_order_relaxed)) return true;
+    if (options_.stop == nullptr ||
+        !options_.stop->load(std::memory_order_relaxed)) {
+      return false;
+    }
+    if (!stop_.exchange(true, std::memory_order_relaxed)) {
+      RETEST_COUNTER_ADD("atpg.det.cancel_stops", "stops", "atpg",
+                         "deterministic phases cut short by an external "
+                         "cancel (AtpgOptions::stop)",
+                         1);
+    }
+    return true;
   }
 
-  /// Latches the stop flag once the budget is gone so every worker
-  /// (and every in-flight PODEM via PodemOptions::stop) sees it.
+  /// Stopped(), or latches the stop flag once the run's deadline has
+  /// passed, so every worker and every in-flight search sees it.
   bool OutOfTime() {
-    if (stop_.load(std::memory_order_relaxed)) return true;
-    if (options_.stop != nullptr &&
-        options_.stop->load(std::memory_order_relaxed)) {
-      if (!stop_.exchange(true, std::memory_order_relaxed)) {
-        RETEST_COUNTER_ADD("atpg.det.cancel_stops", "stops", "atpg",
-                           "deterministic phases cut short by an external "
-                           "cancel (AtpgOptions::stop)",
-                           1);
-      }
-      return true;
+    if (Stopped()) return true;
+    if (std::chrono::steady_clock::now() <= deadline_) return false;
+    if (!stop_.exchange(true, std::memory_order_relaxed)) {
+      RETEST_COUNTER_ADD("atpg.det.budget_stops", "stops", "atpg",
+                         "deterministic phases cut short by the "
+                         "wall-clock budget",
+                         1);
     }
-    if (ElapsedMs() > budget_ms_) {
-      if (!stop_.exchange(true, std::memory_order_relaxed)) {
-        RETEST_COUNTER_ADD("atpg.det.budget_stops", "stops", "atpg",
-                           "deterministic phases cut short by the "
-                           "wall-clock budget",
-                           1);
-      }
-      return true;
-    }
-    return false;
+    return true;
   }
 
   /// The memo key's fault for `fault_index`: kNoFault when the fault is
@@ -256,14 +233,11 @@ class Driver {
   }
 
   /// Pure per-fault search: depends only on (circuit, fault, seed) and
-  /// the option limits.  Budget preemption reports kUntried so a
-  /// half-searched fault is never committed as a genuine abort.
-  /// `stop` is this worker's cooperative-preemption flag: the shared
-  /// budget flag, or a watchdog per-worker flag that additionally
-  /// fires on the per-fault timeout.  The flag only ever rises within
-  /// one search, so a result read while it is down was not cut short.
+  /// the option limits.  A stop reports kUntried so a half-searched
+  /// fault is never committed as a genuine abort.  Stopped() only ever
+  /// turns true, so a result read while it is false was not cut short.
   FaultOutcome Search(std::size_t fault_index, std::uint64_t seed,
-                      WorkerModels& models, const std::atomic<bool>* stop) {
+                      WorkerModels& models) {
     const fault::Fault& fault = result_.faults[fault_index];
     FaultOutcome out;
     Rng rng{seed};
@@ -280,7 +254,8 @@ class Driver {
       PodemOptions podem_options;
       podem_options.max_backtracks = options_.backtracks_per_fault * 8;
       podem_options.max_evaluations = options_.evaluations_per_fault;
-      podem_options.stop = stop;
+      podem_options.stop = &stop_;
+      podem_options.cancel = options_.stop;
       const PodemResult proof = RunPodem(*models.redundancy, podem_options);
       out.evaluations += proof.evaluations;
       if (proof.status == PodemStatus::kExhausted) {
@@ -291,7 +266,7 @@ class Driver {
 
     const bool free_state = options_.style == AtpgStyle::kJustification;
     for (int frames = 1; frames <= max_frames_; frames *= 2) {
-      if (OutOfTime() || stop->load(std::memory_order_relaxed)) {
+      if (OutOfTime()) {
         out.status = FaultStatus::kUntried;
         return out;
       }
@@ -306,10 +281,11 @@ class Driver {
       PodemOptions podem_options;
       podem_options.max_backtracks = options_.backtracks_per_fault;
       podem_options.max_evaluations = options_.evaluations_per_fault;
-      podem_options.stop = stop;
+      podem_options.stop = &stop_;
+      podem_options.cancel = options_.stop;
       const PodemResult search = RunPodem(model, podem_options);
       out.evaluations += search.evaluations;
-      if (stop->load(std::memory_order_relaxed)) {
+      if (Stopped()) {
         out.status = FaultStatus::kUntried;  // stop-induced abort
         return out;
       }
@@ -339,9 +315,10 @@ class Driver {
         JustifyOptions justify_options;
         justify_options.max_depth = options_.justify_max_depth;
         justify_options.max_backtracks = options_.justify_backtracks;
-        justify_options.stop = stop;
+        justify_options.stop = &stop_;
+        justify_options.cancel = options_.stop;
         justified = JustifyState(*net_, key.cube, justify_options, fault);
-        if (!stop->load(std::memory_order_relaxed)) {
+        if (!Stopped()) {
           memo_.Store(std::move(key), justified);
         }
       }
@@ -351,7 +328,7 @@ class Driver {
       RETEST_COUNTER_ADD("atpg.justify.evaluations", "node-evals", "atpg",
                          "node evaluations charged by backward justification",
                          justified.evaluations);
-      if (stop->load(std::memory_order_relaxed)) {
+      if (Stopped()) {
         out.status = FaultStatus::kUntried;
         return out;
       }
@@ -377,7 +354,7 @@ class Driver {
                                    proofs);
       out.evaluations += verdict.frames_evaluated *
                          static_cast<long>(circuit_.size());
-      if (stop->load(std::memory_order_relaxed)) {
+      if (Stopped()) {
         out.status = FaultStatus::kUntried;
         return out;
       }
@@ -542,12 +519,10 @@ class Driver {
   const std::shared_ptr<const sim::CompiledNetlist> net_;
   const AtpgOptions& options_;
   const std::vector<std::size_t>& queue_;
-  const long budget_ms_;
+  const std::chrono::steady_clock::time_point deadline_;
   AtpgResult& result_;
-  const std::chrono::steady_clock::time_point start_;
   int max_frames_ = 0;
   JournalWriter* journal_ = nullptr;
-  long fault_timeout_ms_ = 0;
 
   std::atomic<bool> stop_{false};
   /// Retirement flags by queue position.  Written only by the single
@@ -568,9 +543,10 @@ class Driver {
 void RunDeterministicPhase(const netlist::Circuit& circuit,
                            const AtpgOptions& options,
                            const std::vector<std::size_t>& remaining,
-                           long budget_ms, AtpgResult& result,
+                           std::chrono::steady_clock::time_point deadline,
+                           AtpgResult& result,
                            const DetPhaseControl* control) {
-  Driver driver(circuit, options, remaining, budget_ms, result, control);
+  Driver driver(circuit, options, remaining, deadline, result, control);
   driver.Run();
 }
 

@@ -19,7 +19,7 @@
 // register-blind fault (site not a DFF, no DFF data driver in its
 // combinational fanout cone) justifies exactly like the good machine,
 // so its key carries no fault and such faults share entries.  A result
-// computed while the search's stop flag was up is never stored.
+// computed while a stop was raised is never stored.
 // A committed test is fault-simulated (cone-restricted PROOFS) against
 // the faults beyond the commit frontier; the retired ones are marked
 // detected, and a speculative search result for a retired fault is
@@ -28,9 +28,14 @@
 // fault, so one worker's test retires other workers' *queued* faults
 // early -- that cooperation only saves wall clock; the committed
 // outcome (status sets, test list, evaluation counters) is identical
-// to a 1-thread run of the same seed.  The wall-clock budget is a
-// shared atomic stop flag: it preempts queued faults (committed as
-// kUntried) and cooperatively aborts in-flight PODEM searches.
+// to a 1-thread run of the same seed.
+//
+// Stopping: one predicate, the driver's stop flag or the caller's
+// cancel (AtpgOptions::stop).  A worker latches the stop flag when it
+// finds the run's deadline passed or the cancel raised; PODEM and
+// JustifyState poll both flags at every decision, so a cancel reaches
+// an in-flight search without any monitor thread.  A fault whose search
+// a stop cut short commits kUntried, never kAborted.
 //
 // Scaling: workers never block on the frontier.  A finished search is
 // *parked* lock-free (release store into the fault's slot); the
@@ -51,6 +56,7 @@
 // do.
 #pragma once
 
+#include <chrono>
 #include <cstddef>
 #include <vector>
 
@@ -75,23 +81,18 @@ struct DetPhaseControl {
   /// When set, every commit is appended as a journal record and the
   /// journal is flushed each time the frontier advances (not owned).
   JournalWriter* journal = nullptr;
-  /// Per-fault search timeout (ms, 0 = off): a core::Watchdog monitor
-  /// preempts overrunning searches; the fault commits as a clean
-  /// kUntried with zero evaluations, and the run continues.
-  long fault_timeout_ms = 0;
 };
 
 /// Runs the deterministic phase of RunAtpg over `remaining` (indices
 /// into result.faults that the random phase left undetected), updating
-/// result.status / tests / evaluations / threads_used / preempted /
-/// watchdog_preemptions in place.  `budget_ms` is the wall clock the
-/// phase may spend (the caller already subtracted what the random
-/// phase consumed).  `control` adds checkpoint/watchdog behaviour; a
-/// null control is the plain phase.
+/// result.status / tests / evaluations / threads_used / preempted in
+/// place.  `deadline` is the run's wall-clock deadline.  `control`
+/// adds checkpoint behaviour; a null control is the plain phase.
 void RunDeterministicPhase(const netlist::Circuit& circuit,
                            const AtpgOptions& options,
                            const std::vector<std::size_t>& remaining,
-                           long budget_ms, AtpgResult& result,
+                           std::chrono::steady_clock::time_point deadline,
+                           AtpgResult& result,
                            const DetPhaseControl* control = nullptr);
 
 }  // namespace retest::atpg

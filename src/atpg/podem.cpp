@@ -12,6 +12,11 @@ using netlist::NodeId;
 using netlist::NodeKind;
 using sim::V3;
 
+/// True when a cooperative-preemption flag is set and raised.
+bool Raised(const std::atomic<bool>* flag) {
+  return flag != nullptr && flag->load(std::memory_order_relaxed);
+}
+
 /// A decision variable: a frame PI, or (frame-0) state bit when
 /// dff_index >= 0.
 struct Decision {
@@ -32,8 +37,7 @@ class Podem {
     while (true) {
       result.evaluations = model_.evaluations() - start_evaluations;
       if (result.evaluations > options_.max_evaluations ||
-          (options_.stop != nullptr &&
-           options_.stop->load(std::memory_order_relaxed))) {
+          Raised(options_.stop) || Raised(options_.cancel)) {
         result.status = PodemStatus::kAborted;
         return result;
       }

@@ -22,11 +22,12 @@ struct PodemOptions {
   /// Cap on node evaluations (the deterministic work measure); the
   /// search aborts when exceeded.
   long max_evaluations = 50'000'000;
-  /// Optional cooperative-preemption flag (not owned): when it becomes
-  /// true the search aborts at the next decision.  The fault-parallel
-  /// ATPG driver uses it to enforce the wall-clock budget across
-  /// workers.
+  /// Optional cooperative-preemption flags (not owned, may be null):
+  /// when either becomes true the search aborts at the next decision.
+  /// The fault-parallel ATPG driver passes its run-wide stop (the
+  /// wall-clock deadline) and the caller's cancel (AtpgOptions::stop).
   const std::atomic<bool>* stop = nullptr;
+  const std::atomic<bool>* cancel = nullptr;
 };
 
 /// Search outcome.

@@ -49,7 +49,7 @@ struct JobSpec {
   JobKind kind = JobKind::kAtpg;
   int priority = 0;
   int threads = 1;        ///< Engine thread budget for this job.
-  long deadline_ms = 0;   ///< Engine watchdog deadline; 0 = none.
+  long deadline_ms = 0;   ///< Caps atpg.time_budget_ms; 0 = none.
   atpg::AtpgOptions atpg; ///< Seed/style/budgets for kAtpg/kPreserve.
   std::string netlist;    ///< `--- netlist` section (.bench text).
   std::string retimed;    ///< `--- retimed` section (kPreserve).

@@ -427,10 +427,14 @@ void Service::RunJob(JobRec& rec) {
 
   atpg::AtpgOptions atpg_options = rec.spec.atpg;
   atpg_options.num_threads = rec.spec.threads;
-  atpg_options.deadline_ms = rec.spec.deadline_ms;
-  // Per-job preemptive cancel: Service::Cancel raises this flag; the
-  // engine's watchdog mirrors it into in-flight searches, which then
-  // commit kUntried (journal-resumable).
+  // The job's deadline caps the run's one wall-clock budget.
+  if (rec.spec.deadline_ms > 0) {
+    atpg_options.time_budget_ms =
+        std::min(atpg_options.time_budget_ms, rec.spec.deadline_ms);
+  }
+  // Per-job preemptive cancel: Service::Cancel raises this flag; every
+  // in-flight search polls it at its next decision and the job's
+  // unfinished faults commit kUntried (journal-resumable).
   atpg_options.stop = &rec.stop;
   if (!options_.spool_dir.empty() && rec.spec.kind != JobKind::kFaultSim) {
     atpg_options.checkpoint_path = JournalPath(rec.id);

@@ -20,7 +20,7 @@
 //                 -> the run queue, ordered by the spec's priority
 //                    (higher first), FIFO within a priority; `threads`
 //                    is clamped to [1, num_workers] and deadline_ms
-//                    flows into the ATPG watchdog
+//                    caps the ATPG run's wall-clock budget
 //   worker        -> an idle worker pops the queue's head, so the
 //                    highest-priority queued job always runs next
 //   completion    -> the result JSON is built on the worker, stored in
@@ -131,8 +131,8 @@ class Service {
 
   /// Cancels a job.  Queued: the job reports kCancelled without
   /// running.  Running atpg/preserve: *preemptive* — Cancel raises
-  /// the job's stop flag, the ATPG watchdog latches it into in-flight
-  /// searches within ~10 ms, unfinished faults commit kUntried and
+  /// the job's stop flag, every in-flight search reads it at its next
+  /// decision, unfinished faults commit kUntried and
   /// the job reports kCancelled with its journal left in the spool
   /// (resubmitting the same spec resumes from it and lands on the
   /// bit-identical result of an uninterrupted run).  Running faultsim

@@ -10,7 +10,6 @@ std::string_view ToString(StatusCode code) {
     case StatusCode::kIoError: return "io_error";
     case StatusCode::kCorruptData: return "corrupt_data";
     case StatusCode::kMismatch: return "mismatch";
-    case StatusCode::kDeadlineExceeded: return "deadline_exceeded";
     case StatusCode::kLintFinding: return "lint_finding";
     case StatusCode::kCertifyRefused: return "certify_refused";
     case StatusCode::kInternal: return "internal";

@@ -29,7 +29,6 @@ enum class StatusCode {
   kIoError,           ///< File could not be opened / read / written.
   kCorruptData,       ///< CRC mismatch or malformed binary/journal record.
   kMismatch,          ///< Valid data for a *different* run (fingerprint/seed).
-  kDeadlineExceeded,  ///< A watchdog budget converted work to a clean stop.
   kLintFinding,       ///< Well-formed but suspect structure (analyze/lint).
   kCertifyRefused,    ///< Claimed retiming failed certification (analyze/certify).
   kInternal,          ///< Invariant violation; always a bug.

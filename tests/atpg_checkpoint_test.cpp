@@ -1,7 +1,7 @@
-// Crash-safe checkpoint/resume and watchdog budgets: journal
+// Crash-safe checkpoint/resume and the wall-clock budget: journal
 // round-trips, torn-tail recovery, corruption rejection, bit-identical
 // resume at any thread count, fingerprint mismatch fallback, and
-// deadline / per-fault-timeout preemption.
+// budget preemption.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -189,8 +189,6 @@ TEST(Journal, FingerprintTracksSearchRelevantOptions) {
   AtpgOptions cosmetic = options;
   cosmetic.num_threads = 7;
   cosmetic.time_budget_ms = 1;
-  cosmetic.deadline_ms = 123;
-  cosmetic.fault_timeout_ms = 45;
   cosmetic.checkpoint_path = "elsewhere.journal";
   EXPECT_EQ(fp, JournalFingerprint(circuit, cosmetic, 100));
 }
@@ -342,9 +340,7 @@ TEST(Checkpoint, PreemptedRunResumesToTheUninterruptedResult) {
 // run (two frame depths, shallow justification).  A stop can land in
 // the last depth's justification or in its verification; the fault
 // must then commit kUntried, not a cut-short kAborted, or the resumed
-// run differs from the uninterrupted one.  Per-fault timeouts then
-// check that no result a stop cut short enters the run's
-// justification memo.
+// run differs from the uninterrupted one.
 TEST(Checkpoint, PreemptedJustificationRunResumesToTheUninterruptedResult) {
   const auto machine = fsm::MakeBenchmarkFsm("dk16");
   const Circuit circuit = Synthesize(machine, synth::SynthesisOptions{});
@@ -371,48 +367,11 @@ TEST(Checkpoint, PreemptedJustificationRunResumesToTheUninterruptedResult) {
     SCOPED_TRACE("budget_ms " + std::to_string(budget_ms));
     ExpectIdenticalResults(reference, RunAtpg(circuit, resume));
   }
-
-  // A per-fault timeout stops one search while the others go on and
-  // read the memo; deeper justification makes searches outlast it.
-  // Each search is a pure function of its fault, so every search the
-  // watchdog did not cut commits what it commits in the uninterrupted
-  // run: the same status, the same test, and for a fault that keeps no
-  // test the same evaluations.  A cut-short justification kept in the
-  // memo would hand a later search its partial answer.
-  core::DiagnosticList diags;
-  AtpgOptions journaled = options;
-  journaled.justify_max_depth = 24;
-  journaled.justify_backtracks = 200;
-  journaled.checkpoint_path = TempPath("uninterrupted_justification.journal");
-  (void)RunAtpg(circuit, journaled);
-  const auto uninterrupted = LoadJournal(journaled.checkpoint_path, diags);
-  ASSERT_TRUE(uninterrupted.has_value()) << diags.ToString();
-  for (long timeout_ms = 1; timeout_ms <= 2; ++timeout_ms) {
-    AtpgOptions cut = journaled;
-    cut.checkpoint_path = TempPath("timed_out_justification.journal");
-    cut.fault_timeout_ms = timeout_ms;
-    (void)RunAtpg(circuit, cut);
-    const auto journal = LoadJournal(cut.checkpoint_path, diags);
-    ASSERT_TRUE(journal.has_value()) << diags.ToString();
-    ASSERT_EQ(journal->commits.size(), uninterrupted->commits.size());
-    for (const JournalCommit& commit : journal->commits) {
-      ASSERT_LT(commit.pos, uninterrupted->commits.size());
-      const JournalCommit& expected = uninterrupted->commits[commit.pos];
-      if (commit.status == 'U' || commit.status == 'S' ||
-          expected.status == 'S') {
-        continue;  // cut by the watchdog, or retired by an earlier test
-      }
-      SCOPED_TRACE("fault_timeout_ms " + std::to_string(timeout_ms) +
-                   " pos " + std::to_string(commit.pos));
-      EXPECT_EQ(commit.status, expected.status);
-      EXPECT_EQ(commit.test, expected.test);
-      if (commit.status != 'D') {
-        EXPECT_EQ(commit.evaluations, expected.evaluations);
-      }
-    }
-  }
 }
 
+// The wall-clock budget is the run's one deadline: at 1 ms it stops
+// the run at the commit frontier with kUntried faults and no
+// diagnostic, far inside the time the search would take.
 TEST(Watchdog, DeadlineCapsTheRunCleanly) {
   const auto machine = fsm::MakeBenchmarkFsm("dk16");
   synth::SynthesisOptions synthesis;
@@ -420,34 +379,12 @@ TEST(Watchdog, DeadlineCapsTheRunCleanly) {
   AtpgOptions options;
   options.random_rounds = 0;
   options.num_threads = 4;
-  options.time_budget_ms = 600'000;
-  options.deadline_ms = 1;
+  options.time_budget_ms = 1;
   const AtpgResult result = RunAtpg(circuit, options);
   EXPECT_GT(result.Count(FaultStatus::kUntried), 0);
   EXPECT_TRUE(result.preempted);
-  EXPECT_TRUE(result.diagnostics.Contains(StatusCode::kDeadlineExceeded))
-      << result.diagnostics.ToString();
+  EXPECT_EQ(result.diagnostics.size(), 0u) << result.diagnostics.ToString();
   EXPECT_LT(result.elapsed_ms, 30'000);
-}
-
-TEST(Watchdog, PerFaultTimeoutConvertsOverrunsToUntried) {
-  const auto machine = fsm::MakeBenchmarkFsm("dk16");
-  synth::SynthesisOptions synthesis;
-  const Circuit circuit = Synthesize(machine, synthesis);
-  AtpgOptions options;
-  options.style = AtpgStyle::kJustification;
-  options.random_rounds = 0;
-  options.num_threads = 8;
-  options.time_budget_ms = 600'000;
-  options.fault_timeout_ms = 1;
-  const AtpgResult result = RunAtpg(circuit, options);
-  EXPECT_GT(result.watchdog_preemptions, 0);
-  EXPECT_GT(result.Count(FaultStatus::kUntried), 0);
-  EXPECT_TRUE(result.diagnostics.Contains(StatusCode::kDeadlineExceeded))
-      << result.diagnostics.ToString();
-  // The run itself must continue past preempted faults, not stop.
-  EXPECT_FALSE(result.preempted);
-  EXPECT_LT(result.elapsed_ms, 120'000);
 }
 
 }  // namespace

@@ -2,22 +2,28 @@
 // grammar, malformed-spec disarming, trigger forms, deterministic
 // percent draws, payload args, byte corruption; injected journal
 // faults (open error, torn write) recovering bit-identically; frame
-// truncation/bit-flips surfacing as structured decode errors; and the
-// per-fault-timeout drain edge staying hang-free.
+// truncation/bit-flips surfacing as structured decode errors; and a
+// cancel during the commit drain staying hang-free and resumable.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "atpg/engine.h"
+#include "atpg/journal.h"
 #include "core/chaos.h"
 #include "core/server/framing.h"
 #include "core/status.h"
+#include "fsm/benchmarks.h"
+#include "synth/synthesize.h"
 #include "tests/random_circuits.h"
 
 namespace retest::core {
@@ -263,30 +269,68 @@ TEST_F(ChaosTest, BitFlipCorruptsThePayloadWithTheHeaderIntact) {
   EXPECT_EQ(received, payload);
 }
 
-// ---- Watchdog drain edge --------------------------------------------
+// ---- Cancel during the drain -----------------------------------------
 
-TEST_F(ChaosTest, PerFaultTimeoutDuringTheDrainCommitsResumableUntried) {
-  // A 1 ms per-fault timeout can preempt any search, including the
-  // ones being drained at the commit frontier when the run ends.  The
-  // contract: the run terminates with every fault slot committed
-  // (watchdog overruns convert to kUntried, never a dangling slot),
-  // and a rerun over the journal re-searches those kUntried commits
-  // into the bit-identical uninterrupted answer.
-  const Circuit circuit = SmallCircuit();
+/// Commit records ("C ..." lines) a journal file holds so far.
+std::size_t CommitRecords(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::size_t commits = 0;
+  std::string line;
+  while (std::getline(in, line)) commits += line.rfind("C ", 0) == 0;
+  return commits;
+}
+
+TEST_F(ChaosTest, CancelDuringTheDrainCommitsResumableUntried) {
+  // A cancel raised from another thread while two workers search and
+  // drain the commit frontier can land on any search, including the
+  // ones being drained.  The contract: the run terminates with every
+  // fault slot committed (a search the stop cut converts to kUntried,
+  // never a dangling slot), and a rerun over the journal re-searches
+  // those kUntried commits into the bit-identical uninterrupted answer.
+  // HITEC-style ATPG on dk16 runs long enough (about 0.3 s on one
+  // thread) that the cancel lands while most faults are still queued.
+  const Circuit circuit =
+      synth::Synthesize(fsm::MakeBenchmarkFsm("dk16"), {});
   atpg::AtpgOptions options = QuickAtpg();
+  options.style = atpg::AtpgStyle::kJustification;
   options.random_rounds = 0;
+  options.max_frames = 2;
+  options.backtracks_per_fault = 10;
+  options.evaluations_per_fault = 2000;
+  options.justify_backtracks = 60;
   const atpg::AtpgResult reference = atpg::RunAtpg(circuit, options);
 
-  atpg::AtpgOptions timed = options;
-  timed.fault_timeout_ms = 1;
-  timed.num_threads = 2;
-  timed.checkpoint_path = TempPath("fault_timeout.journal");
-  const atpg::AtpgResult preempted = atpg::RunAtpg(circuit, timed);
-  ASSERT_EQ(preempted.status.size(), reference.status.size());
+  std::atomic<bool> cancel{false};
+  std::atomic<bool> finished{false};
+  atpg::AtpgOptions cancelled = options;
+  cancelled.num_threads = 2;
+  cancelled.stop = &cancel;
+  cancelled.checkpoint_path = TempPath("cancel_drain.journal");
+  std::thread canceller([&] {
+    while (!finished.load() &&
+           CommitRecords(cancelled.checkpoint_path) < 2) {
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+    cancel.store(true);
+  });
+  const atpg::AtpgResult preempted = atpg::RunAtpg(circuit, cancelled);
+  finished.store(true);
+  canceller.join();
+  EXPECT_TRUE(preempted.preempted);
 
-  atpg::AtpgOptions resume = options;  // Timeout off, single thread.
-  resume.checkpoint_path = timed.checkpoint_path;
+  DiagnosticList diags;
+  const auto journal = atpg::LoadJournal(cancelled.checkpoint_path, diags);
+  ASSERT_TRUE(journal.has_value()) << diags.ToString();
+  EXPECT_TRUE(journal->complete);
+  ASSERT_EQ(journal->commits.size(), journal->remaining_count);
+  for (std::size_t pos = 0; pos < journal->commits.size(); ++pos) {
+    EXPECT_EQ(journal->commits[pos].pos, pos);
+  }
+
+  atpg::AtpgOptions resume = options;  // No cancel, single thread.
+  resume.checkpoint_path = cancelled.checkpoint_path;
   const atpg::AtpgResult resumed = atpg::RunAtpg(circuit, resume);
+  EXPECT_TRUE(resumed.resumed);
   ExpectIdenticalResults(reference, resumed);
 }
 

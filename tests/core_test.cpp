@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <cstdlib>
 #include <stdexcept>
 #include <thread>
@@ -16,7 +15,6 @@
 #include "core/thread_pool.h"
 #include "core/syncseq.h"
 #include "core/testset.h"
-#include "core/watchdog.h"
 #include "fault/collapse.h"
 #include "faultsim/proofs.h"
 #include "netlist/builder.h"
@@ -361,89 +359,6 @@ TEST(Crc32, MatchesKnownVectorsAndChains) {
   const std::uint32_t first = Crc32("hello ");
   EXPECT_EQ(Crc32("world", first), Crc32("hello world"));
   EXPECT_NE(Crc32("hello worle"), Crc32("hello world"));
-}
-
-TEST(Watchdog, LimitsResolveEnvAndExplicitPrecedence) {
-  ::unsetenv("REPRO_DEADLINE_MS");
-  ::unsetenv("REPRO_FAULT_TIMEOUT_MS");
-  EXPECT_FALSE(WatchdogLimits::Resolve({}).active());
-
-  ::setenv("REPRO_DEADLINE_MS", "5000", 1);
-  ::setenv("REPRO_FAULT_TIMEOUT_MS", "junk", 1);
-  WatchdogLimits resolved = WatchdogLimits::Resolve({});
-  EXPECT_EQ(resolved.deadline_ms, 5000);
-  EXPECT_EQ(resolved.fault_timeout_ms, 0);  // unparsable = unset
-
-  WatchdogLimits explicit_limits;
-  explicit_limits.deadline_ms = 250;  // options win over the env
-  explicit_limits.fault_timeout_ms = 30;
-  resolved = WatchdogLimits::Resolve(explicit_limits);
-  EXPECT_EQ(resolved.deadline_ms, 250);
-  EXPECT_EQ(resolved.fault_timeout_ms, 30);
-  ::unsetenv("REPRO_DEADLINE_MS");
-  ::unsetenv("REPRO_FAULT_TIMEOUT_MS");
-}
-
-TEST(Watchdog, PerItemTimeoutFiresOnlyForOverruns) {
-  WatchdogLimits limits;
-  limits.fault_timeout_ms = 20;
-  std::atomic<bool> global_stop{false};
-  Watchdog watchdog(limits, /*num_workers=*/1, &global_stop);
-
-  // A fast item: no preemption.
-  watchdog.BeginItem(0);
-  EXPECT_FALSE(watchdog.EndItem(0));
-  EXPECT_EQ(watchdog.preemptions(), 0);
-
-  // An overrunning item: the worker flag flips and EndItem reports it.
-  watchdog.BeginItem(0);
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::seconds(5);
-  while (!watchdog.StopFlag(0)->load() &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  EXPECT_TRUE(watchdog.StopFlag(0)->load());
-  EXPECT_TRUE(watchdog.EndItem(0));
-  EXPECT_EQ(watchdog.preemptions(), 1);
-  EXPECT_FALSE(global_stop.load());  // per-item timeouts stay local
-}
-
-TEST(Watchdog, GlobalStopPropagatesToEveryWorkerFlag) {
-  WatchdogLimits limits;
-  limits.fault_timeout_ms = 10'000;  // per-item timeout never fires here
-  std::atomic<bool> global_stop{false};
-  Watchdog watchdog(limits, /*num_workers=*/2, &global_stop);
-  watchdog.BeginItem(0);
-  watchdog.BeginItem(1);
-  global_stop.store(true);
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::seconds(5);
-  while ((!watchdog.StopFlag(0)->load() || !watchdog.StopFlag(1)->load()) &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  EXPECT_TRUE(watchdog.StopFlag(0)->load());
-  EXPECT_TRUE(watchdog.StopFlag(1)->load());
-  // A global stop is not a per-item preemption.
-  EXPECT_FALSE(watchdog.EndItem(0));
-  EXPECT_FALSE(watchdog.EndItem(1));
-  EXPECT_EQ(watchdog.preemptions(), 0);
-}
-
-TEST(Watchdog, DeadlineLatchesTheGlobalStop) {
-  WatchdogLimits limits;
-  limits.deadline_ms = 15;
-  std::atomic<bool> global_stop{false};
-  Watchdog watchdog(limits, /*num_workers=*/1, &global_stop);
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::seconds(5);
-  while (!global_stop.load() &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  EXPECT_TRUE(global_stop.load());
-  EXPECT_TRUE(watchdog.DeadlineExpired());
 }
 
 }  // namespace

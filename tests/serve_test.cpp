@@ -87,7 +87,7 @@ JobSpec QuickSpec(const std::string& name, int priority = 0) {
 
 /// A job that keeps its worker busy until it is cancelled: ATPG on dk16
 /// with a backtrack limit far beyond what any test waits for.  Cancel
-/// preempts it within one watchdog poll.
+/// preempts it at the running search's next decision.
 JobSpec BlockerSpec(const std::string& name, int priority = 0) {
   static const std::string netlist = netlist::WriteBenchString(
       synth::Synthesize(fsm::MakeBenchmarkFsm("dk16"), {}));
@@ -478,9 +478,9 @@ TEST(Service, CancelTargetsOnlyQueuedJobs) {
 }
 
 TEST(Service, DeadlinePreemptsALongJob) {
-  // dk16 against a 30 ms deadline: the engine's watchdog must hand back
-  // a clean preempted result (kUntried faults, status ok) rather than
-  // overrun.
+  // dk16 against a 30 ms deadline, which caps the run's wall-clock
+  // budget: the engine must hand back a clean preempted result
+  // (kUntried faults, status ok) rather than overrun.
   const netlist::Circuit circuit =
       synth::Synthesize(fsm::MakeBenchmarkFsm("dk16"), {});
   JobSpec spec;
