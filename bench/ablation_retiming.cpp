@@ -5,7 +5,6 @@
 #include <cstdio>
 
 #include "experiments.h"
-#include "fsm/benchmarks.h"
 #include "retime/leiserson_saxe.h"
 #include "retime/minreg.h"
 
@@ -19,16 +18,7 @@ int main() {
               "orig", "period", "DFF", "DFF", "period", "");
 
   for (const auto& variant : bench::Table2Variants()) {
-    const fsm::Fsm machine = fsm::MakeBenchmarkFsm(variant.fsm);
-    synth::SynthesisOptions options;
-    options.encoding = variant.encoding;
-    options.script = variant.script;
-    for (const auto& info : fsm::PaperFsmTable()) {
-      if (std::string(info.name) == variant.fsm) {
-        options.explicit_reset = info.explicit_reset;
-      }
-    }
-    const auto circuit = synth::Synthesize(machine, options);
+    const auto circuit = bench::SynthesizeVariant(variant);
     const auto build = retime::BuildGraph(circuit);
 
     const auto min_period = retime::MinimizePeriod(build.graph);

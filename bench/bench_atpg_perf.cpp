@@ -39,7 +39,6 @@
 #include <vector>
 
 #include "atpg/engine.h"
-#include "core/metrics.h"
 #include "core/thread_pool.h"
 #include "experiments.h"
 
@@ -136,83 +135,68 @@ void EmitRun(std::FILE* f, const char* key, const RunStats& s, bool last) {
 bool EmitJson(const std::vector<CircuitReport>& reports,
               const std::vector<std::pair<int, double>>& scaling,
               int mt_threads, bool smoke, const std::string& error) {
-  std::FILE* f = std::fopen("BENCH_atpg.json", "w");
-  if (!f) {
-    std::fprintf(stderr, "cannot write BENCH_atpg.json\n");
-    return false;
-  }
   const atpg::AtpgOptions quick = QuickOptions();
   const atpg::AtpgOptions paper = PaperOptions();
-  const char* mode =
-      smoke ? "smoke" : (bench::FullMode() ? "full" : "default");
-  std::fprintf(f, "{\n  \"mode\": \"%s\",\n", mode);
-  if (!error.empty()) {
-    std::fprintf(f, "  \"error\": \"%s\",\n",
-                 bench::JsonEscape(error).c_str());
-  }
-  std::fprintf(f, "  \"host\": {\"nproc\": %u, \"isa\": \"%s\"},\n",
-               std::max(1u, std::thread::hardware_concurrency()),
-               bench::HostIsa().c_str());
-  std::fprintf(f, "  \"mt_threads\": %d,\n", mt_threads);
   const auto style = [](const atpg::AtpgOptions& options) {
     return options.style == atpg::AtpgStyle::kJustification ? "justification"
                                                             : "forward_ila";
   };
-  std::fprintf(f,
-               "  \"config\": {\"quick_style\": \"%s\", "
-               "\"quick_backtracks\": %ld, \"table2_style\": \"%s\", "
-               "\"table2_backtracks\": %ld, "
-               "\"table2_justify_backtracks\": %ld},\n",
-               style(quick), quick.backtracks_per_fault, style(paper),
-               paper.backtracks_per_fault, paper.justify_backtracks);
-  std::fprintf(f, "  \"circuits\": [\n");
-  for (size_t i = 0; i < reports.size(); ++i) {
-    const CircuitReport& r = reports[i];
-    std::fprintf(f, "    {\"name\": \"%s\", \"role\": \"%s\",\n",
-                 r.name.c_str(), r.role);
-    std::fprintf(f, "     \"nodes\": %d, \"faults\": %d,\n", r.num_nodes,
-                 r.num_faults);
-    std::fprintf(f, "     \"runs\": {\n");
-    EmitRun(f, "quick_1t", r.quick_1t, false);
-    EmitRun(f, "quick_mt", r.quick_mt, smoke);
-    if (!smoke) {
-      EmitRun(f, "table2_1t", r.table2_1t, false);
-      EmitRun(f, "table2_mt", r.table2_mt, true);
+  const auto fields = [&](std::FILE* f) {
+    std::fprintf(f, "  \"mt_threads\": %d,\n", mt_threads);
+    std::fprintf(f,
+                 "  \"config\": {\"quick_style\": \"%s\", "
+                 "\"quick_backtracks\": %ld, \"table2_style\": \"%s\", "
+                 "\"table2_backtracks\": %ld, "
+                 "\"table2_justify_backtracks\": %ld},\n",
+                 style(quick), quick.backtracks_per_fault, style(paper),
+                 paper.backtracks_per_fault, paper.justify_backtracks);
+    std::fprintf(f, "  \"circuits\": [\n");
+    for (size_t i = 0; i < reports.size(); ++i) {
+      const CircuitReport& r = reports[i];
+      std::fprintf(f, "    {\"name\": \"%s\", \"role\": \"%s\",\n",
+                   r.name.c_str(), r.role);
+      std::fprintf(f, "     \"nodes\": %d, \"faults\": %d,\n", r.num_nodes,
+                   r.num_faults);
+      std::fprintf(f, "     \"runs\": {\n");
+      EmitRun(f, "quick_1t", r.quick_1t, false);
+      EmitRun(f, "quick_mt", r.quick_mt, smoke);
+      if (!smoke) {
+        EmitRun(f, "table2_1t", r.table2_1t, false);
+        EmitRun(f, "table2_mt", r.table2_mt, true);
+      }
+      std::fprintf(f, "     },\n");
+      std::fprintf(f,
+                   "     \"speedup_mt_vs_1t\": %.2f, "
+                   "\"identical_results\": %s}%s\n",
+                   r.ParallelSpeedup(), r.identical ? "true" : "false",
+                   i + 1 < reports.size() ? "," : "");
     }
-    std::fprintf(f, "     },\n");
-    std::fprintf(f,
-                 "     \"speedup_mt_vs_1t\": %.2f, "
-                 "\"identical_results\": %s}%s\n",
-                 r.ParallelSpeedup(), r.identical ? "true" : "false",
-                 i + 1 < reports.size() ? "," : "");
-  }
-  // Table II shape: the retimed/original ATPG CPU ratio per pair
-  // (consecutive reports are the original/retimed halves of one pair).
-  std::fprintf(f, "  ],\n  \"pairs\": [\n");
-  for (size_t i = 0; i + 1 < reports.size(); i += 2) {
-    const CircuitReport& o = reports[i];
-    const CircuitReport& r = reports[i + 1];
-    const RunStats& om = smoke ? o.quick_1t : o.table2_1t;
-    const RunStats& rm = smoke ? r.quick_1t : r.table2_1t;
-    std::fprintf(f,
-                 "    {\"name\": \"%s\", \"atpg_cpu_original_ms\": %.3f, "
-                 "\"atpg_cpu_retimed_ms\": %.3f, "
-                 "\"cpu_ratio_retimed_vs_original\": %.2f, "
-                 "\"coverage_original\": %.2f, \"coverage_retimed\": %.2f}%s\n",
-                 o.name.c_str(), om.ms, rm.ms,
-                 om.ms > 0 ? rm.ms / om.ms : 0, om.coverage, rm.coverage,
-                 i + 3 < reports.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n  \"thread_scaling\": [\n");
-  for (size_t i = 0; i < scaling.size(); ++i) {
-    std::fprintf(f, "    {\"threads\": %d, \"ms\": %.3f}%s\n",
-                 scaling[i].first, scaling[i].second,
-                 i + 1 < scaling.size() ? "," : "");
-  }
-  // Cumulative engine metrics for every run above (docs/METRICS.md).
-  std::fprintf(f, "  ],\n  \"metrics\": %s\n}\n",
-               core::metrics::ToJson(2).c_str());
-  return std::fclose(f) == 0;
+    // Table II shape: the retimed/original ATPG CPU ratio per pair
+    // (consecutive reports are the original/retimed halves of one pair).
+    std::fprintf(f, "  ],\n  \"pairs\": [\n");
+    for (size_t i = 0; i + 1 < reports.size(); i += 2) {
+      const CircuitReport& o = reports[i];
+      const CircuitReport& r = reports[i + 1];
+      const RunStats& om = smoke ? o.quick_1t : o.table2_1t;
+      const RunStats& rm = smoke ? r.quick_1t : r.table2_1t;
+      std::fprintf(
+          f,
+          "    {\"name\": \"%s\", \"atpg_cpu_original_ms\": %.3f, "
+          "\"atpg_cpu_retimed_ms\": %.3f, "
+          "\"cpu_ratio_retimed_vs_original\": %.2f, "
+          "\"coverage_original\": %.2f, \"coverage_retimed\": %.2f}%s\n",
+          o.name.c_str(), om.ms, rm.ms, om.ms > 0 ? rm.ms / om.ms : 0,
+          om.coverage, rm.coverage, i + 3 < reports.size() ? "," : "");
+    }
+    std::fprintf(f, "  ],\n  \"thread_scaling\": [\n");
+    for (size_t i = 0; i < scaling.size(); ++i) {
+      std::fprintf(f, "    {\"threads\": %d, \"ms\": %.3f}%s\n",
+                   scaling[i].first, scaling[i].second,
+                   i + 1 < scaling.size() ? "," : "");
+    }
+    std::fprintf(f, "  ],\n");
+  };
+  return bench::WriteBenchJson("BENCH_atpg.json", smoke, error, fields);
 }
 
 }  // namespace
@@ -323,22 +307,15 @@ int main(int argc, char** argv) {
   }
 
   const bool wrote = EmitJson(reports, scaling, mt_threads, smoke, error);
-  if (wrote) {
-    std::printf("wrote BENCH_atpg.json (%zu circuits%s)\n", reports.size(),
-                error.empty() ? "" : ", partial");
-  }
-  // Exit codes (docs/ROBUSTNESS.md): JSON write failure and partial
-  // data outrank the determinism verdict -- an incomplete report can't
-  // certify anything.
-  if (!wrote) return bench::kExitJsonWriteFailure;
-  if (!error.empty()) {
-    return reports.empty() ? bench::kExitFatal : bench::kExitPartial;
-  }
+  // An incomplete or unwritten report certifies nothing, so its code
+  // outranks the determinism verdict (docs/ROBUSTNESS.md).
+  const int code = bench::ExitCode(wrote, !reports.empty(), error);
+  if (code != bench::kExitOk) return code;
   if (!all_identical) {
     std::fprintf(stderr,
                  "DETERMINISM MISMATCH: 1-thread and parallel runs "
                  "disagree\n");
-    return bench::kExitDeterminismMismatch;
+    return bench::kExitMismatch;
   }
   return bench::kExitOk;
 }

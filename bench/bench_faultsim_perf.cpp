@@ -17,16 +17,20 @@
 //   --smoke             1 variant, short sequences (ctest budget);
 //                       exit code is the equivalence verdict
 // REPRO_THREADS=N sets the default thread count.
+//
+// Robustness (docs/ROBUSTNESS.md): a failure mid-sweep still flushes
+// the finished rows to BENCH_faultsim.json with an "error" field.
+// Exit codes: 0 ok, 1 engine mismatch, 2 fatal before any row, 3
+// partial results, 4 JSON unwritable.
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <exception>
 #include <span>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
-#include "core/metrics.h"
 #include "core/thread_pool.h"
 #include "experiments.h"
 #include "fault/collapse.h"
@@ -117,54 +121,45 @@ struct Row {
   bool equivalent = true;
 };
 
-void EmitJson(const std::vector<Row>& rows, int default_threads, bool smoke) {
-  std::FILE* f = std::fopen("BENCH_faultsim.json", "w");
-  if (!f) {
-    std::fprintf(stderr, "cannot write BENCH_faultsim.json\n");
-    return;
-  }
-  std::fprintf(f, "{\n  \"mode\": \"%s\",\n", smoke ? "smoke" : "full");
-  std::fprintf(f,
-               "  \"host\": {\"nproc\": %u, \"isa\": \"%s\", "
-               "\"default_threads\": %d},\n",
-               std::max(1u, std::thread::hardware_concurrency()),
-               HostIsa().c_str(), default_threads);
-  std::fprintf(f,
-               "  \"lanes\": {\"up_to_64_faults\": \"%s\", "
-               "\"more_than_64_faults\": \"%s\"},\n",
-               sim::DescribeLaneWords(1).c_str(),
-               sim::DescribeLaneWords(sim::kWideLaneWords).c_str());
-  std::fprintf(f, "  \"rows\": [\n");
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const Row& r = rows[i];
-    std::fprintf(f, "    {\"name\": \"%s\", \"role\": \"%s\",\n",
-                 r.name.c_str(), r.role);
-    std::fprintf(f, "     \"wall_ms\": {");
-    for (int c = 0; c < kNumConfigs; ++c) {
-      std::fprintf(f, "\"%s\": %.3f, ", kConfigs[c], r.runs[c].ms);
-    }
-    std::fprintf(f, "\"serial_subset\": %.3f},\n", r.serial_ms);
+bool EmitJson(const std::vector<Row>& rows, int default_threads, bool smoke,
+              const std::string& error) {
+  const auto fields = [&](std::FILE* f) {
+    std::fprintf(f, "  \"default_threads\": %d,\n", default_threads);
     std::fprintf(f,
-                 "     \"nodes\": %d, \"faults\": %d, \"frames\": %d, "
-                 "\"serial_faults\": %d, \"detected\": %d, "
-                 "\"equivalent\": %s,\n",
-                 r.num_nodes, r.num_faults, r.sequence_length,
-                 r.serial_faults, r.detected,
-                 r.equivalent ? "true" : "false");
-    std::fprintf(f, "     \"work\": {");
-    for (int c = 0; c < kNumConfigs; ++c) {
+                 "  \"lanes\": {\"up_to_64_faults\": \"%s\", "
+                 "\"more_than_64_faults\": \"%s\"},\n",
+                 sim::DescribeLaneWords(1).c_str(),
+                 sim::DescribeLaneWords(sim::kWideLaneWords).c_str());
+    std::fprintf(f, "  \"rows\": [\n");
+    for (size_t i = 0; i < rows.size(); ++i) {
+      const Row& r = rows[i];
+      std::fprintf(f, "    {\"name\": \"%s\", \"role\": \"%s\",\n",
+                   r.name.c_str(), r.role);
+      std::fprintf(f, "     \"wall_ms\": {");
+      for (int c = 0; c < kNumConfigs; ++c) {
+        std::fprintf(f, "\"%s\": %.3f, ", kConfigs[c], r.runs[c].ms);
+      }
+      std::fprintf(f, "\"serial_subset\": %.3f},\n", r.serial_ms);
       std::fprintf(f,
-                   "\"%s\": {\"frames_evaluated\": %ld, "
-                   "\"gate_evals\": %ld}%s",
-                   kConfigs[c], r.runs[c].frames, r.runs[c].gate_evals,
-                   c + 1 < kNumConfigs ? ", " : "");
+                   "     \"nodes\": %d, \"faults\": %d, \"frames\": %d, "
+                   "\"serial_faults\": %d, \"detected\": %d, "
+                   "\"equivalent\": %s,\n",
+                   r.num_nodes, r.num_faults, r.sequence_length,
+                   r.serial_faults, r.detected,
+                   r.equivalent ? "true" : "false");
+      std::fprintf(f, "     \"work\": {");
+      for (int c = 0; c < kNumConfigs; ++c) {
+        std::fprintf(f,
+                     "\"%s\": {\"frames_evaluated\": %ld, "
+                     "\"gate_evals\": %ld}%s",
+                     kConfigs[c], r.runs[c].frames, r.runs[c].gate_evals,
+                     c + 1 < kNumConfigs ? ", " : "");
+      }
+      std::fprintf(f, "}}%s\n", i + 1 < rows.size() ? "," : "");
     }
-    std::fprintf(f, "}}%s\n", i + 1 < rows.size() ? "," : "");
-  }
-  // Cumulative engine metrics for every run above (docs/METRICS.md).
-  std::fprintf(f, "  ],\n  \"metrics\": %s\n}\n",
-               core::metrics::ToJson(2).c_str());
-  std::fclose(f);
+    std::fprintf(f, "  ],\n");
+  };
+  return bench::WriteBenchJson("BENCH_faultsim.json", smoke, error, fields);
 }
 
 }  // namespace
@@ -195,72 +190,82 @@ int main(int argc, char** argv) {
 
   std::vector<Row> rows;
   bool all_equivalent = true;
-  for (size_t v = 0; v < num_variants; ++v) {
-    const bench::Prepared prepared = bench::PrepareVariant(variants[v]);
-    for (const auto* role : {"original", "retimed"}) {
-      const netlist::Circuit& circuit = std::strcmp(role, "original") == 0
-                                            ? prepared.original
-                                            : prepared.retimed;
-      const auto collapsed = fault::Collapse(circuit);
-      const auto& faults = collapsed.representatives;
-      const sim::InputSequence sequence =
-          RandomSequence(circuit, sequence_length, 42 + v);
+  std::string error;
+  for (size_t v = 0; v < num_variants && error.empty(); ++v) {
+    try {
+      const bench::Prepared prepared = bench::PrepareVariant(variants[v]);
+      for (const auto* role : {"original", "retimed"}) {
+        const netlist::Circuit& circuit = std::strcmp(role, "original") == 0
+                                              ? prepared.original
+                                              : prepared.retimed;
+        const auto collapsed = fault::Collapse(circuit);
+        const auto& faults = collapsed.representatives;
+        const sim::InputSequence sequence =
+            RandomSequence(circuit, sequence_length, 42 + v);
 
-      Row row;
-      row.name = circuit.name();
-      row.role = role;
-      row.num_nodes = circuit.size();
-      row.num_faults = static_cast<int>(faults.size());
-      row.sequence_length = static_cast<int>(sequence.size());
+        Row row;
+        row.name = circuit.name();
+        row.role = role;
+        row.num_nodes = circuit.size();
+        row.num_faults = static_cast<int>(faults.size());
+        row.sequence_length = static_cast<int>(sequence.size());
 
-      // Serial reference on a capped subset (it is orders of magnitude
-      // slower; the cap keeps the harness runnable while still timing
-      // real work).
-      row.serial_faults = static_cast<int>(std::min(serial_cap, faults.size()));
-      const std::span<const fault::Fault> serial_span(
-          faults.data(), static_cast<size_t>(row.serial_faults));
-      std::vector<faultsim::Detection> serial_detections;
-      row.serial_ms = TimeMs(
-          [&] {
-            serial_detections =
-                faultsim::SimulateSerial(circuit, serial_span, sequence);
-          },
-          1);
+        // Serial reference on a capped subset (it is orders of magnitude
+        // slower; the cap keeps the harness runnable while still timing
+        // real work).
+        row.serial_faults =
+            static_cast<int>(std::min(serial_cap, faults.size()));
+        const std::span<const fault::Fault> serial_span(
+            faults.data(), static_cast<size_t>(row.serial_faults));
+        std::vector<faultsim::Detection> serial_detections;
+        row.serial_ms = TimeMs(
+            [&] {
+              serial_detections =
+                  faultsim::SimulateSerial(circuit, serial_span, sequence);
+            },
+            1);
 
-      for (int c = 0; c < kNumConfigs; ++c) {
-        row.runs[c] = c == kChunked
-                          ? RunProofsIn64Chunks(circuit, faults, sequence,
-                                                options[c], reps)
-                          : RunProofs(circuit, faults, sequence, options[c],
-                                      reps);
+        for (int c = 0; c < kNumConfigs; ++c) {
+          row.runs[c] = c == kChunked
+                            ? RunProofsIn64Chunks(circuit, faults, sequence,
+                                                  options[c], reps)
+                            : RunProofs(circuit, faults, sequence, options[c],
+                                        reps);
+        }
+
+        // Engine equivalence: both thread counts and both lane widths
+        // agree everywhere, and the serial reference agrees on its subset.
+        const auto& reference = row.runs[0].detections;
+        for (const EngineRun& run : row.runs) {
+          if (run.detections != reference) row.equivalent = false;
+        }
+        for (size_t i = 0; i < serial_detections.size(); ++i) {
+          if (!(serial_detections[i] == reference[i])) row.equivalent = false;
+        }
+        row.detected = CountDetected(reference);
+        all_equivalent = all_equivalent && row.equivalent;
+
+        std::printf("%-14s %-9s %6d |", row.name.c_str(), role,
+                    row.num_faults);
+        for (const EngineRun& run : row.runs) std::printf(" %16.2f", run.ms);
+        std::printf("%s\n", row.equivalent ? "" : "  MISMATCH");
+        std::fflush(stdout);
+        rows.push_back(std::move(row));
       }
-
-      // Engine equivalence: both thread counts and both lane widths
-      // agree everywhere, and the serial reference agrees on its subset.
-      const auto& reference = row.runs[0].detections;
-      for (const EngineRun& run : row.runs) {
-        if (run.detections != reference) row.equivalent = false;
-      }
-      for (size_t i = 0; i < serial_detections.size(); ++i) {
-        if (!(serial_detections[i] == reference[i])) row.equivalent = false;
-      }
-      row.detected = CountDetected(reference);
-      all_equivalent = all_equivalent && row.equivalent;
-
-      std::printf("%-14s %-9s %6d |", row.name.c_str(), role,
-                  row.num_faults);
-      for (const EngineRun& run : row.runs) std::printf(" %16.2f", run.ms);
-      std::printf("%s\n", row.equivalent ? "" : "  MISMATCH");
-      std::fflush(stdout);
-      rows.push_back(std::move(row));
+    } catch (const std::exception& e) {
+      error = std::string(variants[v].fsm) + ": " + e.what();
+      std::fprintf(stderr, "bench_faultsim_perf: %s\n", error.c_str());
     }
   }
 
-  EmitJson(rows, default_threads, smoke);
-  std::printf("wrote BENCH_faultsim.json (%zu rows)\n", rows.size());
+  const bool wrote = EmitJson(rows, default_threads, smoke, error);
+  // As in bench_atpg_perf, an incomplete or unwritten report outranks
+  // the equivalence verdict (docs/ROBUSTNESS.md).
+  const int code = bench::ExitCode(wrote, !rows.empty(), error);
+  if (code != bench::kExitOk) return code;
   if (!all_equivalent) {
     std::fprintf(stderr, "ENGINE MISMATCH: detections disagree\n");
-    return 1;
+    return bench::kExitMismatch;
   }
-  return 0;
+  return bench::kExitOk;
 }

@@ -1,10 +1,14 @@
 #include "experiments.h"
 
+#include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <cstdlib>
+#include <exception>
+#include <thread>
 #include <utility>
 
+#include "core/metrics.h"
+#include "core/thread_pool.h"
 #include "fsm/benchmarks.h"
 #include "retime/leiserson_saxe.h"
 #include "retime/minreg.h"
@@ -75,36 +79,6 @@ std::string HostIsa() {
 #endif
 }
 
-std::string JsonEscape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 std::string CheckpointPathFor(const std::string& circuit_name) {
   const char* dir = std::getenv("REPRO_CHECKPOINT_DIR");
   if (dir == nullptr || *dir == '\0') return "";
@@ -116,8 +90,7 @@ std::string CheckpointPathFor(const std::string& circuit_name) {
   return path;
 }
 
-Prepared PrepareVariant(const Variant& variant) {
-  const fsm::Fsm machine = fsm::MakeBenchmarkFsm(variant.fsm);
+netlist::Circuit SynthesizeVariant(const Variant& variant) {
   synth::SynthesisOptions options;
   options.encoding = variant.encoding;
   options.script = variant.script;
@@ -126,8 +99,12 @@ Prepared PrepareVariant(const Variant& variant) {
       options.explicit_reset = info.explicit_reset;
     }
   }
+  return synth::Synthesize(fsm::MakeBenchmarkFsm(variant.fsm), options);
+}
+
+Prepared PrepareVariant(const Variant& variant) {
   Prepared prepared;
-  prepared.original = synth::Synthesize(machine, options);
+  prepared.original = SynthesizeVariant(variant);
   prepared.build = retime::BuildGraph(prepared.original);
   const auto min_period = retime::MinimizePeriod(prepared.build.graph);
   const auto min_reg = retime::MinimizeRegisters(
@@ -141,6 +118,57 @@ Prepared PrepareVariant(const Variant& variant) {
                                        prepared.retiming);
   prepared.retimed = std::move(applied.circuit);
   return prepared;
+}
+
+std::size_t RunPairs(const std::function<void(std::size_t)>& measure,
+                     std::string& error) {
+  const std::vector<Variant>& variants = Table2Variants();
+  std::vector<std::string> failures(variants.size());
+  core::ThreadPool pool;
+  pool.ParallelFor(variants.size(), [&](int, std::size_t i) {
+    try {
+      measure(i);
+    } catch (const std::exception& e) {
+      failures[i] = std::string(variants[i].fsm) + ": " + e.what();
+    }
+  });
+  for (std::size_t i = 0; i < variants.size(); ++i) {
+    if (failures[i].empty()) continue;
+    error = failures[i];
+    return i;
+  }
+  return variants.size();
+}
+
+int ExitCode(bool wrote, bool any_rows, const std::string& error) {
+  if (!wrote) return kExitJsonWriteFailure;
+  if (!error.empty()) return any_rows ? kExitPartial : kExitFatal;
+  return kExitOk;
+}
+
+bool WriteBenchJson(const char* file, bool smoke, const std::string& error,
+                    const std::function<void(std::FILE*)>& fields) {
+  std::FILE* f = std::fopen(file, "w");
+  if (f != nullptr) {
+    const char* mode = smoke ? "smoke" : (FullMode() ? "full" : "default");
+    std::fprintf(f, "{\n  \"mode\": \"%s\",\n", mode);
+    std::fprintf(f, "  \"host\": {\"nproc\": %u, \"isa\": \"%s\"},\n",
+                 std::max(1u, std::thread::hardware_concurrency()),
+                 HostIsa().c_str());
+    if (!error.empty()) {
+      std::fprintf(f, "  \"error\": \"%s\",\n", JsonEscape(error).c_str());
+    }
+    fields(f);
+    std::fprintf(f, "  \"metrics\": %s\n}\n",
+                 core::metrics::ToJson(2).c_str());
+    const bool written = !std::ferror(f);
+    if (std::fclose(f) == 0 && written) {
+      std::printf("wrote %s%s\n", file, error.empty() ? "" : " (partial)");
+      return true;
+    }
+  }
+  std::fprintf(stderr, "cannot write %s\n", file);
+  return false;
 }
 
 bool FullMode() {

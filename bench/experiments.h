@@ -6,12 +6,16 @@
 // defaults keep the whole bench suite runnable in minutes.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <cstdio>
 #include <functional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "atpg/engine.h"
+#include "core/json.h"
 #include "netlist/circuit.h"
 #include "retime/apply.h"
 #include "retime/from_netlist.h"
@@ -53,18 +57,70 @@ struct Prepared {
   int period_after = 0;
 };
 
+/// The synthesized original circuit of `variant` (its FSM, encoding,
+/// script and the FSM's explicit-reset flag).
+netlist::Circuit SynthesizeVariant(const Variant& variant);
+
 Prepared PrepareVariant(const Variant& variant);
+
+/// The rows of a Table II/III sweep, in paper order up to the first
+/// failing pair, and that failure as "<fsm>: <what>" ("" when none).
+template <typename Row>
+struct PairSweep {
+  std::vector<Row> rows;
+  std::string error;
+};
+
+/// Runs `measure(i)` for every Table II variant index as the items of
+/// one core::ThreadPool::ParallelFor, each item catching its own
+/// exception.  Returns how many leading variants succeeded and sets
+/// `error` from the first one that threw.
+std::size_t RunPairs(const std::function<void(std::size_t)>& measure,
+                     std::string& error);
+
+/// `measure(variant)` for the sixteen Table II variants, run
+/// concurrently.  Like a sequential loop, the first failing pair ends
+/// the table there: later rows are dropped, and the JSON keeps its
+/// "finished rows + error" shape.
+template <typename Measure>
+auto SweepPairs(Measure measure) {
+  using Row = std::invoke_result_t<Measure&, const Variant&>;
+  const std::vector<Variant>& variants = Table2Variants();
+  PairSweep<Row> sweep;
+  sweep.rows.resize(variants.size());
+  sweep.rows.resize(RunPairs(
+      [&](std::size_t i) { sweep.rows[i] = measure(variants[i]); },
+      sweep.error));
+  return sweep;
+}
 
 /// Exit codes shared by the bench drivers (see docs/ROBUSTNESS.md).
 /// On 2 and 3 the driver still flushes whatever JSON it finished,
 /// with an "error" field describing the failure.
-enum ExitCode : int {
+enum : int {
   kExitOk = 0,
-  kExitDeterminismMismatch = 1,  ///< bench_atpg_perf cross-check failed
-  kExitFatal = 2,                ///< failure before any row completed
-  kExitPartial = 3,              ///< failure mid-run; JSON holds finished rows
-  kExitJsonWriteFailure = 4,     ///< rows computed but output file unwritable
+  kExitMismatch = 1,          ///< perf driver cross-check failed
+  kExitFatal = 2,             ///< failure before any row completed
+  kExitPartial = 3,           ///< failure mid-run; JSON holds finished rows
+  kExitJsonWriteFailure = 4,  ///< rows computed but output file unwritable
 };
+
+/// The exit code of a driver that wrote (`wrote`) its JSON with or
+/// without rows and with `error` ("" on success): 4, then 2 or 3, then
+/// 0.  A perf driver maps its cross-check verdict to 1 only when this
+/// returns 0 -- an incomplete report certifies nothing.
+int ExitCode(bool wrote, bool any_rows, const std::string& error);
+
+/// Writes `file` (a BENCH_*.json) in the current directory with the
+/// shared head -- "mode" ("smoke", "default" or "full", from `smoke`
+/// and FullMode()), "host" {"nproc", "isa"} and "error" when `error`
+/// is non-empty -- then the driver's own keys from `fields`, each
+/// written as `  "key": value,\n`, and the cumulative "metrics"
+/// snapshot last (docs/METRICS.md).  Prints "wrote <file>" on success;
+/// prints "cannot write <file>" and returns false when the file cannot
+/// be opened or written.
+bool WriteBenchJson(const char* file, bool smoke, const std::string& error,
+                    const std::function<void(std::FILE*)>& fields);
 
 /// Best-of-`reps` wall time of `fn` in milliseconds (steady clock).
 double TimeMs(const std::function<void()>& fn, int reps);
@@ -74,8 +130,9 @@ double TimeMs(const std::function<void()>& fn, int reps);
 sim::InputSequence RandomSequence(const netlist::Circuit& circuit, int length,
                                   std::uint64_t seed);
 
-/// Minimal JSON string escaping for error messages and names.
-std::string JsonEscape(const std::string& text);
+/// The one JSON string escape (core/json.h), also reached as
+/// bench::JsonEscape by perfbench.
+using core::JsonEscape;
 
 /// The host's vector extensions, for the BENCH_*.json host records; the
 /// engines are built for the baseline ISA whatever the host offers.

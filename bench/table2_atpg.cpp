@@ -20,21 +20,19 @@
 // wall-clock budget (AtpgOptions::time_budget_ms, REPRO_ATPG_BUDGET_MS
 // pins it).
 //
-// Scheduling: the sixteen pairs run as independent items of a
-// core::ThreadPool::ParallelFor -- one pool thread per hardware thread
-// (REPRO_THREADS overrides), one ATPG thread per pair, so a multi-core
-// host overlaps whole circuit pairs without oversubscription.  Rows
-// are printed in paper order once every pair finished.
+// Scheduling: bench::SweepPairs runs the sixteen pairs as independent
+// items of a core::ThreadPool::ParallelFor -- one pool thread per
+// hardware thread (REPRO_THREADS overrides), one ATPG thread per pair,
+// so a multi-core host overlaps whole circuit pairs without
+// oversubscription.  Rows are printed in paper order once every pair
+// finished.
 #include <cmath>
 #include <cstdio>
-#include <exception>
 #include <string>
 #include <vector>
 
 #include "analyze/certify.h"
 #include "analyze/scoap.h"
-#include "core/metrics.h"
-#include "core/thread_pool.h"
 #include "experiments.h"
 
 namespace {
@@ -58,44 +56,35 @@ struct Row {
 bool EmitJson(const std::vector<Row>& rows, double geomean_ratio,
               long original_budget, long retimed_budget,
               const std::string& error) {
-  std::FILE* f = std::fopen("BENCH_table2.json", "w");
-  if (!f) {
-    std::fprintf(stderr, "cannot write BENCH_table2.json\n");
-    return false;
-  }
-  std::fprintf(f,
-               "{\n  \"mode\": \"%s\",\n  \"budget_original_ms\": %ld,\n"
-               "  \"budget_retimed_ms\": %ld,\n",
-               retest::bench::FullMode() ? "full" : "scaled", original_budget,
-               retimed_budget);
-  if (!error.empty()) {
-    std::fprintf(f, "  \"error\": \"%s\",\n",
-                 retest::bench::JsonEscape(error).c_str());
-  }
-  std::fprintf(f, "  \"rows\": [\n");
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const Row& r = rows[i];
+  const auto fields = [&](std::FILE* f) {
     std::fprintf(f,
-                 "    {\"name\": \"%s\", \"original\": {\"dffs\": %d, "
-                 "\"fc\": %.2f, \"fe\": %.2f, \"cpu_ms\": %ld}, "
-                 "\"retimed\": {\"dffs\": %d, \"fc\": %.2f, \"fe\": %.2f, "
-                 "\"cpu_ms\": %ld}, \"cpu_ratio\": %.2f,\n",
-                 r.name.c_str(), r.original_dffs, r.original_fc, r.original_fe,
-                 r.original_cpu_ms, r.retimed_dffs, r.retimed_fc, r.retimed_fe,
-                 r.retimed_cpu_ms, r.ratio);
-    std::fprintf(f, "     \"scoap\": {\"original\": %s,\n",
-                 r.original_scoap.ToJson(5).c_str());
-    std::fprintf(f, "     \"retimed\": %s},\n",
-                 r.retimed_scoap.ToJson(5).c_str());
-    std::fprintf(f,
-                 "     \"certified\": %s, \"certified_prefix\": %d}%s\n",
-                 r.certified ? "true" : "false", r.certified_prefix,
-                 i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n  \"geomean_cpu_ratio\": %.3f,\n", geomean_ratio);
-  std::fprintf(f, "  \"metrics\": %s\n}\n",
-               retest::core::metrics::ToJson(2).c_str());
-  return std::fclose(f) == 0;
+                 "  \"budget_original_ms\": %ld,\n"
+                 "  \"budget_retimed_ms\": %ld,\n  \"rows\": [\n",
+                 original_budget, retimed_budget);
+    for (size_t i = 0; i < rows.size(); ++i) {
+      const Row& r = rows[i];
+      std::fprintf(
+          f,
+          "    {\"name\": \"%s\", \"original\": {\"dffs\": %d, "
+          "\"fc\": %.2f, \"fe\": %.2f, \"cpu_ms\": %ld}, "
+          "\"retimed\": {\"dffs\": %d, \"fc\": %.2f, \"fe\": %.2f, "
+          "\"cpu_ms\": %ld}, \"cpu_ratio\": %.2f,\n",
+          r.name.c_str(), r.original_dffs, r.original_fc, r.original_fe,
+          r.original_cpu_ms, r.retimed_dffs, r.retimed_fc, r.retimed_fe,
+          r.retimed_cpu_ms, r.ratio);
+      std::fprintf(f, "     \"scoap\": {\"original\": %s,\n",
+                   r.original_scoap.ToJson(5).c_str());
+      std::fprintf(f, "     \"retimed\": %s},\n",
+                   r.retimed_scoap.ToJson(5).c_str());
+      std::fprintf(f,
+                   "     \"certified\": %s, \"certified_prefix\": %d}%s\n",
+                   r.certified ? "true" : "false", r.certified_prefix,
+                   i + 1 < rows.size() ? "," : "");
+    }
+    std::fprintf(f, "  ],\n  \"geomean_cpu_ratio\": %.3f,\n", geomean_ratio);
+  };
+  return retest::bench::WriteBenchJson("BENCH_table2.json", false, error,
+                                       fields);
 }
 
 /// Synthesizes, retimes and runs ATPG on one Table II variant, one
@@ -189,53 +178,24 @@ int main() {
               "#DFF", "%FC", "%FE", "#CPU", "#DFF", "%FC", "%FE", "#CPU",
               "CPU Ratio");
 
-  // Run every pair, each catching its own failure; collect (and print)
-  // in paper order.  Like a sequential loop, the first failing pair
-  // ends the table there -- the concurrently finished later pairs are
-  // dropped so the JSON's "finished rows + error" shape is unchanged.
-  const auto& variants = bench::Table2Variants();
-  std::vector<Row> row_slots(variants.size());
-  std::vector<std::exception_ptr> failures(variants.size());
-  core::ThreadPool pool;
-  pool.ParallelFor(variants.size(), [&](int, std::size_t i) {
-    try {
-      row_slots[i] =
-          MeasurePair(variants[i], original_budget, retimed_budget);
-    } catch (...) {
-      failures[i] = std::current_exception();
-    }
+  const auto sweep = bench::SweepPairs([&](const bench::Variant& variant) {
+    return MeasurePair(variant, original_budget, retimed_budget);
   });
-
-  std::vector<Row> rows;
-  std::string error;
   double ratio_product = 1.0;
-  for (std::size_t i = 0; i < variants.size(); ++i) {
-    try {
-      if (failures[i]) std::rethrow_exception(failures[i]);
-      const Row& row = row_slots[i];
-      PrintRow(row);
-      ratio_product *= row.ratio > 0 ? row.ratio : 1.0;
-      rows.push_back(row);
-    } catch (const std::exception& e) {
-      error = std::string(variants[i].fsm) + ": " + e.what();
-      std::fprintf(stderr, "table2: %s\n", error.c_str());
-      break;
-    }
+  for (const Row& row : sweep.rows) {
+    PrintRow(row);
+    ratio_product *= row.ratio > 0 ? row.ratio : 1.0;
+  }
+  if (!sweep.error.empty()) {
+    std::fprintf(stderr, "table2: %s\n", sweep.error.c_str());
   }
   double geomean = 0;
-  if (!rows.empty()) {
-    geomean = std::pow(ratio_product, 1.0 / static_cast<double>(rows.size()));
+  if (!sweep.rows.empty()) {
+    geomean = std::pow(ratio_product,
+                       1.0 / static_cast<double>(sweep.rows.size()));
     std::printf("\ngeometric-mean CPU ratio: %.1fx\n", geomean);
   }
-  const bool wrote =
-      EmitJson(rows, geomean, original_budget, retimed_budget, error);
-  if (wrote) {
-    std::printf("wrote BENCH_table2.json (%zu rows%s)\n", rows.size(),
-                error.empty() ? "" : ", partial");
-  }
-  if (!wrote) return bench::kExitJsonWriteFailure;
-  if (!error.empty()) {
-    return rows.empty() ? bench::kExitFatal : bench::kExitPartial;
-  }
-  return bench::kExitOk;
+  const bool wrote = EmitJson(sweep.rows, geomean, original_budget,
+                              retimed_budget, sweep.error);
+  return bench::ExitCode(wrote, !sweep.rows.empty(), sweep.error);
 }

@@ -20,18 +20,16 @@
 // REPRO_CHECKPOINT_DIR enables per-circuit ATPG checkpoint journals
 // for the test-set generation step.
 //
-// Scheduling: like table2_atpg, the sixteen pairs run as items of a
-// core::ThreadPool::ParallelFor, one ATPG and PROOFS thread per pair;
-// the table prints in paper order at collection time.
+// Scheduling: like table2_atpg, bench::SweepPairs runs the sixteen
+// pairs as items of one core::ThreadPool::ParallelFor, one ATPG and
+// PROOFS thread per pair; the table prints in paper order at
+// collection time.
 #include <cstdio>
-#include <exception>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "core/flow.h"
-#include "core/metrics.h"
-#include "core/thread_pool.h"
 #include "experiments.h"
 #include "fault/collapse.h"
 #include "faultsim/proofs.h"
@@ -48,32 +46,24 @@ struct Row {
 
 bool EmitJson(const std::vector<Row>& rows, long budget,
               const std::string& error) {
-  std::FILE* f = std::fopen("BENCH_table3.json", "w");
-  if (!f) {
-    std::fprintf(stderr, "cannot write BENCH_table3.json\n");
-    return false;
-  }
-  std::fprintf(f, "{\n  \"mode\": \"%s\",\n  \"atpg_budget_ms\": %ld,\n",
-               retest::bench::FullMode() ? "full" : "scaled", budget);
-  if (!error.empty()) {
-    std::fprintf(f, "  \"error\": \"%s\",\n",
-                 retest::bench::JsonEscape(error).c_str());
-  }
-  std::fprintf(f, "  \"rows\": [\n");
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const Row& r = rows[i];
-    std::fprintf(f,
-                 "    {\"name\": \"%s\", \"original\": {\"faults\": %d, "
-                 "\"undetected\": %d, \"fc\": %.2f}, "
-                 "\"retimed\": {\"faults\": %d, \"undetected\": %d, "
-                 "\"fc\": %.2f}, \"prefix\": %d}%s\n",
-                 r.name.c_str(), r.original_faults, r.original_undetected,
-                 r.original_fc, r.retimed_faults, r.retimed_undetected,
-                 r.retimed_fc, r.prefix, i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n  \"metrics\": %s\n}\n",
-               retest::core::metrics::ToJson(2).c_str());
-  return std::fclose(f) == 0;
+  const auto fields = [&](std::FILE* f) {
+    std::fprintf(f, "  \"atpg_budget_ms\": %ld,\n  \"rows\": [\n", budget);
+    for (size_t i = 0; i < rows.size(); ++i) {
+      const Row& r = rows[i];
+      std::fprintf(f,
+                   "    {\"name\": \"%s\", \"original\": {\"faults\": %d, "
+                   "\"undetected\": %d, \"fc\": %.2f}, "
+                   "\"retimed\": {\"faults\": %d, \"undetected\": %d, "
+                   "\"fc\": %.2f}, \"prefix\": %d}%s\n",
+                   r.name.c_str(), r.original_faults,
+                   r.original_undetected, r.original_fc, r.retimed_faults,
+                   r.retimed_undetected, r.retimed_fc, r.prefix,
+                   i + 1 < rows.size() ? "," : "");
+    }
+    std::fprintf(f, "  ],\n");
+  };
+  return retest::bench::WriteBenchJson("BENCH_table3.json", false, error,
+                                       fields);
 }
 
 /// Runs the preservation pipeline on the pair (certify, ATPG on the
@@ -140,42 +130,13 @@ int main() {
               "#Faults", "#UnDet", "%FC", "#Faults", "#UnDet", "%FC",
               "Prefix");
 
-  // Run every pair, each catching its own failure; collect (and print)
-  // in paper order.  Like a sequential loop, the first failing pair
-  // ends the table there and later rows are dropped.
-  const auto& variants = bench::Table2Variants();
-  std::vector<Row> row_slots(variants.size());
-  std::vector<std::exception_ptr> failures(variants.size());
-  core::ThreadPool pool;
-  pool.ParallelFor(variants.size(), [&](int, std::size_t i) {
-    try {
-      row_slots[i] = MeasurePair(variants[i], budget);
-    } catch (...) {
-      failures[i] = std::current_exception();
-    }
+  const auto sweep = bench::SweepPairs([&](const bench::Variant& variant) {
+    return MeasurePair(variant, budget);
   });
-
-  std::vector<Row> rows;
-  std::string error;
-  for (std::size_t i = 0; i < variants.size(); ++i) {
-    try {
-      if (failures[i]) std::rethrow_exception(failures[i]);
-      PrintRow(row_slots[i]);
-      rows.push_back(row_slots[i]);
-    } catch (const std::exception& e) {
-      error = std::string(variants[i].fsm) + ": " + e.what();
-      std::fprintf(stderr, "table3: %s\n", error.c_str());
-      break;
-    }
+  for (const Row& row : sweep.rows) PrintRow(row);
+  if (!sweep.error.empty()) {
+    std::fprintf(stderr, "table3: %s\n", sweep.error.c_str());
   }
-  const bool wrote = EmitJson(rows, budget, error);
-  if (wrote) {
-    std::printf("wrote BENCH_table3.json (%zu rows%s)\n", rows.size(),
-                error.empty() ? "" : ", partial");
-  }
-  if (!wrote) return bench::kExitJsonWriteFailure;
-  if (!error.empty()) {
-    return rows.empty() ? bench::kExitFatal : bench::kExitPartial;
-  }
-  return bench::kExitOk;
+  const bool wrote = EmitJson(sweep.rows, budget, sweep.error);
+  return bench::ExitCode(wrote, !sweep.rows.empty(), sweep.error);
 }

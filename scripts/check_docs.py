@@ -17,6 +17,14 @@ exactly the ``REPRO_*`` environment variables the code reads: every
 ``src/``, ``bench/`` or ``tools/`` reads, and every such variable must
 have a row.
 
+Finally it checks that every ``bench/<x>`` or ``build/bench/<x>`` named
+in a document that describes the tree (README, DESIGN, EXPERIMENTS,
+ROADMAP and ``docs/``) still exists: ``<x>`` must be a file under
+``bench/`` (with or without its extension) or a ``retest_bench(<x>)``
+target.  CHANGES.md is history and names deleted drivers on purpose.
+Code blocks are checked too, since a stale name there is a command
+that no longer runs.
+
 Usage: python3 scripts/check_docs.py   (from the repository root)
 Exits non-zero and lists every broken reference if any check fails.
 """
@@ -32,6 +40,9 @@ FENCE_RE = re.compile(r"^\s*(```|~~~)")
 GETENV_RE = re.compile(r'getenv\(\s*"(REPRO_[A-Z0-9_]+)"')
 ENV_ROW_RE = re.compile(r"^\|\s*`(REPRO_[A-Z0-9_]+)[^`]*`\s*\|\s*env\s*\|")
 SWITCH_DIRS = ("src", "bench", "tools")
+BENCH_REF_RE = re.compile(r"(?<![\w./-])(?:build/)?bench/([A-Za-z0-9_]+)")
+BENCH_TARGET_RE = re.compile(r"retest_bench\((\w+)\)")
+TREE_DOCS = ("README.md", "DESIGN.md", "EXPERIMENTS.md", "ROADMAP.md")
 SWITCH_HEADING = "### Configuration switches"
 
 
@@ -126,9 +137,30 @@ def switch_table_errors(root: str) -> list[str]:
     return errors
 
 
+def bench_ref_errors(root: str) -> list[str]:
+    """Stale ``bench/<x>`` names in the documents that describe the tree."""
+    bench_dir = os.path.join(root, "bench")
+    known = {name.split(".")[0] for name in os.listdir(bench_dir)}
+    with open(os.path.join(bench_dir, "CMakeLists.txt"),
+              encoding="utf-8") as f:
+        known.update(BENCH_TARGET_RE.findall(f.read()))
+    docs = [d for d in doc_files(root)
+            if d in TREE_DOCS or d.startswith("docs" + os.sep)]
+    errors = []
+    for doc in docs:
+        with open(os.path.join(root, doc), encoding="utf-8") as f:
+            for lineno, line in enumerate(f, start=1):
+                for name in BENCH_REF_RE.findall(line):
+                    if name not in known:
+                        errors.append(f"{doc}:{lineno}: bench/{name} is "
+                                      f"neither a file under bench/ nor a "
+                                      f"retest_bench target")
+    return errors
+
+
 def main() -> int:
     root = os.getcwd()
-    errors: list[str] = switch_table_errors(root)
+    errors: list[str] = switch_table_errors(root) + bench_ref_errors(root)
     checked = 0
     for doc in doc_files(root):
         doc_dir = os.path.dirname(os.path.join(root, doc))
@@ -153,7 +185,8 @@ def main() -> int:
                             f"{doc}:{lineno}: missing anchor {target!r}")
     for error in errors:
         print(error, file=sys.stderr)
-    print(f"checked {checked} relative links and the README switch table "
+    print(f"checked {checked} relative links, the README switch table "
+          f"and bench/ names "
           f"({'OK' if not errors else f'{len(errors)} broken'})")
     return 1 if errors else 0
 

@@ -8,6 +8,8 @@
 #include <mutex>
 #include <unordered_map>
 
+#include "core/json.h"
+
 namespace retest::core::metrics {
 namespace {
 
@@ -187,15 +189,6 @@ void AppendNumber(std::string& out, double value) {
   out += buf;
 }
 
-void AppendEscaped(std::string& out, const std::string& s) {
-  out += '"';
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  out += '"';
-}
-
 }  // namespace
 
 void Counter::Add(long delta) const {
@@ -265,12 +258,9 @@ std::string Snapshot::ToJson(int indent) const {
     const CounterValue& c = *counter_order[i];
     out += i == 0 ? "\n" : ",\n";
     out += entry;
-    AppendEscaped(out, c.name);
-    out += ": {\"value\": " + std::to_string(c.value) + ", \"unit\": ";
-    AppendEscaped(out, c.unit);
-    out += ", \"subsystem\": ";
-    AppendEscaped(out, c.subsystem);
-    out += "}";
+    out += "\"" + JsonEscape(c.name) + "\": {\"value\": " +
+           std::to_string(c.value) + ", \"unit\": \"" + JsonEscape(c.unit) +
+           "\", \"subsystem\": \"" + JsonEscape(c.subsystem) + "\"}";
   }
   out += counter_order.empty() ? "},\n" : "\n" + inner + "},\n";
   out += inner + "\"distributions\": {";
@@ -278,8 +268,8 @@ std::string Snapshot::ToJson(int indent) const {
     const DistributionValue& d = *dist_order[i];
     out += i == 0 ? "\n" : ",\n";
     out += entry;
-    AppendEscaped(out, d.name);
-    out += ": {\"count\": " + std::to_string(d.count) + ", \"sum\": ";
+    out += "\"" + JsonEscape(d.name) + "\": {\"count\": " +
+           std::to_string(d.count) + ", \"sum\": ";
     AppendNumber(out, d.sum);
     out += ", \"min\": ";
     AppendNumber(out, d.count > 0 ? d.min : 0);
@@ -287,11 +277,8 @@ std::string Snapshot::ToJson(int indent) const {
     AppendNumber(out, d.count > 0 ? d.max : 0);
     out += ", \"mean\": ";
     AppendNumber(out, d.Mean());
-    out += ", \"unit\": ";
-    AppendEscaped(out, d.unit);
-    out += ", \"subsystem\": ";
-    AppendEscaped(out, d.subsystem);
-    out += "}";
+    out += ", \"unit\": \"" + JsonEscape(d.unit) + "\", \"subsystem\": \"" +
+           JsonEscape(d.subsystem) + "\"}";
   }
   out += dist_order.empty() ? "}\n" : "\n" + inner + "}\n";
   out += pad + "}";

@@ -4,6 +4,7 @@
 #include <sstream>
 #include <string_view>
 
+#include "core/json.h"
 #include "core/metrics.h"
 
 namespace retest::core::server {
@@ -347,36 +348,6 @@ std::string BuildSubmitPayload(const JobSpec& spec) {
     if (spec.tests.back() != '\n') out << "\n";
   }
   return out.str();
-}
-
-std::string JsonEscape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 std::string BuildHello(std::size_t max_payload, std::size_t max_queue) {

@@ -88,9 +88,6 @@ std::string BuildSubmitPayload(const JobSpec& spec);
 //
 // Each returns the complete JSON payload of one response frame.
 
-/// Minimal JSON string escaping (shared by every builder).
-std::string JsonEscape(const std::string& text);
-
 /// `hello`: sent once per connection before any request is read.
 std::string BuildHello(std::size_t max_payload, std::size_t max_queue);
 

@@ -97,13 +97,9 @@ struct Server::Connection {
   Connection() = default;
   Connection(const Connection&) = delete;
   Connection& operator=(const Connection&) = delete;
-  ~Connection() {
-    if (close_fds) CloseFd(fd_in);
-  }
+  ~Connection() { CloseFd(fd); }
 
-  int fd_in = -1;
-  int fd_out = -1;
-  bool close_fds = true;  ///< False for the borrowed stdio fds.
+  int fd = -1;
   std::mutex write_mutex;
   bool open = true;
   std::unordered_set<std::uint64_t> jobs;  ///< Guarded by conn_mutex_.
@@ -167,7 +163,7 @@ void Server::Run() {
       const int client = ::accept(fds[i].fd, nullptr, nullptr);
       if (client < 0) continue;
       auto conn = std::make_shared<Connection>();
-      conn->fd_in = conn->fd_out = client;
+      conn->fd = client;
       {
         std::lock_guard<std::mutex> lock(conn_mutex_);
         connections_.push_back(conn);
@@ -190,35 +186,10 @@ void Server::Run() {
   for (const auto& conn : conns) {
     std::lock_guard<std::mutex> lock(conn->write_mutex);
     if (!conn->open) continue;
-    WriteFrame(conn->fd_out, BuildGoodbye());
+    WriteFrame(conn->fd, BuildGoodbye());
     conn->open = false;
-    if (conn->close_fds) ::shutdown(conn->fd_in, SHUT_RDWR);
+    ::shutdown(conn->fd, SHUT_RDWR);
   }
-}
-
-int Server::RunStdio(int fd_in, int fd_out) {
-  if (options_.progress_ms > 0) {
-    ticker_ = std::thread([this] { ProgressTicker(); });
-  }
-  auto conn = std::make_shared<Connection>();
-  conn->fd_in = fd_in;
-  conn->fd_out = fd_out;
-  conn->close_fds = false;
-  {
-    std::lock_guard<std::mutex> lock(conn_mutex_);
-    connections_.push_back(conn);
-  }
-  ServeConnection(conn);
-  Shutdown();
-  service_.Drain();
-  {
-    std::lock_guard<std::mutex> lock(conn->write_mutex);
-    if (conn->open) {
-      WriteFrame(conn->fd_out, BuildGoodbye());
-      conn->open = false;
-    }
-  }
-  return 0;
 }
 
 void Server::Shutdown() {
@@ -236,7 +207,7 @@ void Server::NotifyShutdown() {
 bool Server::SendFrame(Connection& conn, const std::string& payload) {
   std::lock_guard<std::mutex> lock(conn.write_mutex);
   if (!conn.open) return false;
-  return WriteFrame(conn.fd_out, payload);
+  return WriteFrame(conn.fd, payload);
 }
 
 void Server::ServeConnection(std::shared_ptr<Connection> conn) {
@@ -250,7 +221,7 @@ void Server::ServeConnection(std::shared_ptr<Connection> conn) {
     // for a while, but the push paths (results, progress) and every
     // other connection must stay live.
     RETEST_CHAOS_STALL("serve.read.stall", 50);
-    switch (ReadFrame(conn->fd_in, decoder, payload, error)) {
+    switch (ReadFrame(conn->fd, decoder, payload, error)) {
       case FrameDecoder::Next::kFrame:
         keep_going = HandleRequest(*conn, payload);
         break;
@@ -266,7 +237,7 @@ void Server::ServeConnection(std::shared_ptr<Connection> conn) {
     }
   }
   // A shutdown-induced exit (keep_going still true) leaves the session
-  // open: the drain pass in Run()/RunStdio() still owes it result
+  // open: the drain pass in Run() still owes it result
   // pushes and the goodbye frame, and closes it afterwards.  Closing
   // here instead would silently drop those frames for any client whose
   // request raced the shutdown.  Only a client EOF or a poisoned
@@ -275,10 +246,7 @@ void Server::ServeConnection(std::shared_ptr<Connection> conn) {
   std::lock_guard<std::mutex> lock(conn->write_mutex);
   if (conn->open) {
     conn->open = false;
-    if (conn->close_fds) {
-      CloseFd(conn->fd_in);
-      conn->fd_out = -1;
-    }
+    CloseFd(conn->fd);
   }
 }
 
@@ -304,11 +272,11 @@ bool Server::HandleRequest(Connection& conn, const std::string& payload) {
       }
       if (!conn.open) return false;
       if (!submission.accepted) {
-        return WriteFrame(conn.fd_out,
+        return WriteFrame(conn.fd,
                           BuildRejected(submission.reject_reason,
                                         submission.diagnostics));
       }
-      return WriteFrame(conn.fd_out,
+      return WriteFrame(conn.fd,
                         BuildAccepted(submission.id, request->spec.name,
                                       submission.queue_depth));
     }

@@ -1,16 +1,13 @@
-// Socket / stdio transport of repro_serve (docs/SERVING.md).
+// Socket transport of repro_serve (docs/SERVING.md).
 //
 // Server owns the listener, one thread per connection, the periodic
 // progress ticker and the graceful-shutdown machinery; every decoded
-// request is dispatched to the shared core::server::Service.  Three
+// request is dispatched to the shared core::server::Service.  Two
 // transports speak the same framed protocol:
 //
 //   - AF_UNIX   (`--unix PATH`): the default for local clients/tests.
 //   - TCP       (`--tcp PORT`, loopback only; port 0 picks a free port
 //               that port() reports — how the tests avoid collisions).
-//   - stdio     (`--stdio`): one session over fd 0/1, no sockets at
-//               all; what the protocol tests and the worked example in
-//               docs/SERVING.md use.
 //
 // Shutdown: Shutdown() (wired to SIGTERM by tools/repro_serve via the
 // async-signal-safe NotifyShutdown self-pipe) stops the accept loop,
@@ -58,10 +55,6 @@ class Server {
 
   /// Accept loop; returns after Shutdown() completed the drain.
   void Run();
-
-  /// Serves exactly one session over `fd_in`/`fd_out` (the --stdio
-  /// transport), then drains.  Returns a process exit code.
-  int RunStdio(int fd_in, int fd_out);
 
   /// Initiates graceful shutdown from any thread.
   void Shutdown();

@@ -16,6 +16,7 @@
 #include "core/chaos.h"
 #include "core/crc32.h"
 #include "core/flow.h"
+#include "core/json.h"
 #include "core/metrics.h"
 #include "core/testset.h"
 #include "core/thread_pool.h"

@@ -3,7 +3,7 @@
 // Service owns everything between a parsed request and a result frame:
 // admission control, validation, the job registry, spool persistence,
 // and execution on its own worker threads.  It is transport-free — the
-// socket / stdio layer (core/server/server.h), the batch mode and the
+// socket layer (core/server/server.h), the batch mode and the
 // tests all drive the same class, which is what makes "daemon result ==
 // batch-tool result" a bit-identity claim rather than a convention.
 //

@@ -7,6 +7,8 @@
 #include <cstdlib>
 #include <mutex>
 
+#include "core/json.h"
+
 namespace retest::core::trace {
 namespace {
 
@@ -105,15 +107,6 @@ Buffer* LocalBuffer() {
   return &holder.buffer;
 }
 
-void AppendEscaped(std::string& out, const char* s) {
-  out += '"';
-  for (; *s != '\0'; ++s) {
-    if (*s == '"' || *s == '\\') out += '\\';
-    out += *s;
-  }
-  out += '"';
-}
-
 }  // namespace
 
 bool Enabled() { return Recorder::Get().enabled(); }
@@ -152,11 +145,9 @@ bool WriteTo(const std::string& path) {
   for (size_t i = 0; i < events.size(); ++i) {
     const Event& e = events[i];
     out += i == 0 ? "\n" : ",\n";
-    out += "  {\"name\": ";
-    AppendEscaped(out, e.name);
-    out += ", \"cat\": ";
-    AppendEscaped(out, e.category);
-    out += ", \"ph\": \"X\", \"ts\": " + std::to_string(e.start_us) +
+    out += "  {\"name\": \"" + JsonEscape(e.name) + "\", \"cat\": \"" +
+           JsonEscape(e.category) + "\", \"ph\": \"X\", \"ts\": " +
+           std::to_string(e.start_us) +
            ", \"dur\": " + std::to_string(e.duration_us) +
            ", \"pid\": 1, \"tid\": " + std::to_string(e.tid) + "}";
   }

@@ -3,6 +3,7 @@
 // resume at any thread count, fingerprint mismatch fallback, and
 // budget preemption.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <filesystem>
 #include <fstream>
@@ -33,10 +34,20 @@ Circuit MidSizeCircuit() {
 }
 
 std::string TempPath(const std::string& name) {
-  const auto dir =
-      std::filesystem::temp_directory_path() / "retest_checkpoint_tests";
-  std::filesystem::create_directories(dir);
-  const auto path = dir / name;
+  // One directory per process, so concurrent runs of this test binary
+  // cannot remove or overwrite each other's journals; it is removed
+  // when the process exits.
+  static const struct Dir {
+    std::filesystem::path path =
+        std::filesystem::temp_directory_path() /
+        ("retest_checkpoint_tests_" + std::to_string(::getpid()));
+    ~Dir() {
+      std::error_code ignored;
+      std::filesystem::remove_all(path, ignored);
+    }
+  } dir;
+  std::filesystem::create_directories(dir.path);
+  const auto path = dir.path / name;
   std::filesystem::remove(path);
   std::filesystem::remove(path.string() + ".tmp");
   return path.string();
@@ -266,6 +277,7 @@ TEST(Checkpoint, CutWithinRandomPhaseRerunsItIdentically) {
   options.checkpoint_path = TempPath("cut_random.journal");
   (void)RunAtpg(circuit, options);
   const auto full = ReadLines(options.checkpoint_path);
+  ASSERT_FALSE(full.empty());
   // Keep only the header: as if the crash hit before the random phase
   // finished.  The resumed run must rerun everything from scratch.
   WriteLines(options.checkpoint_path, {full.front()});

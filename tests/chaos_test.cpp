@@ -49,9 +49,20 @@ atpg::AtpgOptions QuickAtpg() {
 }
 
 std::string TempPath(const std::string& name) {
-  const auto dir = std::filesystem::temp_directory_path() / "retest_chaos";
-  std::filesystem::create_directories(dir);
-  const auto path = dir / name;
+  // One directory per process, so concurrent runs of this test binary
+  // cannot remove or overwrite each other's journals; it is removed
+  // when the process exits.
+  static const struct Dir {
+    std::filesystem::path path =
+        std::filesystem::temp_directory_path() /
+        ("retest_chaos_" + std::to_string(::getpid()));
+    ~Dir() {
+      std::error_code ignored;
+      std::filesystem::remove_all(path, ignored);
+    }
+  } dir;
+  std::filesystem::create_directories(dir.path);
+  const auto path = dir.path / name;
   std::filesystem::remove(path);
   std::filesystem::remove(path.string() + ".tmp");
   return path.string();

@@ -10,6 +10,7 @@
 #include "atpg/engine.h"
 #include "core/crc32.h"
 #include "core/flow.h"
+#include "core/json.h"
 #include "core/preserve.h"
 #include "core/status.h"
 #include "core/thread_pool.h"
@@ -359,6 +360,14 @@ TEST(Crc32, MatchesKnownVectorsAndChains) {
   const std::uint32_t first = Crc32("hello ");
   EXPECT_EQ(Crc32("world", first), Crc32("hello world"));
   EXPECT_NE(Crc32("hello worle"), Crc32("hello world"));
+}
+
+TEST(Json, EscapeShortFormsControlBytesAndPassThrough) {
+  EXPECT_EQ(JsonEscape("plain.name_ms"), "plain.name_ms");
+  EXPECT_EQ(JsonEscape("a\"b\\c"), "a\\\"b\\\\c");
+  EXPECT_EQ(JsonEscape("l1\nl2\tx"), "l1\\nl2\\tx");
+  EXPECT_EQ(JsonEscape(std::string("\x01\x1f", 2)), "\\u0001\\u001f");
+  EXPECT_EQ(JsonEscape("\xc3\xa9"), "\xc3\xa9");  // UTF-8 passes through.
 }
 
 }  // namespace

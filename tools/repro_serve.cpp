@@ -3,7 +3,6 @@
 // Usage:
 //   repro_serve --unix PATH [--tcp PORT] [daemon options]
 //   repro_serve --tcp PORT [daemon options]
-//   repro_serve --stdio [daemon options]
 //   repro_serve --client PATH JOBFILE...
 //   repro_serve --client-tcp PORT JOBFILE...
 //   repro_serve --batch JOBFILE... [--spool DIR] [--workers N]
@@ -51,7 +50,7 @@ using namespace retest;
 using namespace retest::core::server;
 
 void PrintUsage(std::ostream& out) {
-  out << "usage: repro_serve --unix PATH | --tcp PORT | --stdio\n"
+  out << "usage: repro_serve --unix PATH | --tcp PORT\n"
          "                   [--spool DIR] [--workers N] [--max-queue N]\n"
          "                   [--progress-ms MS]\n"
          "       repro_serve --client PATH JOBFILE...\n"
@@ -479,7 +478,6 @@ int DumpTable2(const std::string& name, const std::string& dir) {
 
 int main(int argc, char** argv) {
   ServerOptions options;
-  bool stdio = false;
   std::string client_unix;
   int client_tcp = -1;
   RetryOptions retry;
@@ -504,8 +502,6 @@ int main(int argc, char** argv) {
       options.unix_path = next("--unix");
     } else if (arg == "--tcp") {
       options.tcp_port = std::atoi(next("--tcp"));
-    } else if (arg == "--stdio") {
-      stdio = true;
     } else if (arg == "--spool") {
       options.service.spool_dir = next("--spool");
     } else if (arg == "--workers") {
@@ -558,7 +554,7 @@ int main(int argc, char** argv) {
     return RunBatch(job_files, options.service);
   }
 
-  if (options.unix_path.empty() && options.tcp_port < 0 && !stdio) {
+  if (options.unix_path.empty() && options.tcp_port < 0) {
     PrintUsage(std::cerr);
     return 2;
   }
@@ -568,8 +564,6 @@ int main(int argc, char** argv) {
   std::signal(SIGTERM, HandleTerm);
   std::signal(SIGINT, HandleTerm);
   std::signal(SIGPIPE, SIG_IGN);
-
-  if (stdio) return server.RunStdio(0, 1);
 
   core::DiagnosticList diags;
   if (!server.Start(diags)) {
