@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <memory>
-#include <optional>
 #include <utility>
 
 #include "atpg/journal.h"
@@ -78,31 +77,18 @@ AtpgResult RunAtpg(const netlist::Circuit& circuit,
   result.faults = collapsed.representatives;
   result.status.assign(result.faults.size(), FaultStatus::kUntried);
 
-  // ---- Checkpoint: load a prior journal if one matches this run.
-  const bool checkpointing = !options.checkpoint_path.empty();
-  std::uint32_t fingerprint = 0;
-  std::optional<JournalContents> replay;
-  if (checkpointing) {
-    fingerprint = JournalFingerprint(circuit, options, result.faults.size());
-    core::DiagnosticList load_diags;
-    auto loaded = LoadJournal(options.checkpoint_path, load_diags);
-    result.diagnostics.Append(load_diags);
-    if (loaded) {
-      if (loaded->fingerprint != fingerprint) {
-        result.diagnostics.AddNote(
-            core::StatusCode::kMismatch,
-            "checkpoint journal was written by a different run "
-            "configuration (circuit / seed / search options); starting "
-            "fresh",
-            options.checkpoint_path);
-      } else {
-        replay = std::move(loaded);
-      }
-    }
+  // ---- Checkpoint: replay a prior journal that matches this run and
+  // start this run's journal (atpg/journal).
+  std::unique_ptr<Checkpoint> checkpoint;
+  if (!options.checkpoint_path.empty()) {
+    checkpoint = Checkpoint::Open(options.checkpoint_path, circuit, options,
+                                  result.faults.size(), result.diagnostics);
   }
 
   std::vector<size_t> remaining(result.faults.size());
   for (size_t i = 0; i < remaining.size(); ++i) remaining[i] = i;
+  const bool replayed =
+      checkpoint != nullptr && checkpoint->Restore(result, remaining);
 
   /// Fault-simulates `sequence` over the remaining universe, marks the
   /// detected faults, and returns their global indices.
@@ -132,151 +118,8 @@ AtpgResult RunAtpg(const netlist::Circuit& circuit,
     return newly;
   };
 
-  // ---- Checkpoint replay: validate the whole journal against this
-  // run before applying anything, so a bad journal degrades to a
-  // fresh run instead of a corrupted one.  The random phase replays
-  // only when it completed un-preempted (otherwise rerunning it from
-  // scratch is both correct and necessary); the commit prefix replays
-  // up to the first kUntried commit -- the exact point where the
-  // interrupted run stopped doing real work.
-  bool replay_random = false;
-  std::size_t resume_frontier = 0;
-  std::vector<char> resume_retired;
-  std::vector<JournalCommit> replay_commits;
-  if (replay && replay->random_done && !replay->random_stopped) {
-    bool valid = true;
-    std::vector<char> detected(result.faults.size(), 0);
-    for (const JournalRandomTest& record : replay->random_tests) {
-      for (std::size_t index : record.detected) {
-        if (index >= result.faults.size() || detected[index]) {
-          valid = false;
-          break;
-        }
-        detected[index] = 1;
-      }
-      for (const auto& vector : record.test) {
-        if (vector.size() != static_cast<size_t>(circuit.num_inputs())) {
-          valid = false;
-        }
-      }
-      if (!valid) break;
-    }
-    std::size_t detected_count = 0;
-    for (char d : detected) detected_count += d != 0 ? 1 : 0;
-    if (valid &&
-        result.faults.size() - detected_count != replay->remaining_count) {
-      valid = false;
-    }
-    if (!valid) {
-      result.diagnostics.AddNote(
-          core::StatusCode::kCorruptData,
-          "checkpoint journal failed replay validation; starting fresh",
-          options.checkpoint_path);
-    } else {
-      replay_random = true;
-    }
-  }
-  if (replay_random) {
-    result.resumed = true;
-    for (const JournalRandomTest& record : replay->random_tests) {
-      for (std::size_t index : record.detected) {
-        result.status[index] = FaultStatus::kDetected;
-      }
-      result.tests.push_back(record.test);
-    }
-    std::vector<size_t> still;
-    still.reserve(replay->remaining_count);
-    for (size_t i = 0; i < result.faults.size(); ++i) {
-      if (result.status[i] != FaultStatus::kDetected) still.push_back(i);
-    }
-    remaining = std::move(still);
-    result.evaluations = replay->random_evaluations;
-
-    // Commit-prefix replay.  An inconsistent record simply ends the
-    // prefix: everything from there on is re-searched, which is always
-    // safe (per-fault searches are pure).
-    resume_retired.assign(remaining.size(), 0);
-    for (const JournalCommit& commit : replay->commits) {
-      if (commit.pos != resume_frontier || commit.pos >= remaining.size()) {
-        break;
-      }
-      if (commit.status == 'U') break;  // the interrupted run's edge
-      if (commit.status == 'S') {
-        if (!resume_retired[commit.pos]) break;
-      } else {
-        bool bad = false;
-        if (commit.status == 'D') {
-          if (commit.test.empty()) bad = true;
-          for (const auto& vector : commit.test) {
-            if (vector.size() != static_cast<size_t>(circuit.num_inputs())) {
-              bad = true;
-            }
-          }
-          for (std::size_t pos : commit.cross_retired) {
-            if (pos <= commit.pos || pos >= remaining.size() ||
-                resume_retired[pos]) {
-              bad = true;
-              break;
-            }
-          }
-        }
-        if (bad) break;
-        FaultStatus status = FaultStatus::kUntried;
-        switch (commit.status) {
-          case 'D': status = FaultStatus::kDetected; break;
-          case 'R': status = FaultStatus::kRedundant; break;
-          case 'A': status = FaultStatus::kAborted; break;
-          default: break;
-        }
-        result.status[remaining[commit.pos]] = status;
-        result.evaluations += commit.evaluations;
-        if (commit.status == 'D') {
-          for (std::size_t pos : commit.cross_retired) {
-            resume_retired[pos] = 1;
-            result.status[remaining[pos]] = FaultStatus::kDetected;
-          }
-          result.tests.push_back(commit.test);
-        }
-      }
-      replay_commits.push_back(commit);
-      ++resume_frontier;
-    }
-    RETEST_COUNTER_ADD("atpg.checkpoint.commits_replayed", "commits", "atpg",
-                       "deterministic commits restored from a checkpoint "
-                       "journal instead of re-searched",
-                       static_cast<long>(resume_frontier));
-  }
-
-  // ---- Checkpoint writer: rewrite the replayed prefix to a tmp file,
-  // atomically rename it over the journal, then append live records.
-  // A crash mid-rewrite leaves the previous journal intact.
-  std::unique_ptr<JournalWriter> journal;
-  if (checkpointing) {
-    core::DiagnosticList open_diags;
-    journal = JournalWriter::Open(options.checkpoint_path, open_diags);
-    result.diagnostics.Append(open_diags);
-    if (journal) {
-      journal->WriteHeader(fingerprint, options.seed, result.faults.size(),
-                           circuit.name());
-      if (replay_random) {
-        for (const JournalRandomTest& record : replay->random_tests) {
-          journal->WriteRandomTest(record);
-        }
-        journal->WriteRandomDone(replay->random_rounds,
-                                 replay->random_useless, /*stopped=*/false,
-                                 remaining.size(),
-                                 replay->random_evaluations);
-        for (const JournalCommit& commit : replay_commits) {
-          journal->WriteCommit(commit);
-        }
-      }
-      journal->Activate(result.diagnostics);
-      journal->Flush();
-    }
-  }
-
   // ---- Random phase ----
-  if (!replay_random) {
+  if (!replayed) {
     RETEST_TRACE_SPAN(random_span, "atpg.random_phase");
     const int sequence_length =
         options.random_length_factor * (circuit.num_dffs() + 4);
@@ -304,12 +147,7 @@ AtpgResult RunAtpg(const netlist::Circuit& circuit,
         RETEST_COUNTER_ADD("atpg.random.faults_dropped", "faults", "atpg",
                            "faults detected by the random phase",
                            static_cast<long>(newly.size()));
-        if (journal) {
-          JournalRandomTest record;
-          record.detected = newly;
-          record.test = sequence;
-          journal->WriteRandomTest(record);
-        }
+        if (checkpoint) checkpoint->RecordRandomTest(newly, sequence);
         result.tests.push_back(std::move(sequence));
         useless = 0;
       } else {
@@ -317,28 +155,16 @@ AtpgResult RunAtpg(const netlist::Circuit& circuit,
       }
     }
     if (stopped) result.preempted = true;
-    if (journal) {
-      journal->WriteRandomDone(rounds_done, useless, stopped,
-                               remaining.size(), result.evaluations);
-      journal->Flush();
+    if (checkpoint) {
+      checkpoint->RecordRandomDone(rounds_done, useless, stopped,
+                                   remaining.size(), result.evaluations);
     }
   }
 
   // ---- Deterministic phase (fault-parallel; see parallel_driver.h) ----
-  DetPhaseControl control;
-  control.resume_frontier = resume_frontier;
-  control.resume_retired = std::move(resume_retired);
-  control.journal = journal.get();
   RunDeterministicPhase(circuit, options, remaining, deadline, result,
-                        &control);
-
-  if (journal) {
-    journal->WriteEnd(result.Count(FaultStatus::kDetected),
-                      result.Count(FaultStatus::kRedundant),
-                      result.Count(FaultStatus::kAborted),
-                      result.Count(FaultStatus::kUntried));
-    journal->Flush();
-  }
+                        checkpoint.get());
+  if (checkpoint) checkpoint->RecordEnd(result);
 
   result.elapsed_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
                           std::chrono::steady_clock::now() - start)

@@ -1,16 +1,15 @@
 #include "atpg/journal.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string_view>
 #include <utility>
 
 #include "core/chaos.h"
 #include "core/crc32.h"
+#include "core/durable.h"
 #include "core/metrics.h"
 #include "core/trace.h"
 #include "sim/logic3.h"
@@ -19,23 +18,14 @@ namespace retest::atpg {
 namespace {
 
 using core::StatusCode;
+using sim::InputSequence;
 
 constexpr char kRecordSeparator = '|';
 
-/// Syncs the directory containing `path` so a just-completed rename
-/// inside it survives a power cut.  Best-effort: some filesystems
-/// refuse directory fsync; the rename is still process-crash safe.
-void FsyncParentDir(const std::string& path) {
-  const std::size_t slash = path.find_last_of('/');
-  std::string dir =
-      slash == std::string::npos ? std::string(".") : path.substr(0, slash);
-  if (dir.empty()) dir.assign(1, '/');  // Not `= "/"`: GCC 12 -Wrestrict.
-  const int fd = ::open(dir.c_str(), O_RDONLY);
-  if (fd >= 0) {
-    ::fsync(fd);
-    ::close(fd);
-  }
-}
+/// Cap on a replayed evaluation count: far above any real run's work,
+/// so the live run's additions on top of a replayed total cannot
+/// overflow.
+constexpr long kMaxEvaluations = 1L << 62;
 
 std::string EncodeSequence(const sim::InputSequence& sequence) {
   std::string out;
@@ -106,21 +96,23 @@ struct LineParser {
     if (!(in >> value)) failed = true;
     return value;
   }
-  /// Everything after the current position, without the leading space.
-  std::string Rest() {
-    std::string rest;
-    std::getline(in, rest);
-    if (!rest.empty() && rest.front() == ' ') rest.erase(0, 1);
-    return rest;
-  }
   bool AtEnd() {
     std::string extra;
     return !(in >> extra);
   }
 };
 
-bool ValidCommitStatus(char c) {
-  return c == 'D' || c == 'R' || c == 'A' || c == 'U' || c == 'S';
+/// A commit's status character: the FaultStatus values in enum order,
+/// then S(kipped).
+constexpr std::string_view kStatusChars = "DRAUS";
+
+/// True when every vector of `sequence` is `num_inputs` wide.
+bool Fits(const InputSequence& sequence, int num_inputs) {
+  return std::all_of(sequence.begin(), sequence.end(),
+                     [&](const sim::InputVector& vector) {
+                       return vector.size() ==
+                              static_cast<std::size_t>(num_inputs);
+                     });
 }
 
 }  // namespace
@@ -154,23 +146,142 @@ std::uint32_t JournalFingerprint(const netlist::Circuit& circuit,
   return hash.value();
 }
 
-std::optional<JournalContents> LoadJournal(const std::string& path,
-                                           core::DiagnosticList& diags) {
+/// The run a journal replays, built record by record as Load validates
+/// it: fault statuses, tests and evaluations at the replayed commit
+/// frontier, the queue entering the deterministic phase, and the
+/// accepted records' original lines.
+struct Checkpoint::Replay {
+  std::vector<FaultStatus> status;
+  std::vector<InputSequence> tests;
+  long evaluations = 0;
+  std::vector<std::size_t> remaining;
+  std::vector<char> retired;  ///< By queue position.
+  std::size_t frontier = 0;
+  std::vector<std::string> lines;
+
+  /// Applies a kept random-phase test; false when it does not fit this
+  /// run (the whole replay is then discarded).
+  bool RandomTest(const std::vector<std::size_t>& detected,
+                  const InputSequence& test, int num_inputs) {
+    if (!Fits(test, num_inputs)) return false;
+    for (std::size_t index : detected) {
+      if (index >= status.size() || status[index] == FaultStatus::kDetected) {
+        return false;
+      }
+      status[index] = FaultStatus::kDetected;
+    }
+    tests.push_back(test);
+    return true;
+  }
+
+  /// Closes the random phase: the queue is every fault it left.
+  bool RandomDone(std::size_t remaining_count, long random_evaluations) {
+    for (std::size_t i = 0; i < status.size(); ++i) {
+      if (status[i] != FaultStatus::kDetected) remaining.push_back(i);
+    }
+    if (random_evaluations < 0 || random_evaluations > kMaxEvaluations ||
+        remaining.size() != remaining_count) {
+      return false;
+    }
+    evaluations = random_evaluations;
+    retired.assign(remaining.size(), 0);
+    return true;
+  }
+
+  /// Applies the commit at the frontier; false ends the replayed
+  /// prefix there.  A skip (S) must sit at a position an earlier test
+  /// retired, every other commit at one no earlier test retired.
+  bool Commit(std::size_t pos, char tag, long commit_evaluations,
+              const std::vector<std::size_t>& cross_retired,
+              const InputSequence& test, int num_inputs) {
+    if (pos != frontier || pos >= remaining.size() || tag == 'U') {
+      return false;  // out of order, or the interrupted run's edge
+    }
+    if (tag == 'S') {
+      if (retired[pos] == 0) return false;
+      ++frontier;
+      return true;
+    }
+    if (retired[pos] != 0 || commit_evaluations < 0 ||
+        commit_evaluations > kMaxEvaluations - evaluations) {
+      return false;
+    }
+    const auto outcome = static_cast<FaultStatus>(kStatusChars.find(tag));
+    if (outcome == FaultStatus::kDetected) {
+      if (!Fits(test, num_inputs)) return false;
+      std::size_t previous = pos;
+      for (std::size_t later : cross_retired) {
+        if (later <= previous || later >= remaining.size() ||
+            retired[later] != 0) {
+          return false;
+        }
+        previous = later;
+      }
+    }
+    status[remaining[pos]] = outcome;
+    evaluations += commit_evaluations;
+    if (outcome == FaultStatus::kDetected) {
+      for (std::size_t later : cross_retired) {
+        retired[later] = 1;
+        status[remaining[later]] = FaultStatus::kDetected;
+      }
+      tests.push_back(test);
+    }
+    ++frontier;
+    return true;
+  }
+};
+
+std::unique_ptr<Checkpoint> Checkpoint::Open(const std::string& path,
+                                             const netlist::Circuit& circuit,
+                                             const AtpgOptions& options,
+                                             std::size_t num_faults,
+                                             core::DiagnosticList& diags) {
+  const std::uint32_t fingerprint =
+      JournalFingerprint(circuit, options, num_faults);
+  std::unique_ptr<Checkpoint> checkpoint(new Checkpoint(path));
+  checkpoint->replay_ =
+      Load(path, fingerprint, circuit.num_inputs(), num_faults, diags);
+  checkpoint->Start(fingerprint, options.seed, num_faults, circuit.name(),
+                    diags);
+  return checkpoint;
+}
+
+Checkpoint::Checkpoint(std::string path) : path_(std::move(path)) {}
+
+Checkpoint::~Checkpoint() {
+  if (file_ != nullptr) std::fclose(file_);
+}
+
+// One pass over the file.  A syntax fault on a complete line anywhere
+// rejects the whole journal, even past the replayed prefix; the
+// semantic checks run only while the journal still describes this run.
+std::unique_ptr<Checkpoint::Replay> Checkpoint::Load(
+    const std::string& path, std::uint32_t fingerprint, int num_inputs,
+    std::size_t num_faults, core::DiagnosticList& diags) {
   std::ifstream in(path, std::ios::binary);
-  if (!in) return std::nullopt;  // absent journal: a normal first run
+  if (!in) return nullptr;  // absent journal: a normal first run
   std::ostringstream buffer;
   buffer << in.rdbuf();
   const std::string data = buffer.str();
 
-  JournalContents out;
+  auto replay = std::make_unique<Replay>();
+  replay->status.assign(num_faults, FaultStatus::kUntried);
   bool seen_header = false;
+  bool same_run = false;       // fingerprint matches this run
+  bool random_valid = true;    // random-phase records fit this run
+  bool random_done = false;
+  bool random_stopped = false;
+  bool prefix_open = true;     // no commit has ended the prefix yet
+  bool complete = false;
   int line_no = 0;
   std::size_t start = 0;
 
-  auto corrupt = [&](const std::string& what) {
+  auto corrupt = [&](const std::string& what) -> std::unique_ptr<Replay> {
     diags.Add(StatusCode::kCorruptData,
               "journal record " + std::to_string(line_no) + ": " + what, path,
               line_no);
+    return nullptr;
   };
 
   while (start < data.size()) {
@@ -190,176 +301,211 @@ std::optional<JournalContents> LoadJournal(const std::string& path,
 
     const std::size_t sep = line.rfind(kRecordSeparator);
     if (sep == std::string::npos || line.size() - sep - 1 != 8) {
-      corrupt("missing CRC suffix");
-      return std::nullopt;
+      return corrupt("missing CRC suffix");
     }
     const std::string body = line.substr(0, sep);
     const std::string crc_text = line.substr(sep + 1);
     std::uint32_t expected = 0;
     if (std::sscanf(crc_text.c_str(), "%8x", &expected) != 1) {
-      corrupt("unreadable CRC suffix");
-      return std::nullopt;
+      return corrupt("unreadable CRC suffix");
     }
-    if (core::Crc32(body) != expected) {
-      corrupt("CRC mismatch");
-      return std::nullopt;
-    }
+    if (core::Crc32(body) != expected) return corrupt("CRC mismatch");
 
     LineParser parser(body);
     const std::string tag = parser.Token();
     if (!seen_header && tag != "J1") {
-      corrupt("expected J1 header record first");
-      return std::nullopt;
+      return corrupt("expected J1 header record first");
     }
-    if (out.complete) {
-      corrupt("record after end marker");
-      return std::nullopt;
-    }
+    if (complete) return corrupt("record after end marker");
 
     if (tag == "J1") {
-      if (seen_header) {
-        corrupt("duplicate header record");
-        return std::nullopt;
-      }
+      if (seen_header) return corrupt("duplicate header record");
       const std::string fp_text = parser.Token();
       std::uint32_t fp = 0;
       if (fp_text.size() != 8 ||
           std::sscanf(fp_text.c_str(), "%8x", &fp) != 1) {
-        corrupt("unreadable fingerprint");
-        return std::nullopt;
+        return corrupt("unreadable fingerprint");
       }
-      out.fingerprint = fp;
-      out.seed = parser.Unsigned();
-      out.num_faults = static_cast<std::size_t>(parser.Unsigned());
-      out.circuit_name = parser.Rest();
-      if (parser.failed) {
-        corrupt("malformed header fields");
-        return std::nullopt;
-      }
+      // Seed and fault count: the fingerprint covers them.
+      parser.Unsigned();
+      parser.Unsigned();
+      if (parser.failed) return corrupt("malformed header fields");
       seen_header = true;
+      same_run = fp == fingerprint;
     } else if (tag == "T") {
-      if (out.random_done) {
-        corrupt("random-test record after random-done record");
-        return std::nullopt;
+      if (random_done) {
+        return corrupt("random-test record after random-done record");
       }
-      JournalRandomTest record;
+      std::vector<std::size_t> detected;
+      InputSequence test;
       const std::size_t n = static_cast<std::size_t>(parser.Unsigned());
       for (std::size_t i = 0; i < n && !parser.failed; ++i) {
-        record.detected.push_back(static_cast<std::size_t>(parser.Unsigned()));
+        detected.push_back(static_cast<std::size_t>(parser.Unsigned()));
       }
       const std::string sequence = parser.Token();
       if (parser.failed || n == 0 || !parser.AtEnd() ||
-          !DecodeSequence(sequence, record.test)) {
-        corrupt("malformed random-test record");
-        return std::nullopt;
+          !DecodeSequence(sequence, test)) {
+        return corrupt("malformed random-test record");
       }
-      out.random_tests.push_back(std::move(record));
+      if (same_run && random_valid) {
+        random_valid = replay->RandomTest(detected, test, num_inputs);
+        replay->lines.push_back(line);
+      }
     } else if (tag == "R") {
-      if (out.random_done) {
-        corrupt("duplicate random-done record");
-        return std::nullopt;
-      }
-      out.random_rounds = static_cast<int>(parser.Signed());
-      out.random_useless = static_cast<int>(parser.Signed());
+      if (random_done) return corrupt("duplicate random-done record");
+      // Rounds and useless streak: for a reader's eyes only.
+      parser.Signed();
+      parser.Signed();
       const long long stopped = parser.Signed();
-      out.remaining_count = static_cast<std::size_t>(parser.Unsigned());
-      out.random_evaluations = static_cast<long>(parser.Signed());
+      const auto remaining = static_cast<std::size_t>(parser.Unsigned());
+      const auto evaluations = static_cast<long>(parser.Signed());
       if (parser.failed || !parser.AtEnd() || (stopped != 0 && stopped != 1)) {
-        corrupt("malformed random-done record");
-        return std::nullopt;
+        return corrupt("malformed random-done record");
       }
-      out.random_stopped = stopped == 1;
-      out.random_done = true;
+      random_done = true;
+      random_stopped = stopped == 1;
+      if (same_run && random_valid && !random_stopped) {
+        random_valid = replay->RandomDone(remaining, evaluations);
+        replay->lines.push_back(line);
+      }
     } else if (tag == "C") {
-      if (!out.random_done) {
-        corrupt("commit record before random-done record");
-        return std::nullopt;
+      if (!random_done) {
+        return corrupt("commit record before random-done record");
       }
-      JournalCommit record;
-      record.pos = static_cast<std::size_t>(parser.Unsigned());
+      const auto pos = static_cast<std::size_t>(parser.Unsigned());
       const std::string status = parser.Token();
-      record.evaluations = static_cast<long>(parser.Signed());
-      const std::size_t ncross = static_cast<std::size_t>(parser.Unsigned());
+      const auto evaluations = static_cast<long>(parser.Signed());
+      const auto ncross = static_cast<std::size_t>(parser.Unsigned());
+      std::vector<std::size_t> cross_retired;
       for (std::size_t i = 0; i < ncross && !parser.failed; ++i) {
-        record.cross_retired.push_back(
-            static_cast<std::size_t>(parser.Unsigned()));
+        cross_retired.push_back(static_cast<std::size_t>(parser.Unsigned()));
       }
       if (parser.failed || status.size() != 1 ||
-          !ValidCommitStatus(status[0])) {
-        corrupt("malformed commit record");
-        return std::nullopt;
+          kStatusChars.find(status[0]) == std::string_view::npos) {
+        return corrupt("malformed commit record");
       }
-      record.status = status[0];
-      if (record.status == 'D') {
-        const std::string sequence = parser.Token();
-        if (parser.failed || !DecodeSequence(sequence, record.test)) {
-          corrupt("detected commit record without a valid test sequence");
-          return std::nullopt;
-        }
+      InputSequence test;
+      if (status[0] == 'D' &&
+          (!DecodeSequence(parser.Token(), test) || parser.failed)) {
+        return corrupt("detected commit record without a valid test sequence");
       }
-      if (!parser.AtEnd()) {
-        corrupt("trailing fields in commit record");
-        return std::nullopt;
+      if (!parser.AtEnd()) return corrupt("trailing fields in commit record");
+      if (prefix_open && same_run && random_valid && !random_stopped) {
+        prefix_open = replay->Commit(pos, status[0], evaluations,
+                                     cross_retired, test, num_inputs);
+        if (prefix_open) replay->lines.push_back(line);
       }
-      out.commits.push_back(std::move(record));
     } else if (tag == "E") {
       // The four counts are a human-debugging aid; replay recomputes
       // them from the commits themselves.
       for (int i = 0; i < 4; ++i) parser.Signed();
       if (parser.failed || !parser.AtEnd()) {
-        corrupt("malformed end record");
-        return std::nullopt;
+        return corrupt("malformed end record");
       }
-      out.complete = true;
+      complete = true;
     } else {
-      corrupt("unknown record tag '" + tag + "'");
-      return std::nullopt;
+      return corrupt("unknown record tag '" + tag + "'");
     }
   }
 
-  if (!seen_header) {
-    // Nothing but a torn line (or an empty file): treat as absent.
-    return std::nullopt;
-  }
-  return out;
-}
-
-std::unique_ptr<JournalWriter> JournalWriter::Open(
-    const std::string& path, core::DiagnosticList& diags) {
-  const std::string tmp = path + ".tmp";
-  std::FILE* file =
-      RETEST_CHAOS_FIRE("atpg.journal.open_error")
-          ? nullptr
-          : std::fopen(tmp.c_str(), "wb");
-  if (file == nullptr) {
-    diags.Add(StatusCode::kIoError,
-              "cannot open checkpoint journal for writing", tmp);
+  // Nothing but a torn line (or an empty file) counts as absent.
+  if (!seen_header) return nullptr;
+  if (!same_run) {
+    diags.AddNote(StatusCode::kMismatch,
+                  "checkpoint journal was written by a different run "
+                  "configuration (circuit / seed / search options); starting "
+                  "fresh",
+                  path);
     return nullptr;
   }
-  return std::unique_ptr<JournalWriter>(new JournalWriter(file, path));
+  // A random phase cut short is rerun from scratch: correct, and
+  // necessary, since its later rounds were never recorded.
+  if (!random_done || random_stopped) return nullptr;
+  if (!random_valid) {
+    diags.AddNote(StatusCode::kCorruptData,
+                  "checkpoint journal failed replay validation; starting "
+                  "fresh",
+                  path);
+    return nullptr;
+  }
+  RETEST_COUNTER_ADD("atpg.checkpoint.commits_replayed", "commits", "atpg",
+                     "deterministic commits restored from a checkpoint "
+                     "journal instead of re-searched",
+                     static_cast<long>(replay->frontier));
+  return replay;
 }
 
-JournalWriter::JournalWriter(std::FILE* file, std::string path)
-    : file_(file), path_(std::move(path)) {}
-
-JournalWriter::~JournalWriter() {
-  if (file_ != nullptr) std::fclose(file_);
+void Checkpoint::Start(std::uint32_t fingerprint, std::uint64_t seed,
+                       std::size_t num_faults, const std::string& circuit_name,
+                       core::DiagnosticList& diags) {
+  const std::string tmp = path_ + ".tmp";
+  file_ = RETEST_CHAOS_FIRE("atpg.journal.open_error")
+              ? nullptr
+              : std::fopen(tmp.c_str(), "wb");
+  if (file_ == nullptr) {
+    diags.Add(StatusCode::kIoError,
+              "cannot open checkpoint journal for writing", tmp);
+    return;
+  }
+  char fp[9];
+  std::snprintf(fp, sizeof fp, "%08x", fingerprint);
+  WriteRecord(std::string("J1 ") + fp + ' ' + std::to_string(seed) + ' ' +
+              std::to_string(num_faults) + ' ' + circuit_name);
+  if (replay_ != nullptr) {
+    for (std::string& line : std::exchange(replay_->lines, {})) {
+      WriteLine(std::move(line));
+    }
+  }
+  std::fflush(file_);
+  if (core::PublishDurably(fileno(file_), tmp, path_)) {
+    RETEST_COUNTER_ADD("atpg.journal.fsync", "syncs", "atpg",
+                       "journal file + parent-directory fsync pairs at "
+                       "activation",
+                       1);
+  } else {
+    // The run keeps appending to the tmp file regardless.
+    diags.Add(StatusCode::kIoError,
+              "cannot sync or rename checkpoint journal into place", path_);
+  }
+  FlushFile();
 }
 
-void JournalWriter::WriteLine(const std::string& body) {
-  if (torn_) return;
+bool Checkpoint::Restore(AtpgResult& result,
+                         std::vector<std::size_t>& remaining) {
+  if (replay_ == nullptr) return false;
+  result.status = std::move(replay_->status);
+  result.tests = std::move(replay_->tests);
+  result.evaluations = replay_->evaluations;
+  result.resumed = true;
+  remaining = std::move(replay_->remaining);
+  return true;
+}
+
+std::size_t Checkpoint::frontier() const {
+  return replay_ != nullptr ? replay_->frontier : 0;
+}
+
+bool Checkpoint::retired(std::size_t pos) const {
+  return replay_ != nullptr && pos < replay_->retired.size() &&
+         replay_->retired[pos] != 0;
+}
+
+void Checkpoint::WriteRecord(const std::string& body) {
   char crc[10];
   std::snprintf(crc, sizeof crc, "%c%08x", kRecordSeparator,
                 core::Crc32(body));
-  std::string line = body;
-  line += crc;
+  WriteLine(body + crc);
+}
+
+void Checkpoint::WriteLine(std::string line) {
+  if (file_ == nullptr || torn_) return;
   line += '\n';
   long keep = 0;
   if (RETEST_CHAOS_ARG("atpg.journal.torn_write",
                        static_cast<long>(line.size() / 2), &keep)) {
     // Chaos: simulate a crash mid-write.  Emit a prefix of this record
-    // and go silent — the in-memory run continues, but the file ends
-    // in exactly the torn final line LoadJournal must drop on resume.
+    // and go silent -- the in-memory run continues, but the file ends
+    // in exactly the torn final line Load must drop on resume.
     torn_ = true;
     const std::size_t bytes = std::min(
         line.size(), static_cast<std::size_t>(std::max(0L, keep)));
@@ -370,80 +516,76 @@ void JournalWriter::WriteLine(const std::string& body) {
   std::fwrite(line.data(), 1, line.size(), file_);
 }
 
-void JournalWriter::WriteHeader(std::uint32_t fingerprint, std::uint64_t seed,
-                                std::size_t num_faults,
-                                const std::string& circuit_name) {
-  char fp[9];
-  std::snprintf(fp, sizeof fp, "%08x", fingerprint);
-  WriteLine(std::string("J1 ") + fp + ' ' + std::to_string(seed) + ' ' +
-            std::to_string(num_faults) + ' ' + circuit_name);
+void Checkpoint::FlushFile() {
+  RETEST_TRACE_SPAN(flush_span, "atpg.journal.flush");
+  std::fflush(file_);
 }
 
-void JournalWriter::WriteRandomTest(const JournalRandomTest& record) {
-  std::string body = "T " + std::to_string(record.detected.size());
-  for (std::size_t index : record.detected) {
+void Checkpoint::RecordRandomTest(const std::vector<std::size_t>& detected,
+                                  const InputSequence& test) {
+  if (file_ == nullptr) return;
+  std::string body = "T " + std::to_string(detected.size());
+  for (std::size_t index : detected) {
     body += ' ';
     body += std::to_string(index);
   }
   body += ' ';
-  body += EncodeSequence(record.test);
-  WriteLine(body);
+  body += EncodeSequence(test);
+  WriteRecord(body);
 }
 
-void JournalWriter::WriteRandomDone(int rounds, int useless, bool stopped,
-                                    std::size_t remaining, long evaluations) {
-  WriteLine("R " + std::to_string(rounds) + ' ' + std::to_string(useless) +
-            ' ' + std::to_string(stopped ? 1 : 0) + ' ' +
-            std::to_string(remaining) + ' ' + std::to_string(evaluations));
+void Checkpoint::RecordRandomDone(int rounds, int useless, bool stopped,
+                                  std::size_t remaining, long evaluations) {
+  if (file_ == nullptr) return;
+  WriteRecord("R " + std::to_string(rounds) + ' ' + std::to_string(useless) +
+              ' ' + std::to_string(stopped ? 1 : 0) + ' ' +
+              std::to_string(remaining) + ' ' + std::to_string(evaluations));
+  FlushFile();
 }
 
-void JournalWriter::WriteCommit(const JournalCommit& record) {
+void Checkpoint::RecordCommit(std::size_t pos, FaultStatus status,
+                              long evaluations,
+                              const std::vector<std::size_t>& cross_retired,
+                              const InputSequence& test) {
+  if (file_ == nullptr) return;
   RETEST_TRACE_SPAN(write_span, "atpg.journal.write");
-  std::string body = "C " + std::to_string(record.pos) + ' ' + record.status +
-                     ' ' + std::to_string(record.evaluations) + ' ' +
-                     std::to_string(record.cross_retired.size());
-  for (std::size_t pos : record.cross_retired) {
+  std::string body = "C " + std::to_string(pos) + ' ' +
+                     kStatusChars[static_cast<std::size_t>(status)] +
+                     ' ' + std::to_string(evaluations) + ' ' +
+                     std::to_string(cross_retired.size());
+  for (std::size_t later : cross_retired) {
     body += ' ';
-    body += std::to_string(pos);
+    body += std::to_string(later);
   }
-  if (record.status == 'D') {
+  if (status == FaultStatus::kDetected) {
     body += ' ';
-    body += EncodeSequence(record.test);
+    body += EncodeSequence(test);
   }
-  WriteLine(body);
+  WriteRecord(body);
 }
 
-void JournalWriter::WriteEnd(int detected, int redundant, int aborted,
-                             int untried) {
-  WriteLine("E " + std::to_string(detected) + ' ' + std::to_string(redundant) +
-            ' ' + std::to_string(aborted) + ' ' + std::to_string(untried));
+void Checkpoint::RecordSkip(std::size_t pos) {
+  if (file_ == nullptr) return;
+  RETEST_TRACE_SPAN(write_span, "atpg.journal.write");
+  WriteRecord("C " + std::to_string(pos) + " S 0 0");
 }
 
-bool JournalWriter::Activate(core::DiagnosticList& diags) {
-  if (activated_) return true;
-  // Durability order: records -> file fsync -> rename -> directory
-  // fsync.  Without the first fsync the rename can publish a name
-  // whose bytes are still in the page cache; without the second the
-  // rename itself can vanish in a power cut (docs/ROBUSTNESS.md).
-  std::fflush(file_);
-  ::fsync(fileno(file_));
-  if (std::rename((path_ + ".tmp").c_str(), path_.c_str()) != 0) {
-    diags.Add(StatusCode::kIoError,
-              "cannot rename checkpoint journal into place", path_);
-    return false;
-  }
-  FsyncParentDir(path_);
-  RETEST_COUNTER_ADD("atpg.journal.fsync", "syncs", "atpg",
-                     "journal file + parent-directory fsync pairs at "
-                     "activation",
+void Checkpoint::Flush() {
+  if (file_ == nullptr) return;
+  FlushFile();
+  RETEST_COUNTER_ADD("atpg.checkpoint.flushes", "flushes", "atpg",
+                     "checkpoint journal flushes at the commit "
+                     "frontier (one per drain batch)",
                      1);
-  activated_ = true;
-  return true;
 }
 
-void JournalWriter::Flush() {
-  RETEST_TRACE_SPAN(flush_span, "atpg.journal.flush");
-  std::fflush(file_);
+void Checkpoint::RecordEnd(const AtpgResult& result) {
+  if (file_ == nullptr) return;
+  WriteRecord("E " + std::to_string(result.Count(FaultStatus::kDetected)) +
+              ' ' + std::to_string(result.Count(FaultStatus::kRedundant)) +
+              ' ' + std::to_string(result.Count(FaultStatus::kAborted)) + ' ' +
+              std::to_string(result.Count(FaultStatus::kUntried)));
+  FlushFile();
 }
 
 }  // namespace retest::atpg

@@ -1,26 +1,43 @@
-// Crash-safe checkpoint journal for the ATPG pipeline.
+// Crash-safe checkpoint for the ATPG pipeline: the one owner of the
+// journal file, its record format and its replay rules.
 //
-// RunAtpg with AtpgOptions::checkpoint_path set appends every durable
-// event of a run — the header fingerprint, each random-phase test that
-// was kept, the random-phase summary, and every fault-ordered commit
-// of the deterministic phase — to a line-oriented journal file.  Every
-// line carries a CRC-32 of its body (core/crc32), so truncation and
-// bit rot are detected before a record is trusted; the writer flushes
-// at the deterministic phase's commit frontier, the natural
-// consistency point (atpg/parallel_driver).
+// RunAtpg with AtpgOptions::checkpoint_path set opens a Checkpoint.
+// Checkpoint::Open loads any journal already at the path, checks its
+// fingerprint and validates every record against this run in a single
+// pass, then starts this run's journal: a fresh header plus the
+// accepted prefix's original lines, published with the durable
+// tmp-file rename (core/durable).  From there RunAtpg and the
+// deterministic driver record random-phase tests, commits and skips in
+// FaultStatus terms; the record encoding lives in journal.cpp alone.
+// Every line carries a CRC-32 of its body (core/crc32), so truncation
+// and bit rot are detected before a record is trusted; the driver
+// flushes once per commit-frontier drain (atpg/parallel_driver).
 //
 // Resume contract: a journal is replayed only when its fingerprint
 // (circuit structure + seed + every search-relevant option) matches
-// the current run.  Replay applies the random-phase records, then the
-// longest prefix of commit records up to the first kUntried commit —
-// a kUntried commit marks a budget or cancel stop, i.e. exactly
-// where the interrupted run stopped doing real work.  Because each
-// fault's search is a pure function of (circuit, fault, seed), the
-// resumed run re-searches the remaining suffix and lands on the same
-// final test set as an uninterrupted run, bit for bit, at any thread
-// count.  A torn final line (a write cut mid-record by the crash) is
-// dropped with a note; a CRC mismatch on a *complete* line means the
-// file is corrupt and the journal is rejected with a diagnostic.
+// this run.  Replay applies the random-phase records, then the longest
+// prefix of commit records that is consistent with this run, up to the
+// first kUntried commit -- a kUntried commit marks a budget or cancel
+// stop, exactly where the interrupted run stopped doing real work.
+// Because each fault's search is a pure function of (circuit, fault,
+// seed), the resumed run re-searches the remaining suffix and lands on
+// the same final test set as an uninterrupted run, bit for bit, at any
+// thread count.
+//
+// What a bad journal does:
+//   * torn final line (a write cut by a crash): dropped with a note;
+//   * CRC mismatch or malformed *complete* line: corrupt_data error,
+//     the run starts fresh;
+//   * fingerprint of another run: mismatch note, the run starts fresh;
+//   * random-phase records inconsistent with this run (fault index out
+//     of range or repeated, vector of the wrong width, remaining count
+//     that disagrees): corrupt_data note, the run starts fresh;
+//   * a commit inconsistent with the replay so far (out of order, a
+//     kUntried, a skip at a position no earlier test retired, a
+//     non-skip at one an earlier test did retire, a vector of the
+//     wrong width, cross-retired positions not strictly increasing
+//     after the commit's own, a negative evaluation count): the
+//     replayed prefix ends there and the rest is re-searched.
 //
 // Record grammar (one record per line, "body|crc32hex"):
 //   J1 <fp-hex8> <seed> <num-faults> <circuit-name>
@@ -29,14 +46,14 @@
 //   C <pos> <D|R|A|U|S> <evals> <ncross> <pos x ncross> [<sequence>]
 //   E <detected> <redundant> <aborted> <untried>
 // Sequences encode one vector per comma-separated group of 0/1/x
-// characters ('-' for a zero-input circuit's empty vector).
-// See docs/ROBUSTNESS.md for the full format and workflow.
+// characters ('-' for a zero-input circuit's empty vector).  A commit's
+// status is D(etected), R(edundant), A(borted), U(ntried) or S(kipped:
+// an earlier test retired the fault).  See docs/ROBUSTNESS.md.
 #pragma once
 
 #include <cstdint>
 #include <cstdio>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -45,105 +62,87 @@
 
 namespace retest::atpg {
 
-/// One kept random-phase sequence and the faults it newly detected
-/// (global indices into AtpgResult::faults).
-struct JournalRandomTest {
-  std::vector<std::size_t> detected;
-  sim::InputSequence test;
-};
-
-/// One deterministic-phase commit, in frontier order.  `pos` indexes
-/// the post-random-phase remaining queue; `cross_retired` lists the
-/// later queue positions this commit's test retired.
-struct JournalCommit {
-  std::size_t pos = 0;
-  char status = 'U';  ///< D(etected) R(edundant) A(borted) U(ntried) S(kipped)
-  long evaluations = 0;
-  std::vector<std::size_t> cross_retired;
-  sim::InputSequence test;  ///< Present exactly when status == 'D'.
-};
-
-/// Everything a journal file holds.
-struct JournalContents {
-  std::uint32_t fingerprint = 0;
-  std::uint64_t seed = 0;
-  std::size_t num_faults = 0;
-  std::string circuit_name;
-
-  std::vector<JournalRandomTest> random_tests;
-  bool random_done = false;
-  int random_rounds = 0;
-  int random_useless = 0;
-  bool random_stopped = false;       ///< Random phase cut by the budget.
-  std::size_t remaining_count = 0;   ///< Queue size entering the det phase.
-  long random_evaluations = 0;       ///< result.evaluations after random.
-
-  std::vector<JournalCommit> commits;
-  bool complete = false;  ///< End record present (clean shutdown).
-};
-
 /// Fingerprint of everything the search outcome depends on: circuit
 /// structure, seed, style and every per-fault limit (thread count,
-/// budgets and checkpoint settings deliberately excluded — they never
+/// budgets and checkpoint settings deliberately excluded -- they never
 /// change committed results, only how far a run gets).
 std::uint32_t JournalFingerprint(const netlist::Circuit& circuit,
                                  const AtpgOptions& options,
                                  std::size_t num_faults);
 
-/// Loads a journal.  Returns nullopt when `path` does not exist (a
-/// normal first run — no diagnostic) or when the file is corrupt (CRC
-/// mismatch / malformed record — StatusCode::kCorruptData diagnostic).
-/// A torn final line is dropped with a note and the intact prefix is
-/// returned.
-std::optional<JournalContents> LoadJournal(const std::string& path,
-                                           core::DiagnosticList& diags);
-
-/// Appending journal writer.  Records are written to "<path>.tmp"
-/// until Activate() renames it over `path` — so a half-rewritten
-/// resume never clobbers the previous journal, and after Activate the
-/// same handle keeps appending to the real file.  All methods are
-/// cheap (buffered stdio); Flush() is the durability point the driver
-/// calls at each commit-frontier advance.
-class JournalWriter {
+/// One run's checkpoint: the validated replay of the journal found at
+/// its path, and the writer of this run's journal.
+class Checkpoint {
  public:
-  /// Opens "<path>.tmp" for writing; nullptr + kIoError diagnostic on
-  /// failure.
-  static std::unique_ptr<JournalWriter> Open(const std::string& path,
-                                             core::DiagnosticList& diags);
-  ~JournalWriter();
+  /// Loads and validates the journal at `path` (absent: a normal first
+  /// run, no diagnostic), then starts this run's journal in
+  /// "<path>.tmp" -- header, then the accepted prefix copied line for
+  /// line -- and renames it over `path` (file fsync, rename, directory
+  /// fsync; counter atpg.journal.fsync), so a crash mid-rewrite leaves
+  /// the previous journal intact.  When the file cannot be opened
+  /// (io_error) the replay still applies and recording is a no-op.
+  /// Notes and errors go to `diags`.
+  static std::unique_ptr<Checkpoint> Open(const std::string& path,
+                                          const netlist::Circuit& circuit,
+                                          const AtpgOptions& options,
+                                          std::size_t num_faults,
+                                          core::DiagnosticList& diags);
+  ~Checkpoint();
 
-  JournalWriter(const JournalWriter&) = delete;
-  JournalWriter& operator=(const JournalWriter&) = delete;
+  Checkpoint(const Checkpoint&) = delete;
+  Checkpoint& operator=(const Checkpoint&) = delete;
 
-  void WriteHeader(std::uint32_t fingerprint, std::uint64_t seed,
-                   std::size_t num_faults, const std::string& circuit_name);
-  void WriteRandomTest(const JournalRandomTest& record);
-  void WriteRandomDone(int rounds, int useless, bool stopped,
-                       std::size_t remaining, long evaluations);
-  void WriteCommit(const JournalCommit& record);
-  void WriteEnd(int detected, int redundant, int aborted, int untried);
+  /// Moves the replayed run into `result` (status, tests, evaluations,
+  /// resumed) and sets `remaining` to the queue the deterministic phase
+  /// walks.  Returns false, touching nothing, when the journal holds no
+  /// replayable random phase: the run starts fresh.  Call at most once.
+  bool Restore(AtpgResult& result, std::vector<std::size_t>& remaining);
 
-  /// Renames "<path>.tmp" over `path`; reports failure once via
-  /// `diags` (the writer keeps appending to the tmp file regardless).
-  /// Durability order: the tmp file is fsync'd before the rename and
-  /// the parent directory after it, so the activated name can never
-  /// refer to records still in the page cache and the rename itself
-  /// survives a power cut (counter: atpg.journal.fsync).
-  bool Activate(core::DiagnosticList& diags);
+  /// Queue positions below the frontier were committed by the replay.
+  std::size_t frontier() const;
+  /// True when a replayed test retired queue position `pos`.
+  bool retired(std::size_t pos) const;
 
-  /// Flushes buffered records to the OS (fflush; crash-of-process
-  /// safe, not crash-of-kernel durable).
+  /// Recording.  Each appends one record; RecordRandomDone, Flush and
+  /// RecordEnd also flush the stream (fflush: process-crash safe).
+  void RecordRandomTest(const std::vector<std::size_t>& detected,
+                        const sim::InputSequence& test);
+  void RecordRandomDone(int rounds, int useless, bool stopped,
+                        std::size_t remaining, long evaluations);
+  /// Commit of queue position `pos`; `test` is recorded only when
+  /// `status` is kDetected.
+  void RecordCommit(std::size_t pos, FaultStatus status, long evaluations,
+                    const std::vector<std::size_t>& cross_retired,
+                    const sim::InputSequence& test);
+  /// Commit of a position an earlier test retired: its search result
+  /// was discarded.
+  void RecordSkip(std::size_t pos);
+  /// The commit-frontier flush, once per drain batch (counter
+  /// atpg.checkpoint.flushes).
   void Flush();
+  void RecordEnd(const AtpgResult& result);
 
  private:
-  JournalWriter(std::FILE* file, std::string path);
-  void WriteLine(const std::string& body);
+  struct Replay;
 
-  std::FILE* file_;
+  explicit Checkpoint(std::string path);
+  static std::unique_ptr<Replay> Load(const std::string& path,
+                                      std::uint32_t fingerprint,
+                                      int num_inputs, std::size_t num_faults,
+                                      core::DiagnosticList& diags);
+  void Start(std::uint32_t fingerprint, std::uint64_t seed,
+             std::size_t num_faults, const std::string& circuit_name,
+             core::DiagnosticList& diags);
+  void WriteRecord(const std::string& body);
+  /// Appends `line` and its newline (chaos site atpg.journal.torn_write).
+  void WriteLine(std::string line);
+  void FlushFile();
+
   std::string path_;
-  bool activated_ = false;
+  std::unique_ptr<Replay> replay_;  ///< Null: the run starts fresh.
+  std::FILE* file_ = nullptr;       ///< Null: recording is a no-op.
   /// Chaos (atpg.journal.torn_write): a torn write leaves a record
-  /// prefix on disk and silences the writer — the in-memory run is
+  /// prefix on disk and silences the writer -- the in-memory run is
   /// unaffected, but the file freezes in its crash-shaped state.
   bool torn_ = false;
 };

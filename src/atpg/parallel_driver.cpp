@@ -109,29 +109,28 @@ class Driver {
   Driver(const netlist::Circuit& circuit, const AtpgOptions& options,
          const std::vector<std::size_t>& remaining,
          std::chrono::steady_clock::time_point deadline, AtpgResult& result,
-         const DetPhaseControl* control)
+         Checkpoint* checkpoint)
       : circuit_(circuit),
         net_(sim::Compile(circuit)),
         options_(options),
         queue_(remaining),
         deadline_(deadline),
         result_(result),
+        checkpoint_(checkpoint),
         retired_(remaining.size()),
         slots_(remaining.size()) {
     max_frames_ = options.max_frames;
     if (max_frames_ <= 0) {
       max_frames_ = std::clamp(4 * circuit.num_dffs() + 8, 8, 64);
     }
-    for (auto& flag : retired_) flag.store(0, std::memory_order_relaxed);
-    if (control != nullptr) {
-      journal_ = control->journal;
-      frontier_ = std::min(control->resume_frontier, queue_.size());
-      for (std::size_t pos = 0;
-           pos < control->resume_retired.size() && pos < queue_.size();
-           ++pos) {
-        retired_[pos].store(control->resume_retired[pos],
-                            std::memory_order_relaxed);
-      }
+    // Positions at or past a replayed frontier that a replayed test
+    // retired commit as discards, exactly as the original run did.
+    for (std::size_t pos = 0; pos < retired_.size(); ++pos) {
+      retired_[pos].store(checkpoint != nullptr && checkpoint->retired(pos),
+                          std::memory_order_relaxed);
+    }
+    if (checkpoint != nullptr) {
+      frontier_ = std::min(checkpoint->frontier(), queue_.size());
     }
   }
 
@@ -413,13 +412,7 @@ class Driver {
         ++frontier_;
         ++advanced;
       }
-      if (journal_ != nullptr && advanced > 0) {
-        journal_->Flush();
-        RETEST_COUNTER_ADD("atpg.checkpoint.flushes", "flushes", "atpg",
-                           "checkpoint journal flushes at the commit "
-                           "frontier (one per drain batch)",
-                           1);
-      }
+      if (checkpoint_ != nullptr && advanced > 0) checkpoint_->Flush();
       const std::size_t next = frontier_;
       lock.unlock();
       if (next >= queue_.size()) return;
@@ -440,12 +433,7 @@ class Driver {
                          "an earlier test already retired the fault",
                          1);
       outcome.test.clear();
-      if (journal_ != nullptr) {
-        JournalCommit record;
-        record.pos = pos;
-        record.status = 'S';
-        journal_->WriteCommit(record);
-      }
+      if (checkpoint_ != nullptr) checkpoint_->RecordSkip(pos);
       return;
     }
     const std::size_t fault_index = queue_[pos];
@@ -487,30 +475,13 @@ class Driver {
       RETEST_COUNTER_ADD("atpg.det.tests_committed", "tests", "atpg",
                          "tests committed by the deterministic phase", 1);
     }
-    if (journal_ != nullptr) {
-      JournalCommit record;
-      record.pos = pos;
-      record.status = StatusChar(outcome.status);
-      record.evaluations = committed_evaluations;
-      record.cross_retired = cross;
-      if (outcome.status == FaultStatus::kDetected) {
-        record.test = outcome.test;
-      }
-      journal_->WriteCommit(record);
+    if (checkpoint_ != nullptr) {
+      checkpoint_->RecordCommit(pos, outcome.status, committed_evaluations,
+                                cross, outcome.test);
     }
     if (outcome.status == FaultStatus::kDetected) {
       result_.tests.push_back(std::move(outcome.test));
     }
-  }
-
-  static char StatusChar(FaultStatus status) {
-    switch (status) {
-      case FaultStatus::kDetected: return 'D';
-      case FaultStatus::kRedundant: return 'R';
-      case FaultStatus::kAborted: return 'A';
-      case FaultStatus::kUntried: return 'U';
-    }
-    return 'U';
   }
 
   const netlist::Circuit& circuit_;
@@ -521,8 +492,8 @@ class Driver {
   const std::vector<std::size_t>& queue_;
   const std::chrono::steady_clock::time_point deadline_;
   AtpgResult& result_;
+  Checkpoint* const checkpoint_;
   int max_frames_ = 0;
-  JournalWriter* journal_ = nullptr;
 
   std::atomic<bool> stop_{false};
   /// Retirement flags by queue position.  Written only by the single
@@ -544,9 +515,8 @@ void RunDeterministicPhase(const netlist::Circuit& circuit,
                            const AtpgOptions& options,
                            const std::vector<std::size_t>& remaining,
                            std::chrono::steady_clock::time_point deadline,
-                           AtpgResult& result,
-                           const DetPhaseControl* control) {
-  Driver driver(circuit, options, remaining, deadline, result, control);
+                           AtpgResult& result, Checkpoint* checkpoint) {
+  Driver driver(circuit, options, remaining, deadline, result, checkpoint);
   driver.Run();
 }
 

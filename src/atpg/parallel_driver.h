@@ -64,35 +64,20 @@
 
 namespace retest::atpg {
 
-class JournalWriter;
-
-/// Resilience hooks for the deterministic phase (all optional; the
-/// default-constructed value reproduces the plain phase exactly).
-struct DetPhaseControl {
-  /// Commit frontier restored from a checkpoint journal: queue
-  /// positions below it are already committed into `result` and are
-  /// not dispatched again.
-  std::size_t resume_frontier = 0;
-  /// Restored retirement map by queue position (empty = none retired).
-  /// Positions >= resume_frontier marked here were cross-retired by a
-  /// replayed test; the driver commits them as discards, exactly as
-  /// the original run would have.
-  std::vector<char> resume_retired;
-  /// When set, every commit is appended as a journal record and the
-  /// journal is flushed each time the frontier advances (not owned).
-  JournalWriter* journal = nullptr;
-};
+class Checkpoint;
 
 /// Runs the deterministic phase of RunAtpg over `remaining` (indices
 /// into result.faults that the random phase left undetected), updating
 /// result.status / tests / evaluations / threads_used / preempted in
-/// place.  `deadline` is the run's wall-clock deadline.  `control`
-/// adds checkpoint behaviour; a null control is the plain phase.
+/// place.  `deadline` is the run's wall-clock deadline.  A non-null
+/// `checkpoint` (not owned) resumes the phase at its replayed commit
+/// frontier and retirement map, records every commit and is flushed
+/// once per drain batch.
 void RunDeterministicPhase(const netlist::Circuit& circuit,
                            const AtpgOptions& options,
                            const std::vector<std::size_t>& remaining,
                            std::chrono::steady_clock::time_point deadline,
                            AtpgResult& result,
-                           const DetPhaseControl* control = nullptr);
+                           Checkpoint* checkpoint);
 
 }  // namespace retest::atpg

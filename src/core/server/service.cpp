@@ -15,6 +15,7 @@
 #include "atpg/engine.h"
 #include "core/chaos.h"
 #include "core/crc32.h"
+#include "core/durable.h"
 #include "core/flow.h"
 #include "core/json.h"
 #include "core/metrics.h"
@@ -36,25 +37,11 @@ double MsBetween(Clock::time_point from, Clock::time_point to) {
   return std::chrono::duration<double, std::milli>(to - from).count();
 }
 
-/// Syncs the directory containing `path` so a just-completed rename
-/// inside it survives a power cut.  Best-effort (some filesystems
-/// refuse directory fsync).
-void FsyncParentDir(const std::string& path) {
-  const std::size_t slash = path.find_last_of('/');
-  std::string dir =
-      slash == std::string::npos ? std::string(".") : path.substr(0, slash);
-  if (dir.empty()) dir.assign(1, '/');  // Not `= "/"`: GCC 12 -Wrestrict.
-  const int fd = ::open(dir.c_str(), O_RDONLY);
-  if (fd >= 0) {
-    ::fsync(fd);
-    ::close(fd);
-  }
-}
-
-/// tmp+rename write, mirroring the journal writer's durability idiom:
-/// write -> fsync(file) -> rename -> fsync(directory), so a crash (or
-/// power cut) at any point leaves either the old file or the complete
-/// new one — never a half-written spool entry.
+/// tmp+rename write through core::PublishDurably, the checkpoint
+/// journal's durability sequence: write -> fsync(file) -> rename ->
+/// fsync(directory), so a crash (or power cut) at any point leaves
+/// either the old file or the complete new one — never a half-written
+/// spool entry.
 ///
 /// Chaos sites: serve.spool.write_error fails the write outright (the
 /// caller's error path must cope); serve.spool.torn_write renames a
@@ -84,18 +71,24 @@ bool WriteFileAtomic(const std::string& path, const std::string& content) {
     }
     written += static_cast<std::size_t>(n);
   }
-  if (ok && ::fsync(fd) != 0) ok = false;
+  ok = ok && PublishDurably(fd, tmp, path);
   if (::close(fd) != 0) ok = false;
   if (!ok) return false;
-  std::error_code ec;
-  fs::rename(tmp, path, ec);
-  if (ec) return false;
-  FsyncParentDir(path);
   RETEST_COUNTER_ADD("serve.spool.fsync", "syncs", "serve",
                      "spool file + parent-directory fsync pairs per "
                      "atomic write",
                      1);
   return true;
+}
+
+/// The head every result frame starts with, up to its "status" field:
+/// `{"type": "result", "id": <id>, "name": "<name>", "kind": "<kind>", `.
+std::string ResultHead(std::uint64_t id, const JobSpec& spec) {
+  std::ostringstream head;
+  head << "{\"type\": \"result\", \"id\": " << id << ", \"name\": \""
+       << JsonEscape(spec.name) << "\", \"kind\": \"" << ToString(spec.kind)
+       << "\", ";
+  return head.str();
 }
 
 std::optional<std::string> ReadFile(const std::string& path) {
@@ -416,13 +409,11 @@ void Service::RunJob(JobRec& rec) {
                          "before a worker picked them up",
                          1);
     }
-    std::ostringstream out;
-    out << "{\"type\": \"result\", \"id\": " << rec.id << ", \"name\": \""
-        << JsonEscape(rec.spec.name) << "\", \"kind\": \""
-        << ToString(rec.spec.kind) << "\", \"status\": \"cancelled\"";
-    if (shed) out << ", \"reason\": \"deadline_expired\"";
-    out << "}";
-    FinishJob(rec, JobState::kCancelled, out.str(), false);
+    std::string out =
+        ResultHead(rec.id, rec.spec) + "\"status\": \"cancelled\"";
+    if (shed) out += ", \"reason\": \"deadline_expired\"";
+    out += "}";
+    FinishJob(rec, JobState::kCancelled, std::move(out), false);
     return;
   }
 
@@ -446,17 +437,15 @@ void Service::RunJob(JobRec& rec) {
   // counts are deliberately not reported — the journal left in the
   // spool is the resumable state of record.
   const auto finish_cancelled = [&](bool was_resumed) {
-    std::ostringstream cancelled;
-    cancelled << "{\"type\": \"result\", \"id\": " << rec.id
-              << ", \"name\": \"" << JsonEscape(rec.spec.name)
-              << "\", \"kind\": \"" << ToString(rec.spec.kind)
-              << "\", \"status\": \"cancelled\", \"preempted\": true, "
-              << "\"resumed\": " << (was_resumed ? "true" : "false") << "}";
+    const std::string cancelled =
+        ResultHead(rec.id, rec.spec) +
+        "\"status\": \"cancelled\", \"preempted\": true, \"resumed\": " +
+        (was_resumed ? "true" : "false") + "}";
     RETEST_COUNTER_ADD("serve.jobs.cancel_preempted", "jobs", "serve",
                        "running jobs preempted by CANCEL (journal kept "
                        "for bit-identical resubmit)",
                        1);
-    FinishJob(rec, JobState::kCancelled, cancelled.str(), was_resumed);
+    FinishJob(rec, JobState::kCancelled, cancelled, was_resumed);
   };
   const auto cancel_requested = [&] {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -465,9 +454,7 @@ void Service::RunJob(JobRec& rec) {
 
   const Clock::time_point run_start = Clock::now();
   std::ostringstream out;
-  out << "{\"type\": \"result\", \"id\": " << rec.id << ", \"name\": \""
-      << JsonEscape(rec.spec.name) << "\", \"kind\": \""
-      << ToString(rec.spec.kind) << "\", ";
+  out << ResultHead(rec.id, rec.spec);
   bool resumed = false;
   int threads_used = 0;
   try {
@@ -543,12 +530,11 @@ void Service::RunJob(JobRec& rec) {
       }
     }
   } catch (const std::exception& e) {
-    std::ostringstream failed;
-    failed << "{\"type\": \"result\", \"id\": " << rec.id << ", \"name\": \""
-           << JsonEscape(rec.spec.name) << "\", \"kind\": \""
-           << ToString(rec.spec.kind) << "\", \"status\": \"failed\", "
-           << "\"error\": \"" << JsonEscape(e.what()) << "\"}";
-    FinishJob(rec, JobState::kFailed, failed.str(), false);
+    FinishJob(rec, JobState::kFailed,
+              ResultHead(rec.id, rec.spec) +
+                  "\"status\": \"failed\", \"error\": \"" +
+                  JsonEscape(e.what()) + "\"}",
+              false);
     return;
   }
   RETEST_DIST_RECORD("serve.job_ms", "ms", "serve",

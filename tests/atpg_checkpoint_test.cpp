@@ -5,17 +5,21 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "atpg/engine.h"
 #include "atpg/journal.h"
+#include "core/crc32.h"
 #include "core/status.h"
 #include "fsm/benchmarks.h"
 #include "synth/synthesize.h"
+#include "tests/journal_text.h"
 #include "tests/random_circuits.h"
 
 namespace retest::atpg {
@@ -86,101 +90,139 @@ AtpgOptions BaseOptions() {
   return options;
 }
 
+/// `body` signed with its CRC, exactly as the writer signs a record.
+std::string SignedRecord(const std::string& body) {
+  char crc[10];
+  std::snprintf(crc, sizeof crc, "|%08x", core::Crc32(body));
+  return body + crc;
+}
+
+// Every record kind, written through the recording API and replayed by
+// a second Open: the bytes on disk, the replayed statuses, tests,
+// evaluations, queue and retirement map, the kUntried commit ending the
+// prefix, and the accepted prefix copied as it was.
 TEST(Journal, WriterLoaderRoundTrip) {
   const std::string path = TempPath("roundtrip.journal");
+  const Circuit circuit = MidSizeCircuit();  // 6 inputs
+  const AtpgOptions options = BaseOptions();
+  constexpr std::size_t kFaults = 7;
+  const sim::InputSequence random_test = {
+      {V3::k0, V3::k1, V3::kX, V3::k0, V3::k1, V3::k1},
+      {V3::kX, V3::k0, V3::k0, V3::k0, V3::k0, V3::k1}};
+  const sim::InputSequence detected_test = {
+      {V3::k1, V3::k1, V3::k1, V3::k1, V3::k1, V3::k1}};
   core::DiagnosticList diags;
-  auto writer = JournalWriter::Open(path, diags);
-  ASSERT_NE(writer, nullptr);
-  writer->WriteHeader(0xdeadbeef, 42, 7, "my circuit");
-  JournalRandomTest random;
-  random.detected = {1, 4};
-  random.test = {{V3::k0, V3::k1}, {V3::kX, V3::k0}};
-  writer->WriteRandomTest(random);
-  writer->WriteRandomDone(3, 1, false, 5, 1234);
-  JournalCommit detected;
-  detected.pos = 0;
-  detected.status = 'D';
-  detected.evaluations = 99;
-  detected.cross_retired = {2, 3};
-  detected.test = {{V3::k1, V3::k1}};
-  writer->WriteCommit(detected);
-  JournalCommit untried;
-  untried.pos = 1;
-  untried.status = 'U';
-  writer->WriteCommit(untried);
-  writer->WriteEnd(3, 1, 0, 1);
-  ASSERT_TRUE(writer->Activate(diags));
-  writer->Flush();
-  ASSERT_TRUE(diags.ok()) << diags.ToString();
+  {
+    auto checkpoint = Checkpoint::Open(path, circuit, options, kFaults, diags);
+    AtpgResult nothing;
+    std::vector<std::size_t> remaining;
+    EXPECT_FALSE(checkpoint->Restore(nothing, remaining));
+    checkpoint->RecordRandomTest({1, 4}, random_test);
+    checkpoint->RecordRandomDone(3, 1, false, 5, 1234);
+    checkpoint->RecordCommit(0, FaultStatus::kDetected, 99, {2, 3},
+                             detected_test);
+    checkpoint->RecordCommit(1, FaultStatus::kUntried, 0, {}, {});
+    AtpgResult tallies;
+    tallies.status = {FaultStatus::kDetected, FaultStatus::kDetected,
+                      FaultStatus::kDetected, FaultStatus::kRedundant,
+                      FaultStatus::kUntried};
+    checkpoint->RecordEnd(tallies);
+  }
+  ASSERT_TRUE(diags.empty()) << diags.ToString();
 
-  const auto loaded = LoadJournal(path, diags);
-  ASSERT_TRUE(loaded.has_value()) << diags.ToString();
-  EXPECT_TRUE(diags.empty());
-  EXPECT_EQ(loaded->fingerprint, 0xdeadbeefu);
-  EXPECT_EQ(loaded->seed, 42u);
-  EXPECT_EQ(loaded->num_faults, 7u);
-  EXPECT_EQ(loaded->circuit_name, "my circuit");
-  ASSERT_EQ(loaded->random_tests.size(), 1u);
-  EXPECT_EQ(loaded->random_tests[0].detected, random.detected);
-  EXPECT_EQ(loaded->random_tests[0].test, random.test);
-  EXPECT_TRUE(loaded->random_done);
-  EXPECT_EQ(loaded->random_rounds, 3);
-  EXPECT_EQ(loaded->random_useless, 1);
-  EXPECT_FALSE(loaded->random_stopped);
-  EXPECT_EQ(loaded->remaining_count, 5u);
-  EXPECT_EQ(loaded->random_evaluations, 1234);
-  ASSERT_EQ(loaded->commits.size(), 2u);
-  EXPECT_EQ(loaded->commits[0].status, 'D');
-  EXPECT_EQ(loaded->commits[0].evaluations, 99);
-  EXPECT_EQ(loaded->commits[0].cross_retired, detected.cross_retired);
-  EXPECT_EQ(loaded->commits[0].test, detected.test);
-  EXPECT_EQ(loaded->commits[1].status, 'U');
-  EXPECT_TRUE(loaded->complete);
+  char fingerprint[9];
+  std::snprintf(fingerprint, sizeof fingerprint, "%08x",
+                JournalFingerprint(circuit, options, kFaults));
+  const std::vector<std::string> bodies = {
+      std::string("J1 ") + fingerprint + " 9 7 " + circuit.name(),
+      "T 2 1 4 01x011,x00001",
+      "R 3 1 0 5 1234",
+      "C 0 D 99 2 2 3 111111",
+      "C 1 U 0 0",
+      "E 3 1 0 1"};
+  const std::vector<std::string> lines = ReadLines(path);
+  ASSERT_EQ(lines.size(), bodies.size());
+  for (std::size_t i = 0; i < bodies.size(); ++i) {
+    EXPECT_EQ(lines[i], SignedRecord(bodies[i]));
+  }
+
+  auto reopened = Checkpoint::Open(path, circuit, options, kFaults, diags);
+  EXPECT_TRUE(diags.empty()) << diags.ToString();
+  AtpgResult result;
+  std::vector<std::size_t> remaining;
+  ASSERT_TRUE(reopened->Restore(result, remaining));
+  EXPECT_TRUE(result.resumed);
+  EXPECT_EQ(remaining, (std::vector<std::size_t>{0, 2, 3, 5, 6}));
+  const FaultStatus D = FaultStatus::kDetected;
+  const FaultStatus U = FaultStatus::kUntried;
+  EXPECT_EQ(result.status, (std::vector<FaultStatus>{D, D, U, D, D, D, U}));
+  EXPECT_EQ(result.tests,
+            (std::vector<sim::InputSequence>{random_test, detected_test}));
+  EXPECT_EQ(result.evaluations, 1234 + 99);
+  EXPECT_EQ(reopened->frontier(), 1u);  // the kUntried commit ends it
+  EXPECT_FALSE(reopened->retired(1));
+  EXPECT_TRUE(reopened->retired(2));
+  EXPECT_TRUE(reopened->retired(3));
+  EXPECT_FALSE(reopened->retired(4));
+  reopened.reset();
+  EXPECT_EQ(ReadLines(path),
+            (std::vector<std::string>(lines.begin(), lines.begin() + 4)));
 }
 
 TEST(Journal, MissingFileIsACleanFirstRun) {
   core::DiagnosticList diags;
-  EXPECT_FALSE(LoadJournal(TempPath("absent.journal"), diags).has_value());
+  auto checkpoint = Checkpoint::Open(TempPath("absent.journal"),
+                                     MidSizeCircuit(), BaseOptions(), 3,
+                                     diags);
+  AtpgResult result;
+  std::vector<std::size_t> remaining;
+  EXPECT_FALSE(checkpoint->Restore(result, remaining));
+  EXPECT_EQ(checkpoint->frontier(), 0u);
   EXPECT_TRUE(diags.empty());
+}
+
+/// A journal of a header and a random-done record for 3 faults, with
+/// nothing detected.
+void WriteRandomDoneJournal(const std::string& path) {
+  core::DiagnosticList diags;
+  auto checkpoint =
+      Checkpoint::Open(path, MidSizeCircuit(), BaseOptions(), 3, diags);
+  checkpoint->RecordRandomDone(0, 0, false, 3, 0);
+  ASSERT_TRUE(diags.empty()) << diags.ToString();
 }
 
 TEST(Journal, TornFinalLineIsDroppedWithANote) {
   const std::string path = TempPath("torn.journal");
-  core::DiagnosticList diags;
-  auto writer = JournalWriter::Open(path, diags);
-  ASSERT_NE(writer, nullptr);
-  writer->WriteHeader(1, 2, 3, "c");
-  writer->WriteRandomDone(0, 0, false, 3, 0);
-  ASSERT_TRUE(writer->Activate(diags));
-  writer->Flush();
-  writer.reset();
+  WriteRandomDoneJournal(path);
   auto lines = ReadLines(path);
   WriteLines(path, lines, "C 0 D 17");  // half a commit, no CRC/newline
 
-  const auto loaded = LoadJournal(path, diags);
-  ASSERT_TRUE(loaded.has_value()) << diags.ToString();
-  EXPECT_TRUE(loaded->random_done);
-  EXPECT_TRUE(loaded->commits.empty());
+  core::DiagnosticList diags;
+  auto checkpoint =
+      Checkpoint::Open(path, MidSizeCircuit(), BaseOptions(), 3, diags);
+  AtpgResult result;
+  std::vector<std::size_t> remaining;
+  ASSERT_TRUE(checkpoint->Restore(result, remaining)) << diags.ToString();
+  EXPECT_EQ(remaining.size(), 3u);
+  EXPECT_EQ(checkpoint->frontier(), 0u);  // no commit survived
   EXPECT_TRUE(diags.ok());  // a note, not an error
   EXPECT_TRUE(diags.Contains(StatusCode::kCorruptData));
 }
 
 TEST(Journal, CorruptCompleteLineIsRejected) {
   const std::string path = TempPath("corrupt.journal");
-  core::DiagnosticList diags;
-  auto writer = JournalWriter::Open(path, diags);
-  ASSERT_NE(writer, nullptr);
-  writer->WriteHeader(1, 2, 3, "c");
-  writer->WriteRandomDone(0, 0, false, 3, 0);
-  ASSERT_TRUE(writer->Activate(diags));
-  writer->Flush();
-  writer.reset();
+  WriteRandomDoneJournal(path);
   auto lines = ReadLines(path);
   ASSERT_GE(lines.size(), 2u);
   lines[1][2] ^= 1;  // flip a bit inside the CRC-protected body
   WriteLines(path, lines);
 
-  EXPECT_FALSE(LoadJournal(path, diags).has_value());
+  core::DiagnosticList diags;
+  auto checkpoint =
+      Checkpoint::Open(path, MidSizeCircuit(), BaseOptions(), 3, diags);
+  AtpgResult result;
+  std::vector<std::size_t> remaining;
+  EXPECT_FALSE(checkpoint->Restore(result, remaining));
   EXPECT_FALSE(diags.ok());
   EXPECT_TRUE(diags.Contains(StatusCode::kCorruptData));
 }
@@ -213,9 +255,8 @@ TEST(Checkpoint, JournalingDoesNotChangeResults) {
   EXPECT_FALSE(journaled.resumed);
   ExpectIdenticalResults(reference, journaled);
 
-  core::DiagnosticList diags;
-  const auto journal = LoadJournal(options.checkpoint_path, diags);
-  ASSERT_TRUE(journal.has_value()) << diags.ToString();
+  const auto journal = testing::ReadJournalText(options.checkpoint_path);
+  ASSERT_TRUE(journal.has_value());
   EXPECT_TRUE(journal->complete);
   EXPECT_EQ(journal->num_faults, reference.faults.size());
 }
@@ -263,9 +304,8 @@ TEST(Checkpoint, ResumeAfterSimulatedKillIsBitIdentical) {
     EXPECT_TRUE(resumed.resumed) << "threads=" << threads;
     ExpectIdenticalResults(reference, resumed);
     // The resume rewrote the journal; it must now be complete again.
-    core::DiagnosticList diags;
-    const auto journal = LoadJournal(options.checkpoint_path, diags);
-    ASSERT_TRUE(journal.has_value()) << diags.ToString();
+    const auto journal = testing::ReadJournalText(options.checkpoint_path);
+    ASSERT_TRUE(journal.has_value());
     EXPECT_TRUE(journal->complete);
   }
 }
@@ -322,9 +362,8 @@ TEST(Checkpoint, CorruptJournalIsReportedAndRewritten) {
   no_checkpoint.checkpoint_path.clear();
   ExpectIdenticalResults(RunAtpg(circuit, no_checkpoint), fresh);
 
-  core::DiagnosticList diags;
-  const auto rewritten = LoadJournal(options.checkpoint_path, diags);
-  ASSERT_TRUE(rewritten.has_value()) << diags.ToString();
+  const auto rewritten = testing::ReadJournalText(options.checkpoint_path);
+  ASSERT_TRUE(rewritten.has_value());
   EXPECT_TRUE(rewritten->complete);
 }
 
@@ -379,6 +418,175 @@ TEST(Checkpoint, PreemptedJustificationRunResumesToTheUninterruptedResult) {
     SCOPED_TRACE("budget_ms " + std::to_string(budget_ms));
     ExpectIdenticalResults(reference, RunAtpg(circuit, resume));
   }
+}
+
+// ---- Replay validation: CRC-valid journals whose contents are wrong.
+// A record edited and re-signed with a correct CRC passes every
+// syntax check; only the replay's semantic checks can catch it.  Each
+// edit must either degrade to a fresh run with a corrupt_data note or
+// end the replayed prefix, and either way the run lands on the
+// uninterrupted result.
+
+/// The whitespace-separated fields of a record line's CRC-guarded body.
+std::vector<std::string> RecordFields(const std::string& line) {
+  std::istringstream in(line.substr(0, line.rfind('|')));
+  std::vector<std::string> fields;
+  for (std::string field; in >> field;) fields.push_back(field);
+  return fields;
+}
+
+std::string JoinFields(const std::vector<std::string>& fields) {
+  std::string body;
+  for (const std::string& field : fields) {
+    if (!body.empty()) body += ' ';
+    body += field;
+  }
+  return body;
+}
+
+enum class Outcome { kFresh, kResumed };
+
+/// Writes a complete journal with `options`, re-signs the first record
+/// for which `edit` returns true (it rewrites the record's fields),
+/// resumes from it and checks the result against an uninterrupted run.
+void ExpectEditedJournalReplaysSafely(
+    AtpgOptions options, const std::string& name, Outcome outcome,
+    const std::function<bool(std::vector<std::string>&)>& edit) {
+  const Circuit circuit = MidSizeCircuit();
+  const AtpgResult reference = RunAtpg(circuit, options);
+  options.checkpoint_path = TempPath(name);
+  (void)RunAtpg(circuit, options);
+  auto lines = ReadLines(options.checkpoint_path);
+  bool edited = false;
+  for (std::string& line : lines) {
+    std::vector<std::string> fields = RecordFields(line);
+    if (edit(fields)) {
+      line = SignedRecord(JoinFields(fields));
+      edited = true;
+      break;
+    }
+  }
+  ASSERT_TRUE(edited) << "no record to edit in " << name;
+  WriteLines(options.checkpoint_path, lines);
+
+  const AtpgResult resumed = RunAtpg(circuit, options);
+  if (outcome == Outcome::kFresh) {
+    EXPECT_FALSE(resumed.resumed);
+    EXPECT_TRUE(resumed.diagnostics.Contains(StatusCode::kCorruptData))
+        << resumed.diagnostics.ToString();
+  } else {
+    EXPECT_TRUE(resumed.resumed);
+  }
+  ExpectIdenticalResults(reference, resumed);
+}
+
+/// Options whose journal holds deterministic commits right after the
+/// header: D commits with cross-retired positions, then S commits.
+AtpgOptions NoRandomPhaseOptions() {
+  AtpgOptions options = BaseOptions();
+  options.random_rounds = 0;
+  return options;
+}
+
+/// Adds `index` to a random-test record's faults (T <n> <idx x n>
+/// <sequence>).  Every fault the record already lists stays detected,
+/// so the random-done record's remaining count still agrees and only
+/// the check on the added index can reject the journal.
+void AddDetectedIndex(std::vector<std::string>& fields,
+                      const std::string& index) {
+  fields[1] = std::to_string(std::stoul(fields[1]) + 1);
+  fields.insert(fields.end() - 1, index);
+}
+
+TEST(Checkpoint, RandomTestWithAnOutOfRangeFaultIndexStartsFresh) {
+  const std::size_t num_faults = RunAtpg(MidSizeCircuit()).faults.size();
+  ExpectEditedJournalReplaysSafely(
+      BaseOptions(), "random_out_of_range.journal", Outcome::kFresh,
+      [&](std::vector<std::string>& fields) {
+        if (fields[0] != "T") return false;
+        AddDetectedIndex(fields, std::to_string(num_faults));
+        return true;
+      });
+}
+
+TEST(Checkpoint, RandomTestWithARepeatedFaultIndexStartsFresh) {
+  ExpectEditedJournalReplaysSafely(
+      BaseOptions(), "random_repeated.journal", Outcome::kFresh,
+      [](std::vector<std::string>& fields) {
+        if (fields[0] != "T") return false;
+        AddDetectedIndex(fields, fields[2]);
+        return true;
+      });
+}
+
+TEST(Checkpoint, RandomTestOfTheWrongWidthStartsFresh) {
+  ExpectEditedJournalReplaysSafely(
+      BaseOptions(), "random_width.journal", Outcome::kFresh,
+      [](std::vector<std::string>& fields) {
+        if (fields[0] != "T") return false;
+        fields.back().insert(0, 1, '0');
+        return true;
+      });
+}
+
+TEST(Checkpoint, RemainingCountDisagreeingWithTheRandomTestsStartsFresh) {
+  ExpectEditedJournalReplaysSafely(
+      BaseOptions(), "remaining_count.journal", Outcome::kFresh,
+      [](std::vector<std::string>& fields) {
+        if (fields[0] != "R") return false;
+        fields[4] = std::to_string(std::stoul(fields[4]) + 1);
+        return true;
+      });
+}
+
+TEST(Checkpoint, CrossRetiredPositionAtItsCommitEndsThePrefix) {
+  ExpectEditedJournalReplaysSafely(
+      NoRandomPhaseOptions(), "cross_at_commit.journal", Outcome::kResumed,
+      [](std::vector<std::string>& fields) {
+        // C <pos> D <evals> <ncross> <pos x ncross> <sequence>
+        if (fields[0] != "C" || fields[1] == "0" || fields[2] != "D" ||
+            fields[4] == "0") {
+          return false;
+        }
+        fields[5] = fields[1];
+        return true;
+      });
+}
+
+TEST(Checkpoint, DetectedCommitOfTheWrongWidthEndsThePrefix) {
+  ExpectEditedJournalReplaysSafely(
+      NoRandomPhaseOptions(), "commit_width.journal", Outcome::kResumed,
+      [](std::vector<std::string>& fields) {
+        if (fields[0] != "C" || fields[1] == "0" || fields[2] != "D") {
+          return false;
+        }
+        fields.back().insert(0, 1, '0');
+        return true;
+      });
+}
+
+TEST(Checkpoint, SkipCommitAtAPositionNobodyRetiredEndsThePrefix) {
+  ExpectEditedJournalReplaysSafely(
+      NoRandomPhaseOptions(), "skip_unretired.journal", Outcome::kResumed,
+      [](std::vector<std::string>& fields) {
+        // Commit 0 is never retired: no earlier commit exists.
+        if (fields[0] != "C" || fields[1] != "0") return false;
+        fields = {"C", "0", "S", "0", "0"};
+        return true;
+      });
+}
+
+// An earlier commit's test retired this position, so the original run
+// discarded its search (S).  A non-S commit there would overwrite the
+// cross-retired kDetected: the prefix must end before it.
+TEST(Checkpoint, NonSkipCommitAtARetiredPositionEndsThePrefix) {
+  ExpectEditedJournalReplaysSafely(
+      NoRandomPhaseOptions(), "retired_aborted.journal", Outcome::kResumed,
+      [](std::vector<std::string>& fields) {
+        if (fields[0] != "C" || fields[2] != "S") return false;
+        fields[2] = "A";
+        return true;
+      });
 }
 
 // The wall-clock budget is the run's one deadline: at 1 ms it stops

@@ -18,12 +18,12 @@
 #include <vector>
 
 #include "atpg/engine.h"
-#include "atpg/journal.h"
 #include "core/chaos.h"
 #include "core/server/framing.h"
 #include "core/status.h"
 #include "fsm/benchmarks.h"
 #include "synth/synthesize.h"
+#include "tests/journal_text.h"
 #include "tests/random_circuits.h"
 
 namespace retest::core {
@@ -329,9 +329,9 @@ TEST_F(ChaosTest, CancelDuringTheDrainCommitsResumableUntried) {
   canceller.join();
   EXPECT_TRUE(preempted.preempted);
 
-  DiagnosticList diags;
-  const auto journal = atpg::LoadJournal(cancelled.checkpoint_path, diags);
-  ASSERT_TRUE(journal.has_value()) << diags.ToString();
+  const auto journal =
+      retest::testing::ReadJournalText(cancelled.checkpoint_path);
+  ASSERT_TRUE(journal.has_value());
   EXPECT_TRUE(journal->complete);
   ASSERT_EQ(journal->commits.size(), journal->remaining_count);
   for (std::size_t pos = 0; pos < journal->commits.size(); ++pos) {
