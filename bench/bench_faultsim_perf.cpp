@@ -169,7 +169,7 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
   }
-  const int default_threads = core::ThreadPool::DefaultThreadCount();
+  const int default_threads = core::ResolveThreadCount(0);
   const auto& variants = bench::Table2Variants();
   const size_t num_variants =
       smoke ? 1 : (bench::FullMode() ? variants.size() : 4);

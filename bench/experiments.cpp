@@ -124,8 +124,7 @@ std::size_t RunPairs(const std::function<void(std::size_t)>& measure,
                      std::string& error) {
   const std::vector<Variant>& variants = Table2Variants();
   std::vector<std::string> failures(variants.size());
-  core::ThreadPool pool;
-  pool.ParallelFor(variants.size(), [&](int, std::size_t i) {
+  core::ParallelFor(0, variants.size(), [&](int, std::size_t i) {
     try {
       measure(i);
     } catch (const std::exception& e) {

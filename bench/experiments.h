@@ -72,7 +72,7 @@ struct PairSweep {
 };
 
 /// Runs `measure(i)` for every Table II variant index as the items of
-/// one core::ThreadPool::ParallelFor, each item catching its own
+/// one core::ParallelFor, each item catching its own
 /// exception.  Returns how many leading variants succeeded and sets
 /// `error` from the first one that threw.
 std::size_t RunPairs(const std::function<void(std::size_t)>& measure,

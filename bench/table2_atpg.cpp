@@ -21,8 +21,8 @@
 // pins it).
 //
 // Scheduling: bench::SweepPairs runs the sixteen pairs as independent
-// items of a core::ThreadPool::ParallelFor -- one pool thread per
-// hardware thread (REPRO_THREADS overrides), one ATPG thread per pair,
+// items of one core::ParallelFor -- one loop thread per hardware
+// thread (REPRO_THREADS overrides), one ATPG thread per pair,
 // so a multi-core host overlaps whole circuit pairs without
 // oversubscription.  Rows are printed in paper order once every pair
 // finished.
@@ -32,7 +32,6 @@
 #include <vector>
 
 #include "analyze/certify.h"
-#include "analyze/scoap.h"
 #include "experiments.h"
 
 namespace {
@@ -45,10 +44,8 @@ struct Row {
   double retimed_fc = 0, retimed_fe = 0;
   long original_cpu_ms = 0, retimed_cpu_ms = 0;
   double ratio = 0;
-  // Static analysis companions (src/analyze): SCOAP testability of both
-  // circuits, and the independent retiming certificate's verdict.
-  retest::analyze::ScoapSummary original_scoap;
-  retest::analyze::ScoapSummary retimed_scoap;
+  // Static analysis companion (src/analyze): the independent retiming
+  // certificate's verdict.
   bool certified = false;
   int certified_prefix = 0;
 };
@@ -72,10 +69,6 @@ bool EmitJson(const std::vector<Row>& rows, double geomean_ratio,
           r.name.c_str(), r.original_dffs, r.original_fc, r.original_fe,
           r.original_cpu_ms, r.retimed_dffs, r.retimed_fc, r.retimed_fe,
           r.retimed_cpu_ms, r.ratio);
-      std::fprintf(f, "     \"scoap\": {\"original\": %s,\n",
-                   r.original_scoap.ToJson(5).c_str());
-      std::fprintf(f, "     \"retimed\": %s},\n",
-                   r.retimed_scoap.ToJson(5).c_str());
       std::fprintf(f,
                    "     \"certified\": %s, \"certified_prefix\": %d}%s\n",
                    r.certified ? "true" : "false", r.certified_prefix,
@@ -124,14 +117,9 @@ Row MeasurePair(const retest::bench::Variant& variant, long original_budget,
                   ? static_cast<double>(retimed_result.elapsed_ms) /
                         static_cast<double>(original_result.elapsed_ms)
                   : 0.0;
-  // Static companions: SCOAP predicts the ATPG blow-up before any test
-  // generation runs, and the certifier independently re-establishes
-  // that the retimed circuit really is a retiming (with the Theorem-4
-  // prefix bound cross-checked against the move accounting).
-  row.original_scoap =
-      analyze::Summarize(analyze::ComputeScoap(prepared.original));
-  row.retimed_scoap =
-      analyze::Summarize(analyze::ComputeScoap(prepared.retimed));
+  // Static companion: the certifier independently re-establishes that
+  // the retimed circuit really is a retiming (with the Theorem-4 prefix
+  // bound cross-checked against the move accounting).
   const auto cert =
       analyze::CertifyRetiming(prepared.original, prepared.retimed);
   row.certified = cert.certified;
@@ -156,10 +144,9 @@ void PrintRow(const Row& row) {
               row.name.c_str(), row.original_dffs, row.original_fc,
               row.original_fe, row.original_cpu_ms, row.retimed_dffs,
               row.retimed_fc, row.retimed_fe, row.retimed_cpu_ms, row.ratio);
-  std::printf(
-      "  static: scoap seq-cost %.0f -> %.0f, %s (prefix %d)\n",
-      row.original_scoap.sequential_cost, row.retimed_scoap.sequential_cost,
-      row.certified ? "certified" : "NOT certified", row.certified_prefix);
+  std::printf("  static: %s (prefix %d)\n",
+              row.certified ? "certified" : "NOT certified",
+              row.certified_prefix);
   std::fflush(stdout);
 }
 

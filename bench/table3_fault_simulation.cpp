@@ -21,7 +21,7 @@
 // for the test-set generation step.
 //
 // Scheduling: like table2_atpg, bench::SweepPairs runs the sixteen
-// pairs as items of one core::ThreadPool::ParallelFor, one ATPG and
+// pairs as items of one core::ParallelFor, one ATPG and
 // PROOFS thread per pair; the table prints in paper order at
 // collection time.
 #include <cstdio>

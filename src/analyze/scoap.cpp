@@ -276,27 +276,26 @@ ScoapSummary Summarize(const ScoapResult& result) {
   return summary;
 }
 
-std::string ScoapSummary::ToJson(int indent) const {
-  const std::string pad(static_cast<size_t>(indent), ' ');
+std::string ScoapSummary::ToJson() const {
   char buf[512];
   std::string out = "{\n";
   std::snprintf(buf, sizeof(buf),
-                "%s  \"nets\": %d, \"uncontrollable\": %d, "
+                "  \"nets\": %d, \"uncontrollable\": %d, "
                 "\"unobservable\": %d,\n",
-                pad.c_str(), num_nets, uncontrollable_nets, unobservable_nets);
+                num_nets, uncontrollable_nets, unobservable_nets);
   out += buf;
   std::snprintf(buf, sizeof(buf),
-                "%s  \"cc\": {\"mean\": %.2f, \"max\": %.0f}, "
+                "  \"cc\": {\"mean\": %.2f, \"max\": %.0f}, "
                 "\"co\": {\"mean\": %.2f, \"max\": %.0f},\n",
-                pad.c_str(), mean_cc, max_cc, mean_co, max_co);
+                mean_cc, max_cc, mean_co, max_co);
   out += buf;
   std::snprintf(buf, sizeof(buf),
-                "%s  \"sc\": {\"mean\": %.2f, \"max\": %.0f}, "
+                "  \"sc\": {\"mean\": %.2f, \"max\": %.0f}, "
                 "\"so\": {\"mean\": %.2f, \"max\": %.0f},\n",
-                pad.c_str(), mean_sc, max_sc, mean_so, max_so);
+                mean_sc, max_sc, mean_so, max_so);
   out += buf;
-  std::snprintf(buf, sizeof(buf), "%s  \"sequential_cost\": %.0f\n%s}",
-                pad.c_str(), sequential_cost, pad.c_str());
+  std::snprintf(buf, sizeof(buf), "  \"sequential_cost\": %.0f\n}",
+                sequential_cost);
   out += buf;
   return out;
 }

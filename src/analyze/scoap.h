@@ -5,11 +5,10 @@
 // to force a net to 0/1; observability CO counts the assignments
 // needed to propagate the net to a primary output.  The sequential
 // counterparts SC0/SC1/SO count *time frames* instead: every DFF
-// crossed adds one frame.  High values predict ATPG effort, which is
-// exactly the paper's Table II claim: min-period retiming smears
-// registers into the logic, deepening the sequential measures before
-// any test generation runs (see docs/ANALYSIS.md for the transfer
-// rules and the fixed-point treatment of register feedback loops).
+// crossed adds one frame.  They are estimates only: across the Table II
+// pairs the sequential-cost ratio does not rank with the measured ATPG
+// time ratio (see docs/ANALYSIS.md, which also gives the transfer rules
+// and the fixed-point treatment of register feedback loops).
 #pragma once
 
 #include <cstdint>
@@ -47,10 +46,10 @@ struct ScoapResult {
   }
 };
 
-/// Circuit-level summary: the aggregates the benches embed in JSON and
-/// the analyzer prints.  Means/maxima are taken over nets with finite
-/// values; infinite nets are counted separately (they are exactly the
-/// structurally untestable lines the lint passes flag).
+/// Circuit-level summary: the aggregates `repro_lint --scoap` prints.
+/// Means/maxima are taken over nets with finite values; infinite nets
+/// are counted separately (they are exactly the structurally untestable
+/// lines the lint passes flag).
 struct ScoapSummary {
   int num_nets = 0;
   int uncontrollable_nets = 0;  ///< cc0 or cc1 (hence sc) infinite.
@@ -60,13 +59,11 @@ struct ScoapSummary {
   double mean_sc = 0, max_sc = 0;  ///< Over finite max(sc0, sc1).
   double mean_so = 0, max_so = 0;
   /// Total sequential testability cost: sum of sc0 + sc1 + so over
-  /// finite nets.  This is the scalar Table II's static comparison
-  /// uses: retiming that inflates registers inflates this sum.
+  /// finite nets.
   double sequential_cost = 0;
 
-  /// Renders the summary as a JSON object, every line after the first
-  /// prefixed with `indent` spaces (bench embedding).
-  std::string ToJson(int indent = 0) const;
+  /// Renders the summary as a JSON object.
+  std::string ToJson() const;
 };
 
 /// Computes all six measures for every net by forward (controllability)

@@ -9,7 +9,7 @@
 // budget, backtrack limits, frame caps) is explicit in AtpgOptions.
 //
 // The deterministic phase is fault-parallel: remaining faults are
-// dispatched across a core::ThreadPool, the workers share one compiled
+// the items of one core::ParallelFor, the workers share one compiled
 // image of the circuit, each worker reuses one set of unrolled models
 // (SetFault/GrowFrames instead of reconstruction), and
 // every found test is fault-simulated against the still-pending
@@ -24,7 +24,7 @@
 // the deterministic driver compare against the deadline; every search
 // polls the driver's stop and the cancel flag at each decision.  Either
 // way the run ends at the commit frontier with the unfinished faults
-// kUntried, and no thread besides the ThreadPool workers watches it.
+// kUntried, and no thread besides the ParallelFor workers watches it.
 #pragma once
 
 #include <atomic>

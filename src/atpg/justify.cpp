@@ -19,6 +19,9 @@ bool Raised(const std::atomic<bool>* flag) {
   return flag != nullptr && flag->load(std::memory_order_relaxed);
 }
 
+/// Evaluation cap of every search, in frame units (see JustifyState).
+constexpr long kMaxEvaluations = 20'000'000;
+
 /// Shared search budget.
 struct Budget {
   long backtracks = 0;
@@ -26,7 +29,7 @@ struct Budget {
   const JustifyOptions* options;
   bool Exhausted() const {
     return backtracks > options->max_backtracks ||
-           evaluations > options->max_evaluations ||
+           evaluations > kMaxEvaluations ||
            Raised(options->stop) || Raised(options->cancel);
   }
 };

@@ -25,12 +25,12 @@
 
 namespace retest::atpg {
 
-/// Limits for a justification search.  `budget` members are shared
-/// across the whole recursion.
+/// Limits for a justification search, shared across the whole
+/// recursion.  A fixed evaluation cap (20,000,000 frame units, see
+/// JustifyState) also bounds every search.
 struct JustifyOptions {
   int max_depth = 24;          ///< Frames of backward recursion.
   long max_backtracks = 4000;  ///< Total decision flips across the search.
-  long max_evaluations = 20'000'000;
   /// Cooperative preemption, as PodemOptions: when either flag is set
   /// and becomes true, the search aborts at the next budget check.
   const std::atomic<bool>* stop = nullptr;
@@ -65,8 +65,8 @@ struct JustifyResult {
 /// or pseudo-PI it changed.  The work measure is not that cone: every
 /// solver step charges one full combinational frame (the node count
 /// less the PIs and DFFs) to JustifyResult::evaluations and against
-/// max_evaluations, so the count and the bound do not depend on how
-/// much of the frame a step re-evaluates.
+/// the fixed evaluation cap, so the count and the bound do not depend
+/// on how much of the frame a step re-evaluates.
 JustifyResult JustifyState(const sim::CompiledNetlist& net,
                            const std::vector<sim::V3>& target,
                            const JustifyOptions& options = {},

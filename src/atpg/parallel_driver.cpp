@@ -138,16 +138,16 @@ class Driver {
     const std::size_t base = frontier_;
     if (base >= queue_.size()) return;  // journal replay covered everything
     RETEST_TRACE_SPAN(phase_span, "atpg.deterministic_phase");
+    const std::size_t pending = queue_.size() - base;
     RETEST_COUNTER_ADD("atpg.det.faults_dispatched", "faults", "atpg",
                        "faults entering the deterministic phase",
-                       static_cast<long>(queue_.size() - base));
+                       static_cast<long>(pending));
     const int threads = std::max(
         1, std::min<int>(core::ResolveThreadCount(options_.num_threads),
-                         static_cast<int>(queue_.size() - base)));
+                         static_cast<int>(pending)));
     result_.threads_used = threads;
     std::vector<WorkerModels> models(static_cast<std::size_t>(threads));
-    core::ThreadPool pool(threads);
-    pool.ParallelFor(queue_.size() - base, [&](int worker, std::size_t i) {
+    core::ParallelFor(threads, pending, [&](int worker, std::size_t i) {
       const std::size_t item = base + i;
       // A racy-by-design optimization, exactly as racy as it always
       // was: whether a worker observes the retirement only decides

@@ -1,7 +1,7 @@
 // Fault-parallel deterministic ATPG phase.
 //
-// Remaining faults are dispatched across a core::ThreadPool work queue
-// in fault order.  The phase compiles the circuit once
+// Remaining faults are the items of one core::ParallelFor, claimed from
+// its shared counter in fault order.  The phase compiles the circuit once
 // (sim::CompiledNetlist); every worker's models and justification
 // searches read that one image.  Each worker keeps two reusable
 // unrolled models (the 1-frame redundancy prover and the depth-doubling

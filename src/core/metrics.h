@@ -1,5 +1,5 @@
 // Process-wide counter / timer registry — the measurement surface
-// every engine (sim, faultsim, atpg, thread pool) reports into.
+// every engine (sim, faultsim, atpg, core::ParallelFor) reports into.
 //
 // Design goals, in order:
 //  1. The instrumented hot paths stay contention-free and the engines'

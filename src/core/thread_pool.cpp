@@ -1,13 +1,19 @@
 #include "core/thread_pool.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdlib>
+#include <exception>
+#include <mutex>
+#include <thread>
+#include <vector>
 
 #include "core/metrics.h"
 
 namespace retest::core {
 
-int ThreadPool::DefaultThreadCount() {
+int ResolveThreadCount(int requested) {
+  if (requested > 0) return std::min(requested, 512);
   if (const char* env = std::getenv("REPRO_THREADS")) {
     const int parsed = std::atoi(env);
     if (parsed > 0) return std::min(parsed, 512);
@@ -16,85 +22,47 @@ int ThreadPool::DefaultThreadCount() {
   return hw == 0 ? 1 : static_cast<int>(hw);
 }
 
-int ResolveThreadCount(int requested) {
-  if (requested > 0) return std::min(requested, 512);
-  return ThreadPool::DefaultThreadCount();
-}
-
-ThreadPool::ThreadPool(int num_threads)
-    : num_threads_(num_threads > 0 ? num_threads : DefaultThreadCount()) {
-  workers_.reserve(static_cast<size_t>(num_threads_ - 1));
-  for (int w = 1; w < num_threads_; ++w) {
-    workers_.emplace_back([this, w] { WorkerLoop(w); });
-  }
-}
-
-ThreadPool::~ThreadPool() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    stop_ = true;
-  }
-  work_cv_.notify_all();
-  for (std::thread& worker : workers_) worker.join();
-}
-
-void ThreadPool::WorkerLoop(int worker) {
-  unsigned long seen = 0;
-  std::unique_lock<std::mutex> lock(mutex_);
-  for (;;) {
-    work_cv_.wait(lock, [&] { return stop_ || generation_ != seen; });
-    if (stop_) return;
-    seen = generation_;
-    RunItems(worker, lock);
-  }
-}
-
-void ThreadPool::RunItems(int worker, std::unique_lock<std::mutex>& lock) {
-  while (job_ != nullptr && next_ < count_) {
-    const std::size_t item = next_++;
-    ++active_;
-    lock.unlock();
-    std::exception_ptr error;
-    try {
-      (*job_)(worker, item);
-    } catch (...) {
-      error = std::current_exception();
-    }
-    lock.lock();
-    if (error) {
-      if (!error_) error_ = error;
-      next_ = count_;  // Abandon the remaining items.
-    }
-    --active_;
-  }
-  if (active_ == 0 && next_ >= count_) done_cv_.notify_all();
-}
-
-void ThreadPool::ParallelFor(std::size_t count, const Job& fn) {
+void ParallelFor(int num_threads, std::size_t count,
+                 const std::function<void(int worker, std::size_t item)>& fn) {
   if (count == 0) return;
   RETEST_COUNTER_ADD("core.thread_pool.parallel_fors", "loops", "core",
-                     "ParallelFor dispatches", 1);
+                     "ParallelFor calls", 1);
   RETEST_COUNTER_ADD("core.thread_pool.items", "items", "core",
-                     "work items executed by the pool",
+                     "work items handed to ParallelFor",
                      static_cast<long>(count));
   RETEST_DIST_RECORD("core.thread_pool.queue_depth", "items", "core",
-                     "items enqueued per ParallelFor (initial queue depth)",
+                     "items per ParallelFor (initial queue depth)",
                      static_cast<double>(count));
-  std::unique_lock<std::mutex> lock(mutex_);
-  job_ = &fn;
-  next_ = 0;
-  count_ = count;
-  error_ = nullptr;
-  ++generation_;
-  work_cv_.notify_all();
-  RunItems(0, lock);
-  done_cv_.wait(lock, [&] { return next_ >= count_ && active_ == 0; });
-  job_ = nullptr;
-  if (error_) {
-    std::exception_ptr error = error_;
-    error_ = nullptr;
-    std::rethrow_exception(error);
+  const int threads = static_cast<int>(std::min<std::size_t>(
+      count, static_cast<std::size_t>(ResolveThreadCount(num_threads))));
+
+  std::atomic<std::size_t> next{0};
+  std::mutex error_mutex;
+  std::exception_ptr error;
+  const auto fail = [&](std::exception_ptr e) {
+    std::lock_guard<std::mutex> lock(error_mutex);
+    if (!error) error = e;
+    next.store(count);  // Abandon the rest.
+  };
+  const auto drain = [&](int worker) {
+    for (std::size_t item; (item = next.fetch_add(1)) < count;) {
+      try {
+        fn(worker, item);
+      } catch (...) {
+        fail(std::current_exception());
+      }
+    }
+  };
+
+  std::vector<std::thread> workers;
+  try {
+    for (int w = 1; w < threads; ++w) workers.emplace_back(drain, w);
+  } catch (...) {
+    fail(std::current_exception());  // Could not start a thread.
   }
+  drain(0);
+  for (std::thread& worker : workers) worker.join();
+  if (error) std::rethrow_exception(error);
 }
 
 }  // namespace retest::core

@@ -1,74 +1,26 @@
-// A small reusable thread pool for data-parallel loops.
-//
-// The pool owns `size() - 1` persistent worker threads; the thread that
-// calls ParallelFor participates as the remaining worker, so a pool of
-// size 1 spawns no threads at all and runs everything inline.  Work is
-// handed out as indices [0, count) from a shared counter, which suits
-// coarse, independent items (e.g. 64-fault simulation batches).
+// One data-parallel loop for coarse, independent items (PROOFS fault
+// batches, ATPG faults, Table II/III pairs).
 #pragma once
 
-#include <condition_variable>
 #include <cstddef>
-#include <exception>
 #include <functional>
-#include <mutex>
-#include <thread>
-#include <vector>
 
 namespace retest::core {
 
-/// Resolves a user-facing `num_threads` knob the way every parallel
-/// subsystem (PROOFS batches, the fault-parallel ATPG driver) agrees
-/// on: positive values are taken literally (clamped to 512), anything
-/// else means ThreadPool::DefaultThreadCount() -- the `REPRO_THREADS`
-/// env override when set, hardware concurrency otherwise.
+/// Resolves a user-facing `num_threads` knob: positive values are taken
+/// literally, anything else means the `REPRO_THREADS` env var when it
+/// is a positive integer, else hardware concurrency (at least 1).  The
+/// result is at most 512.
 int ResolveThreadCount(int requested);
 
-class ThreadPool {
- public:
-  /// Worker callback: `worker` in [0, size()) identifies the executing
-  /// thread (stable across items, usable to index per-thread scratch),
-  /// `item` in [0, count) is the work index.
-  using Job = std::function<void(int worker, std::size_t item)>;
-
-  /// `num_threads <= 0` means DefaultThreadCount().
-  explicit ThreadPool(int num_threads = 0);
-  ~ThreadPool();
-
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  int size() const { return num_threads_; }
-
-  /// Runs fn(worker, item) for every item in [0, count); blocks until
-  /// all items finished.  The first exception thrown by an item is
-  /// rethrown here after the loop drains (remaining items are skipped).
-  /// Not reentrant: one ParallelFor at a time per pool.
-  void ParallelFor(std::size_t count, const Job& fn);
-
-  /// The `REPRO_THREADS` env var when set to a positive integer, else
-  /// std::thread::hardware_concurrency() (at least 1).
-  static int DefaultThreadCount();
-
- private:
-  void WorkerLoop(int worker);
-  /// Drains the current loop's items; expects `lock` held, returns with
-  /// it held.
-  void RunItems(int worker, std::unique_lock<std::mutex>& lock);
-
-  const int num_threads_;
-  std::vector<std::thread> workers_;
-
-  std::mutex mutex_;
-  std::condition_variable work_cv_;
-  std::condition_variable done_cv_;
-  const Job* job_ = nullptr;
-  std::size_t next_ = 0;
-  std::size_t count_ = 0;
-  int active_ = 0;
-  unsigned long generation_ = 0;
-  bool stop_ = false;
-  std::exception_ptr error_;
-};
+/// Runs fn(worker, item) for every item in [0, count) and returns once
+/// all finished.  Starts min(ResolveThreadCount(num_threads), count) - 1
+/// threads for this call and joins them; the caller is worker 0, so one
+/// thread runs every item inline.  `worker` in [0, threads) is stable
+/// per thread (index per-thread scratch with it); items come from one
+/// shared counter.  The first exception an item throws is rethrown
+/// after the join and the items not yet started are abandoned.
+void ParallelFor(int num_threads, std::size_t count,
+                 const std::function<void(int worker, std::size_t item)>& fn);
 
 }  // namespace retest::core

@@ -94,8 +94,7 @@ void RunBatches(const netlist::Circuit& circuit,
 
   const size_t num_dffs = static_cast<size_t>(circuit.num_dffs());
   std::vector<WorkerScratch<W>> scratch(static_cast<size_t>(num_threads));
-  core::ThreadPool pool(num_threads);
-  pool.ParallelFor(num_batches, [&](int worker, size_t batch) {
+  core::ParallelFor(num_threads, num_batches, [&](int worker, size_t batch) {
     RETEST_TRACE_SPAN(batch_span, "faultsim.batch");
     RETEST_SCOPED_TIMER(batch_timer, "faultsim.batch_ms", "faultsim",
                         "wall time of one fault batch");
@@ -133,7 +132,7 @@ void RunBatches(const netlist::Circuit& circuit,
         // Step only computes dirty words; a clean output matches the
         // good machine in every lane, so nothing to scan.
         if (!frame.dirty(out_node)) continue;
-        const V3 g = trace.outputs()[t][static_cast<size_t>(o)];
+        const V3 g = trace.value(t, out_node);
         if (g == V3::kX) continue;
         const Vec3<W>& w = frame.value(out_node);
         for (int k = 0; k < W; ++k) {

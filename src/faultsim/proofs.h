@@ -26,8 +26,8 @@
 //    cone-union work over more faults per evaluation.
 // All workers evaluate one shared, immutable CompiledNetlist
 // (sim/compiled.h) — the flattened SoA image of the circuit — instead
-// of walking per-node heap vectors.  Independent batches are
-// dispatched across a thread pool (ProofsOptions::num_threads / the
+// of walking per-node heap vectors.  Independent batches are the items
+// of one core::ParallelFor (ProofsOptions::num_threads / the
 // REPRO_THREADS env override).
 //
 // Thread-safety and determinism contract (docs/ARCHITECTURE.md):
@@ -57,9 +57,9 @@ namespace retest::faultsim {
 
 /// Options for the parallel fault simulator: only its thread count.
 struct ProofsOptions {
-  /// Worker threads for independent fault batches.  <= 0 means
-  /// core::ThreadPool::DefaultThreadCount() (the REPRO_THREADS env var
-  /// when set, else hardware concurrency).
+  /// Worker threads for independent fault batches (the items of one
+  /// core::ParallelFor).  <= 0 means core::ResolveThreadCount(0) (the
+  /// REPRO_THREADS env var when set, else hardware concurrency).
   int num_threads = 0;
 };
 

@@ -146,11 +146,10 @@ Trace::Trace(const netlist::Circuit& circuit, const InputSequence& sequence)
     : frames_(sequence.size()),
       num_nodes_(static_cast<size_t>(circuit.size())) {
   values_.resize(frames_ * num_nodes_);
-  outputs_.reserve(frames_);
   Simulator simulator(circuit);
   simulator.Reset();
   for (size_t t = 0; t < frames_; ++t) {
-    outputs_.push_back(simulator.Step(sequence[t]));
+    simulator.Step(sequence[t]);
     V3* frame = values_.data() + t * num_nodes_;
     for (size_t id = 0; id < num_nodes_; ++id) {
       frame[id] = simulator.value(static_cast<netlist::NodeId>(id));

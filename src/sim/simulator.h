@@ -84,19 +84,15 @@ class Trace {
     return {values_.data() + t * num_nodes_, num_nodes_};
   }
 
+  /// One node's value at frame t (a primary output's node included).
   V3 value(size_t t, netlist::NodeId id) const {
     return values_[t * num_nodes_ + static_cast<size_t>(id)];
   }
-
-  /// Primary-output values per frame (Circuit::outputs order), the
-  /// same shape Simulator::Run returns.
-  const std::vector<std::vector<V3>>& outputs() const { return outputs_; }
 
  private:
   size_t frames_ = 0;
   size_t num_nodes_ = 0;
   std::vector<V3> values_;  // frames_ x num_nodes_, frame-major
-  std::vector<std::vector<V3>> outputs_;
 };
 
 }  // namespace retest::sim

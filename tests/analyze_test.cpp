@@ -269,7 +269,7 @@ TEST(ScoapTest, RegisterFeedbackConverges) {
   EXPECT_EQ(summary.uncontrollable_nets, 0);
   EXPECT_EQ(summary.unobservable_nets, 0);
   EXPECT_GT(summary.sequential_cost, 0);
-  const std::string json = summary.ToJson(2);
+  const std::string json = summary.ToJson();
   EXPECT_NE(json.find("\"sequential_cost\""), std::string::npos);
 }
 

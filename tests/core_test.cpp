@@ -2,6 +2,8 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <mutex>
+#include <set>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -262,12 +264,10 @@ TEST(Sync, ReportsFailureWhenUnsynchronizable) {
   EXPECT_FALSE(FindStructuralSyncSequence(circuit, options).has_value());
 }
 
-TEST(ThreadPool, RunsEveryItemExactlyOnce) {
-  ThreadPool pool(3);
-  EXPECT_EQ(pool.size(), 3);
+TEST(ParallelFor, RunsEveryItemExactlyOnce) {
   constexpr size_t kItems = 1000;
   std::vector<std::atomic<int>> hits(kItems);
-  pool.ParallelFor(kItems, [&](int worker, size_t item) {
+  ParallelFor(3, kItems, [&](int worker, size_t item) {
     EXPECT_GE(worker, 0);
     EXPECT_LT(worker, 3);
     hits[item].fetch_add(1);
@@ -275,49 +275,67 @@ TEST(ThreadPool, RunsEveryItemExactlyOnce) {
   for (size_t i = 0; i < kItems; ++i) EXPECT_EQ(hits[i].load(), 1);
 }
 
-TEST(ThreadPool, SingleThreadRunsInline) {
-  ThreadPool pool(1);
+TEST(ParallelFor, OneThreadRunsInlineOnTheCaller) {
   const auto caller = std::this_thread::get_id();
-  std::atomic<int> off_thread{0};
-  pool.ParallelFor(64, [&](int, size_t) {
-    if (std::this_thread::get_id() != caller) off_thread.fetch_add(1);
+  std::vector<size_t> order;
+  ParallelFor(1, 64, [&](int worker, size_t item) {
+    EXPECT_EQ(worker, 0);
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    order.push_back(item);
   });
-  EXPECT_EQ(off_thread.load(), 0);
+  ASSERT_EQ(order.size(), 64u);
+  for (size_t i = 0; i < order.size(); ++i) EXPECT_EQ(order[i], i);
 }
 
-TEST(ThreadPool, ReusableAcrossLoops) {
-  ThreadPool pool(2);
-  std::atomic<long> sum{0};
-  for (int round = 0; round < 5; ++round) {
-    pool.ParallelFor(100, [&](int, size_t item) {
-      sum.fetch_add(static_cast<long>(item));
+TEST(ParallelFor, NeverStartsMoreThreadsThanItems) {
+  std::mutex mutex;
+  std::set<std::thread::id> ids;
+  ParallelFor(8, 3, [&](int worker, size_t) {
+    EXPECT_LT(worker, 3);
+    std::lock_guard<std::mutex> lock(mutex);
+    ids.insert(std::this_thread::get_id());
+  });
+  EXPECT_GE(ids.size(), 1u);
+  EXPECT_LE(ids.size(), 3u);
+}
+
+TEST(ParallelFor, RethrowsTheFirstExceptionAndAbandonsTheRest) {
+  // One thread runs the items in order, so item 3's throw is the first
+  // and items 4..9 never start.
+  std::vector<size_t> ran;
+  try {
+    ParallelFor(1, 10, [&](int, size_t item) {
+      ran.push_back(item);
+      if (item == 3) throw std::runtime_error("boom");
     });
+    ADD_FAILURE() << "ParallelFor did not rethrow";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "boom");
   }
-  EXPECT_EQ(sum.load(), 5L * (99 * 100 / 2));
-}
+  EXPECT_EQ(ran, (std::vector<size_t>{0, 1, 2, 3}));
 
-TEST(ThreadPool, PropagatesExceptions) {
-  ThreadPool pool(2);
-  EXPECT_THROW(pool.ParallelFor(10,
-                                [&](int, size_t item) {
-                                  if (item == 3) {
-                                    throw std::runtime_error("boom");
-                                  }
-                                }),
+  // A worker that throws abandons the counter before it claims again,
+  // so when every item throws each worker runs at most one of them.
+  std::atomic<int> started{0};
+  EXPECT_THROW(ParallelFor(2, 1000,
+                           [&](int, size_t) {
+                             started.fetch_add(1);
+                             throw std::runtime_error("boom");
+                           }),
                std::runtime_error);
-  // The pool survives the failed loop.
-  std::atomic<int> count{0};
-  pool.ParallelFor(8, [&](int, size_t) { count.fetch_add(1); });
-  EXPECT_EQ(count.load(), 8);
+  EXPECT_GE(started.load(), 1);
+  EXPECT_LE(started.load(), 2);
 }
 
-TEST(ThreadPool, DefaultThreadCountHonorsEnvOverride) {
+TEST(ResolveThreadCount, HonorsEnvOverride) {
   ::setenv("REPRO_THREADS", "3", 1);
-  EXPECT_EQ(ThreadPool::DefaultThreadCount(), 3);
+  EXPECT_EQ(ResolveThreadCount(0), 3);
+  EXPECT_EQ(ResolveThreadCount(5), 5);  // An explicit count wins.
   ::setenv("REPRO_THREADS", "0", 1);
-  EXPECT_GE(ThreadPool::DefaultThreadCount(), 1);
+  EXPECT_GE(ResolveThreadCount(0), 1);
   ::unsetenv("REPRO_THREADS");
-  EXPECT_GE(ThreadPool::DefaultThreadCount(), 1);
+  EXPECT_GE(ResolveThreadCount(-1), 1);
+  EXPECT_EQ(ResolveThreadCount(100000), 512);
 }
 
 TEST(Status, DiagnosticRendersSourceLineCodeMessage) {

@@ -1,6 +1,6 @@
 // Per-job determinism under concurrent jobs: a job's result does not
 // depend on what else runs next to it.  The Table II/III drivers run
-// their sixteen pairs as items of one core::ThreadPool::ParallelFor,
+// their sixteen pairs as items of one core::ParallelFor,
 // one engine thread per pair, and print rows that must equal a serial
 // sweep's.  Each check runs its jobs serially, then under ParallelFor
 // at 1 and 4 threads, and compares every per-job ATPG result (status
@@ -59,8 +59,8 @@ void ExpectIdenticalResults(const atpg::AtpgResult& a,
 }
 
 /// Runs `job(i)` for every i in [0, count): in a plain loop when
-/// `threads` is 0, else as the items of one ParallelFor on a pool of
-/// `threads` threads.  Each job returns its ATPG results.
+/// `threads` is 0, else as the items of one ParallelFor on `threads`
+/// threads.  Each job returns its ATPG results.
 using Job = std::function<std::vector<atpg::AtpgResult>(std::size_t)>;
 
 std::vector<std::vector<atpg::AtpgResult>> RunJobs(std::size_t count,
@@ -71,9 +71,8 @@ std::vector<std::vector<atpg::AtpgResult>> RunJobs(std::size_t count,
     for (std::size_t i = 0; i < count; ++i) results[i] = job(i);
     return results;
   }
-  core::ThreadPool pool(threads);
-  pool.ParallelFor(count,
-                   [&](int, std::size_t i) { results[i] = job(i); });
+  core::ParallelFor(threads, count,
+                    [&](int, std::size_t i) { results[i] = job(i); });
   return results;
 }
 
